@@ -34,7 +34,7 @@ class DecayFit:
     window: tuple
     exponent: float | None
     residual: float | None  # RMS of the log-log fit
-    n_samples: int
+    n_samples: int  # samples above VALUE_FLOOR, the ones fitted
     below_floor: bool = False
     predicted: float | None = None
 
@@ -47,6 +47,7 @@ class DecayFit:
     @property
     def reliable(self):
         return (not self.below_floor and self.residual is not None
+                and self.n_samples >= MIN_FIT_SAMPLES
                 and self.residual < MAX_FIT_RMS)
 
 
@@ -57,8 +58,10 @@ def default_window(r_max: float) -> tuple:
 def fit_decay_exponent(r, values, window=None, predicted=None) -> DecayFit:
     """Least-squares slope of log|values| vs log r restricted to window.
 
-    Returns a below-floor marker instead of an exponent when the values
-    vanish to numerical precision on the window (e.g. exactly flat data).
+    Only samples above VALUE_FLOOR are fitted.  Returns a below-floor
+    marker instead of an exponent when fewer than two of them are left
+    (e.g. exactly flat data); a fit on fewer than MIN_FIT_SAMPLES of them
+    keeps its exponent but is not reliable.
     """
     r = np.asarray(r, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -74,16 +77,17 @@ def fit_decay_exponent(r, values, window=None, predicted=None) -> DecayFit:
     if rw.size < MIN_FIT_SAMPLES:
         raise ValueError(
             f"need >= {MIN_FIT_SAMPLES} samples in window, got {rw.size}")
-    if vw.max(initial=0.0) < VALUE_FLOOR:
-        return DecayFit(window=(lo, hi), exponent=None, residual=None,
-                        n_samples=int(rw.size), below_floor=True,
-                        predicted=predicted)
     keep = vw > VALUE_FLOOR
+    fitted = int(keep.sum())
+    if fitted < 2:
+        return DecayFit(window=(lo, hi), exponent=None, residual=None,
+                        n_samples=fitted, below_floor=True,
+                        predicted=predicted)
     x, y = np.log(rw[keep]), np.log(vw[keep])
     slope, intercept = np.polyfit(x, y, 1)
     rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return DecayFit(window=(lo, hi), exponent=float(slope), residual=rms,
-                    n_samples=int(rw.size), predicted=predicted)
+                    n_samples=fitted, predicted=predicted)
 
 
 def weighted_norm(r, values, s: float) -> float:
@@ -160,10 +164,8 @@ def adm_mass(p: RadialProfile, r_eval: float = None, decay_window=None) -> float
     if r_eval is None:
         # far enough out for the expansion, close enough that the FD
         # derivatives of the O(r^-2) deviation stay above roundoff
-        r_eval = 100.0
-        if p.form != "flat":
-            r_outer = math.exp(0.5 * p.rho_of_tau(p.tau_max * 0.01))
-            r_eval = min(r_eval, r_outer / 4.0)
+        r_outer = math.exp(0.5 * p.rho_of_tau(p.tau_max * 0.01))
+        r_eval = min(100.0, r_outer / 4.0)
     # decay precondition on the eigenvalue deviation
     lo = max(p.tau_min * 1.5, 1e-2) if p.tau_min > 0 else 1e-2
     taus = np.geomspace(max(lo, 1.0), min(p.tau_max, (r_eval ** 2) * 4), 64)

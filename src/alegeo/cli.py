@@ -20,8 +20,8 @@ from .geodesic import GeodesicError
 from .profiles import (ProfileError, curvature_scan_rows, flat_profile,
                        lebrun_profile, profile_from_json, ricci_sign_scan)
 from .runner import (ENERGY_CSV_HEADER, Scenario, ScenarioError,
-                     batch as run_batch, energy_csv_rows, load_grid_csv,
-                     run_scenario, write_summary_csv)
+                     _write_json, batch as run_batch, energy_csv_rows,
+                     load_grid_csv, run_scenario, write_summary_csv)
 from .toric import IntersectionReport
 
 EXIT_OK = 0
@@ -42,10 +42,6 @@ def _fail(code, message):
 
 def _load_json(path):
     return json.loads(Path(path).read_text())
-
-
-def _write_json(path, doc):
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 @click.group()
@@ -226,9 +222,8 @@ def decay_fit(input_path, column, r_column, window, out_path):
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True))
 @click.option("--out", "out_dir", default=".", type=click.Path())
-@click.option("--threads", type=int, default=1)
 @click.option("--no-cache", is_flag=True, default=False)
-def batch_cmd(config_path, out_dir, threads, no_cache):
+def batch_cmd(config_path, out_dir, no_cache):
     """Run a manifest of scenarios; write one deterministic summary CSV."""
     try:
         doc = _load_json(config_path)
@@ -245,7 +240,7 @@ def batch_cmd(config_path, out_dir, threads, no_cache):
             raise ScenarioError("scenario ids must be unique")
     except VALIDATION_ERRORS as exc:
         _fail(EXIT_VALIDATION, exc)
-    rows, _ = run_batch(scenarios, threads=threads, no_cache=no_cache)
+    rows, _ = run_batch(scenarios, no_cache=no_cache)
     write_summary_csv(Path(out_dir) / "summary.csv", rows)
     failures = sum(1 for row in rows if not row["passed"])
     click.echo(f"{len(rows)} rows, {failures} failures "

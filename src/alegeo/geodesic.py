@@ -69,8 +69,6 @@ class SolverConfig:
     max_backtracks: int = 40
     schedule_ratio: float = 0.5
     min_decay: float = 0.5  # slowest admissible r-decay of boundary data
-    upsilon_constant: float = 1.0  # the C of C^-1 eps <= upsilon <= C eps
-    upsilon_sigma: float = 4.0     # recorded decay order of grad upsilon
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
@@ -299,9 +297,8 @@ def _newton_system(grid: PathGrid, s, mode):
     return R, J, M
 
 
-def _dirichlet_column(grid: PathGrid, s, mode):
+def _dirichlet_column(t, s):
     """Far-field Dirichlet value s * t(t-1)/2 at rho_max."""
-    t = grid.t_nodes
     return s * t * (t - 1.0) / 2.0
 
 
@@ -352,7 +349,7 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     grid.phi[:] = 1.0 * t[None, :] * (t[None, :] - 1.0) / 2.0
 
     for s in config.schedule():
-        grid.phi[-1, :] = _dirichlet_column(grid, s, config.upsilon_mode)
+        grid.phi[-1, :] = _dirichlet_column(t, s)
         grid.phi[:, 0] = 0.0
         grid.phi[:, -1] = 0.0
         history = []

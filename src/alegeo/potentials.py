@@ -88,25 +88,20 @@ def tau_power_potential(profile, amplitude: float,
             coef *= (-gg - i)
         return scale * coef * tau ** (-gg - m)
 
-    def tau_of(rho):
-        flat_rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        tau = np.array([profile.tau_of_rho(r) for r in flat_rho])
-        return tau.reshape(np.shape(rho))
-
     def d0(rho):
-        return h(tau_of(rho), 0)
+        return h(profile.tau_of_rho(rho), 0)
 
     def d1(rho):
-        tau = tau_of(rho)
+        tau = profile.tau_of_rho(rho)
         return profile.phi(tau) * h(tau, 1)
 
     def d2(rho):
-        tau = tau_of(rho)
+        tau = profile.tau_of_rho(rho)
         ph, p1 = profile.phi(tau), profile.phi_d1(tau)
         return ph * (p1 * h(tau, 1) + ph * h(tau, 2))
 
     def d3(rho):
-        tau = tau_of(rho)
+        tau = profile.tau_of_rho(rho)
         ph, p1, p2 = (profile.phi(tau), profile.phi_d1(tau),
                       profile.phi_d2(tau))
         inner = p1 * h(tau, 1) + ph * h(tau, 2)
@@ -114,7 +109,7 @@ def tau_power_potential(profile, amplitude: float,
         return ph * (p1 * inner + ph * d_inner)
 
     def d4(rho):
-        tau = tau_of(rho)
+        tau = profile.tau_of_rho(rho)
         ph, p1, p2, p3 = (profile.phi(tau), profile.phi_d1(tau),
                           profile.phi_d2(tau), profile.phi_d3(tau))
         inner = p1 * h(tau, 1) + ph * h(tau, 2)

@@ -12,6 +12,13 @@ Curvature is driven by the log-volume function
     F = (n-1)*log(u') + log(u'') - n*rho,
 
 whose first and second rho-derivatives give the two Ricci eigenvalues.
+
+Each profile carries its own anchored rho(tau) = int d tau / phi, set once
+by its constructor: closed forms for the LeBrun family (partial fractions
+of 1/phi) and the flat cone (log tau), the base rho plus a compact
+Gauss-Legendre correction for a bump perturbation, and a log-grid
+quadrature only for custom and sampled profiles.  The inverse tau(rho) is
+one vectorised safeguarded Newton iteration shared by every profile.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, interpolate, optimize
+from scipy import integrate, interpolate
 
 __all__ = [
     "RadialProfile",
@@ -44,6 +51,15 @@ __all__ = [
 
 # Curvature queries keep away from the zero-section coordinate degeneracy.
 DEFAULT_ZERO_SECTION_MARGIN = 1e-6
+# tau_of_rho stops once a Newton step moves x = log(tau), or rho misses its
+# target, by less than this relative to the size of x and rho: where rho is
+# flat in x (tau << phi) rho pins x only to its own roundoff, and the step
+# test alone can cycle.  Bisection alone would need ~60 halvings.
+INVERSE_RTOL = 4.0 * np.finfo(float).eps
+INVERSE_MAX_ITERS = 100
+# Gauss-Legendre nodes for the bump correction to rho; its integrand is a
+# degree-8 polynomial over a smooth positive denominator on each interval.
+BUMP_RHO_NODES = 32
 
 
 class ProfileError(ValueError):
@@ -52,12 +68,13 @@ class ProfileError(ValueError):
 
 @dataclass(frozen=True)
 class _Kernel:
-    """Closed-form profile function with derivatives in tau."""
+    """Profile function, its derivatives in tau, and the anchored rho(tau)."""
 
     phi: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
     d3: Callable[[np.ndarray], np.ndarray]
+    rho: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -119,59 +136,51 @@ class RadialProfile:
         """Calabi variable rho(tau) = int d tau / phi, anchored per ``anchor``."""
         tau = np.asarray(tau, dtype=float)
         self._check_domain(tau)
-        if self.form == "flat":
-            return np.log(tau)
-        x = np.log(tau)
-        return x + self._corr_interp()(x)
-
-    def _corr_interp(self):
-        """Interpolant of rho - log(tau) as a function of log(tau).
-
-        The correction integrand 1/tau - 1/phi decays like 1/tau^2, so the
-        cumulative quadrature on a dense log grid resolves it well; with the
-        "infinity" anchor a single tail quadrature pins the outer constant so
-        the metric eigenvalues tend to exactly 1.
-        """
-        cache = self.params.get("_corr_cache")
-        if cache is None:
-            # geometric clustering in tau - tau_min: 1/phi ~ 1/(k(tau-tau_min))
-            # near the zero section, so uniform-in-log-tau grids misintegrate it
-            if self.tau_min > 0:
-                offs = np.geomspace(self.tau_min * 1e-8,
-                                    self.tau_max - self.tau_min, 12001)
-                grid = self.tau_min + offs
-            else:
-                grid = np.geomspace(1e-8, self.tau_max, 12001)
-            integrand = 1.0 / grid - 1.0 / self._kernel.phi(grid)
-            # corr(tau) = const + int_tau^{tau_max} integrand
-            cum = integrate.cumulative_simpson(integrand, x=grid, initial=0.0)
-            corr = cum[-1] - cum
-            if self.anchor == "infinity":
-                tail, _ = integrate.quad(
-                    lambda s: 1.0 / s - 1.0 / float(self._kernel.phi(np.asarray(s))),
-                    self.tau_max, np.inf, limit=200)
-                corr = corr + tail
-            # tau_max anchor: corr(tau_max) = 0, i.e. rho(tau_max) = log tau_max
-            cache = interpolate.PchipInterpolator(np.log(grid), corr)
-            self.params["_corr_cache"] = cache
-        return cache
+        return self._kernel.rho(tau)
 
     def tau_of_rho(self, rho):
-        """Inverse of rho_of_tau by bracketed root finding in log(tau)."""
+        """Inverse of rho_of_tau, vectorised over any array shape.
+
+        Safeguarded Newton in x = log(tau): d rho/dx = tau/phi > 0, so the
+        domain ends bracket every root, each iterate shrinks its point's
+        bracket, and a step that leaves the bracket becomes a bisection.
+        """
         rho = np.asarray(rho, dtype=float)
-        if self.form == "flat":
-            return np.exp(rho)
-        corr = self._corr_interp()
-        scalar = rho.ndim == 0
-        rhos = np.atleast_1d(rho)
-        lo = self.tau_min * (1.0 + DEFAULT_ZERO_SECTION_MARGIN) if self.tau_min > 0 else 1e-8
-        xlo, xhi = math.log(lo), math.log(self.tau_max)
-        out = np.empty_like(rhos)
-        for i, r in enumerate(rhos):
-            out[i] = math.exp(optimize.brentq(
-                lambda x: x + float(corr(x)) - r, xlo, xhi,
-                xtol=1e-14, rtol=8.9e-16))
-        return out[0] if scalar else out
+        kern = self._kernel
+        lo_tau = (self.tau_min * (1.0 + DEFAULT_ZERO_SECTION_MARGIN)
+                  if self.tau_min > 0 else 1e-8)
+        x_lo, x_hi = math.log(lo_tau), math.log(self.tau_max)
+        rho_lo, rho_hi = kern.rho(np.array([lo_tau, self.tau_max]))
+        target = rho.ravel()
+        if not np.all((target >= rho_lo) & (target <= rho_hi)):
+            raise ProfileError(
+                f"rho out of profile range [{rho_lo}, {rho_hi}]")
+        out = np.empty_like(target)
+        idx = np.arange(target.size)
+        x = np.clip(target, x_lo, x_hi)  # rho - log(tau) -> 0 at infinity
+        lo = np.full_like(x, x_lo)
+        hi = np.full_like(x, x_hi)
+        for _ in range(INVERSE_MAX_ITERS):
+            tau = np.exp(x)
+            f = kern.rho(tau) - target
+            lo = np.where(f <= 0.0, x, lo)
+            hi = np.where(f >= 0.0, x, hi)
+            x_new = x - f * kern.phi(tau) / tau
+            # a step below roundoff lands on the bracket end it started from
+            x_new = np.where((x_new >= lo) & (x_new <= hi), x_new,
+                             0.5 * (lo + hi))
+            scale = np.maximum(1.0, np.abs(x))
+            done = ((np.abs(x_new - x) <= INVERSE_RTOL * scale)
+                    | (np.abs(f) <= INVERSE_RTOL * (scale + np.abs(target))))
+            out[idx[done]] = np.exp(x_new[done])
+            keep = ~done
+            idx, x, lo, hi = idx[keep], x_new[keep], lo[keep], hi[keep]
+            target = target[keep]
+            if idx.size == 0:
+                return out.reshape(rho.shape)[()]
+        raise ProfileError(
+            f"tau_of_rho: {idx.size} points unconverged after "
+            f"{INVERSE_MAX_ITERS} iterations")
 
     # -- background potential derivatives in rho -------------------------
 
@@ -223,6 +232,39 @@ class CurvatureSample:
 # constructors
 # ---------------------------------------------------------------------------
 
+def _quadrature_rho(phi, tau_min, tau_max, anchor):
+    """rho(tau) for a profile without a closed form.
+
+    rho = log(tau) + corr, where the correction integrand 1/tau - 1/phi
+    decays like 1/tau^2, so a cumulative quadrature on a dense log grid
+    resolves it well and PCHIP in log(tau) interpolates it.  With the
+    "infinity" anchor a single tail quadrature pins the outer constant so
+    the metric eigenvalues tend to exactly 1; with "tau_max",
+    rho(tau_max) = log(tau_max).
+    """
+    # geometric clustering in tau - tau_min: 1/phi ~ 1/(k(tau-tau_min))
+    # near the zero section, so uniform-in-log-tau grids misintegrate it
+    if tau_min > 0:
+        grid = tau_min + np.geomspace(tau_min * 1e-8, tau_max - tau_min, 12001)
+    else:
+        grid = np.geomspace(1e-8, tau_max, 12001)
+    integrand = 1.0 / grid - 1.0 / phi(grid)
+    # corr(tau) = const + int_tau^{tau_max} integrand
+    cum = integrate.cumulative_simpson(integrand, x=grid, initial=0.0)
+    corr = cum[-1] - cum
+    if anchor == "infinity":
+        tail, _ = integrate.quad(
+            lambda s: 1.0 / s - 1.0 / float(phi(np.asarray(s))),
+            tau_max, np.inf, limit=200)
+        corr = corr + tail
+    corr = interpolate.PchipInterpolator(np.log(grid), corr)
+
+    def rho(tau):
+        x = np.log(tau)
+        return x + corr(x)
+    return rho
+
+
 def lebrun_profile(k: int, tau_min: float, n: int = 2,
                    tau_max: float = 1e12) -> RadialProfile:
     """Scalar-flat family phi(tau) = tau + A + B/tau on O(-k) over CP^1.
@@ -237,11 +279,17 @@ def lebrun_profile(k: int, tau_min: float, n: int = 2,
         raise ProfileError(f"tau_min must be > 0, got {tau_min}")
     A = (k - 2.0) * tau_min
     B = (1.0 - k) * tau_min ** 2
+    # phi = (tau - a)(tau - b)/tau, so 1/phi splits into partial fractions
+    # and rho = [a log(tau - a) - b log(tau - b)]/(a - b), whose constant
+    # is 0 under the "infinity" anchor: 1/2 log(tau^2 - a^2) at k = 2
+    # (Eguchi-Hanson), log(tau - a) at k = 1 (Burns)
+    a, b = float(tau_min), (1.0 - k) * tau_min
     kern = _Kernel(
         phi=lambda t: t + A + B / t,
         d1=lambda t: 1.0 - B / t ** 2,
         d2=lambda t: 2.0 * B / t ** 3,
         d3=lambda t: -6.0 * B / t ** 4,
+        rho=lambda t: (a * np.log(t - a) - b * np.log(t - b)) / (a - b),
     )
     return RadialProfile(n=n, k=k, tau_min=tau_min, tau_max=tau_max,
                          form="lebrun", params={"A": A, "B": B},
@@ -255,6 +303,7 @@ def flat_profile(n: int = 2, k: int = 1, tau_max: float = 1e12) -> RadialProfile
         d1=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         d3=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        rho=np.log,
     )
     return RadialProfile(n=n, k=k, tau_min=0.0, tau_max=tau_max,
                          form="flat", params={}, anchor="infinity",
@@ -264,7 +313,8 @@ def flat_profile(n: int = 2, k: int = 1, tau_max: float = 1e12) -> RadialProfile
 def custom_profile(n, k, tau_min, phi, d1, d2, d3, tau_max=1e12,
                    form="custom", anchor="infinity") -> RadialProfile:
     """Profile from explicit callables phi(tau) and its first three derivatives."""
-    kern = _Kernel(phi=phi, d1=d1, d2=d2, d3=d3)
+    kern = _Kernel(phi=phi, d1=d1, d2=d2, d3=d3,
+                   rho=_quadrature_rho(phi, tau_min, tau_max, anchor))
     return RadialProfile(n=n, k=k, tau_min=tau_min, tau_max=tau_max,
                          form=form, params={}, anchor=anchor, _kernel=kern)
 
@@ -286,7 +336,9 @@ def sampled_profile(n, k, tau_min, tau: Sequence[float],
         raise ProfileError("phi samples must be positive above tau_min")
     interp = interpolate.PchipInterpolator(tau, phi)
     kern = _Kernel(phi=interp, d1=interp.derivative(1),
-                   d2=interp.derivative(2), d3=interp.derivative(3))
+                   d2=interp.derivative(2), d3=interp.derivative(3),
+                   rho=_quadrature_rho(interp, float(tau_min), float(tau[-1]),
+                                       "tau_max"))
     return RadialProfile(n=n, k=k, tau_min=float(tau_min),
                          tau_max=float(tau[-1]), form="samples",
                          params={"tau": tau, "phi": phi}, anchor="tau_max",
@@ -336,13 +388,27 @@ def bump_perturbed_profile(base: RadialProfile, center: float, width: float,
              - 24 * y ** 2 * (-2 * x / w) / w ** 2)
         return a * d * inside
 
-    # base._kernel.phi skips the domain check, which tail quadratures past
-    # tau_max rely on
+    base_phi, base_rho = base._kernel.phi, base._kernel.rho
+    nodes, weights = np.polynomial.legendre.leggauss(BUMP_RHO_NODES)
+
+    def rho(t):
+        # base rho plus int_t^{c+w} (1/phi_base - 1/phi), the integrand
+        # being s/(phi_base*phi) on the support; the interval collapses
+        # to a point past the bump, which keeps the base rho exactly
+        t = np.asarray(t, dtype=float)
+        lo = np.clip(t, c - w, c + w)[..., None]
+        half = 0.5 * (c + w - lo)
+        q = lo + half * (nodes + 1.0)
+        pb = base_phi(q)
+        corr = np.sum(weights * half * s(q) / (pb * (pb + s(q))), axis=-1)
+        return base_rho(t) + corr
+
     kern = _Kernel(
-        phi=lambda t: base._kernel.phi(np.asarray(t, dtype=float)) + s(t),
+        phi=lambda t: base_phi(np.asarray(t, dtype=float)) + s(t),
         d1=lambda t: base.phi_d1(t) + s1(t),
         d2=lambda t: base.phi_d2(t) + s2(t),
         d3=lambda t: base.phi_d3(t) + s3(t),
+        rho=rho,
     )
     return RadialProfile(n=base.n, k=base.k, tau_min=base.tau_min,
                          tau_max=base.tau_max, form="perturbed",

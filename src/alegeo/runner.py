@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -284,11 +283,11 @@ def run_scenario(scenario: Scenario, no_cache: bool = False) -> RunManifest:
 
 
 def _run_analyses(scenario, out, manifest):
-    profile = scenario.build_profile()
     analyses = scenario.analyses or ("c0_check",)
     needs_solve = bool(set(analyses) & {"c0_check", "decay", "energy"})
 
     if needs_solve:
+        profile = scenario.build_profile()
         psi0, psi1 = scenario.build_potentials(profile)
         cfg = scenario.build_config()
         t0 = time.perf_counter()
@@ -363,31 +362,22 @@ def _sweep_groups(scenarios):
     return [ids for ids in groups.values() if len(ids) >= 2]
 
 
-def batch(scenarios, threads: int = 1, no_cache: bool = False):
-    """Run scenarios (optionally in parallel), aggregate by scenario id.
+def batch(scenarios, no_cache: bool = False):
+    """Run scenarios in order, aggregate by scenario id.
 
     Returns (rows, manifests): summary rows sorted by id, with an extra
     uniformity-probe row per epsilon-sweep group, plus the manifests of
     the scenarios that ran.  Failures are isolated per scenario.
     """
     results = {}
-
-    def run_one(s):
+    for s in scenarios:
         try:
-            return run_scenario(s, no_cache=no_cache)
+            results[s.id] = run_scenario(s, no_cache=no_cache)
         except Exception as exc:  # isolation: failures become summary rows
-            return RunManifest(version=__version__, scenario_id=s.id,
-                               scenario_hash=s.content_hash(),
-                               inputs={}, artifacts={}, checks={},
-                               status="error", error=str(exc))
-
-    if threads > 1 and len(scenarios) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for s, m in zip(scenarios, pool.map(run_one, scenarios)):
-                results[s.id] = m
-    else:
-        for s in scenarios:
-            results[s.id] = run_one(s)
+            results[s.id] = RunManifest(
+                version=__version__, scenario_id=s.id,
+                scenario_hash=s.content_hash(), inputs={}, artifacts={},
+                checks={}, status="error", error=str(exc))
 
     rows = []
     for sid in sorted(results):
@@ -397,7 +387,6 @@ def batch(scenarios, threads: int = 1, no_cache: bool = False):
                      "checks": len(m.checks), "failed_checks": failed,
                      "passed": m.passed})
 
-    by_id = {s.id: s for s in scenarios}
     for ids in _sweep_groups(scenarios):
         probes = []
         for sid in sorted(ids):
@@ -412,7 +401,6 @@ def batch(scenarios, threads: int = 1, no_cache: bool = False):
                      "hash": canonical_hash(sorted(ids)), "status": "ok",
                      "checks": 1, "failed_checks": int(ratio > 2.0),
                      "passed": ratio <= 2.0, "probe_ratio": ratio})
-    _ = by_id
     return rows, results
 
 

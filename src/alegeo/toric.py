@@ -22,13 +22,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["IntersectionReport", "intersection_numbers",
            "mixed_type_certificate", "representative_integral_oracle",
-           "oracle_calibration", "wedge_integral_oracle"]
+           "wedge_integral_oracle"]
 
 FORM_NORMALIZATION = 1.0 / (2.0 * math.pi)
 ORACLE_NODES = 120
@@ -183,17 +182,6 @@ def _restricted_d0_oracle(n, k, nodes=ORACLE_NODES) -> float:
     return FORM_NORMALIZATION ** m * math.factorial(m) * 2 ** m * integral
 
 
-@lru_cache(maxsize=1)
-def oracle_calibration() -> float:
-    """Conversion from raw oracle output to intersection normalization.
-
-    Measured once on (n=2, k=1) against the exact value D0.D0 = -1 and
-    reused for every other case.
-    """
-    raw = wedge_integral_oracle(2, 1, ("d0", "d0"))
-    return -1.0 / raw
-
-
 def representative_integral_oracle(n, k, which) -> dict:
     """Numeric value of the requested wedge integral with an error estimate.
 
@@ -213,15 +201,14 @@ def representative_integral_oracle(n, k, which) -> dict:
         run = lambda nodes: _restricted_d0_oracle(n, k, nodes=nodes)
     else:
         raise ValueError(f"unknown integral selector {which!r}")
-    cal = oracle_calibration()
-    fine = run(ORACLE_NODES) * cal
-    coarse = run(ORACLE_NODES_COARSE) * cal
+    fine = run(ORACLE_NODES)
+    coarse = run(ORACLE_NODES_COARSE)
     err = abs(fine - coarse)
     scale = max(abs(fine), 1.0)
     if err > MAX_ORACLE_ERROR * scale:
         raise ArithmeticError(
             f"oracle quadrature error {err:.2e} exceeds budget for ({n},{k},{which})")
-    return {"value": fine, "error": err, "calibration": cal}
+    return {"value": fine, "error": err}
 
 
 @dataclass(frozen=True)

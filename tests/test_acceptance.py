@@ -154,14 +154,20 @@ def test_criterion_7_k_energy_convexity(eh_energy_sweep):
 
 
 def test_criterion_8_decay_exponents():
-    # metric deviation of the explicit scalar-flat family
-    for k in (1, 2, 3):
+    # metric deviation of the explicit scalar-flat family: A = (k-2) tau_min
+    # gives lambda_base - 1 ~ r^-2 for k != 2; at k = 2 (Eguchi-Hanson)
+    # rho = 1/2 log(tau^2 - a^2), so lambda_base - 1 ~ a^2/(2 tau^2) ~ r^-4,
+    # fitted where it stays above roundoff
+    for k, window, rate in ((1, None, -2.0), (2, (10.0, 100.0), -4.0),
+                            (3, None, -2.0)):
         p = lebrun_profile(k, 1.0)
         taus = np.geomspace(2.0, 1e8, 200)
         r = np.exp(p.rho_of_tau(taus) / 2.0)
         lam_base, _ = metric_eigenvalues(p, taus)
-        fit = fit_decay_exponent(r, lam_base - 1.0, predicted=-2.0)
-        assert fit.exponent == pytest.approx(-2.0, abs=0.1)
+        fit = fit_decay_exponent(r, lam_base - 1.0, window=window,
+                                 predicted=rate)
+        assert fit.exponent == pytest.approx(rate, abs=0.1)
+        assert fit.reliable
     # solved geodesic inherits the decay rate of its boundary data
     gamma = 4.0
     psi1 = exp_decay_potential(0.1, gamma, rho_ref=RHO_MIN_EH)

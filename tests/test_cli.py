@@ -189,13 +189,23 @@ def test_batch_isolates_failures(tmp_path):
             "amplitude": -50.0, "gamma": 4.0, "rho_ref": 0.96}}},
         "solver": {"epsilon": 0.5, "grid": {"n_rho": 17, "n_t": 17}},
         "analyses": ["c0_check"], "out_dir": str(tmp_path / "c")})
-    rows, results = batch([good1, good2, bad], threads=2)
+    rows, results = batch([good1, good2, bad])
     assert len(rows) == 3
     assert [row["id"] for row in rows] == sorted(row["id"] for row in rows)
     failures = [row for row in rows if not row["passed"]]
     assert len(failures) == 1 and failures[0]["id"] == "zz-bad"
     # good scenarios unaffected
     assert results["trivial-0.5"].passed and results["eh-0.5"].passed
+
+
+def test_batch_intersections_need_no_profile(tmp_path):
+    # n = 3 has no closed-form LeBrun profile; intersections never solve
+    s = Scenario.from_dict({"id": "n3k2", "geometry": {"n": 3, "k": 2},
+                            "analyses": ["intersections"],
+                            "out_dir": str(tmp_path)})
+    rows, results = batch([s])
+    assert [row["passed"] for row in rows] == [True]
+    assert results["n3k2"].status == "ok"
 
 
 def test_batch_sweep_probe_row(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from alegeo.profiles import (
     ProfileError,
@@ -327,3 +328,104 @@ def test_serialization_round_trip():
     sp = sampled_profile(2, 2, 1.0, taus, ref.phi(taus))
     q = profile_from_json(json.loads(profile_to_json(sp)))
     assert np.allclose(q.phi(taus[5:-5]), sp.phi(taus[5:-5]), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# closed-form reconstruction and the vectorised inverse
+# ---------------------------------------------------------------------------
+
+def _tail_anchored_rho(phi, tau):
+    """log(tau) - int_tau^inf (1/phi - 1/t) dt, by quad after t = tau/u."""
+    g = lambda u: (1.0 / phi(tau / u) - u / tau) * tau / u ** 2
+    tail, _ = integrate.quad(g, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13,
+                             limit=200)
+    return math.log(tau) - tail
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("tau_min", [0.5, 1.0, 2.0])
+def test_lebrun_rho_matches_quadrature(k, tau_min):
+    p = lebrun_profile(k, tau_min)
+    A, B = p.params["A"], p.params["B"]
+    phi = lambda t: t + A + B / t
+    for tau in tau_min * np.array([1.001, 1.5, 3.0, 10.0, 1e3, 1e6]):
+        assert p.rho_of_tau(tau) == pytest.approx(
+            _tail_anchored_rho(phi, tau), abs=1e-9)
+
+
+def test_explicit_inverses():
+    rho = np.linspace(-5.5, 25.0, 62)
+    for a in (0.5, 1.0, 2.0):
+        eh, burns = lebrun_profile(2, a), lebrun_profile(1, a)
+        tau_eh = np.sqrt(np.exp(2.0 * rho) + a * a)
+        tau_burns = a + np.exp(rho)
+        assert np.allclose(eh.tau_of_rho(rho), tau_eh, rtol=1e-12, atol=0)
+        assert np.allclose(burns.tau_of_rho(rho), tau_burns, rtol=1e-12,
+                           atol=0)
+        assert np.allclose(eh.rho_of_tau(tau_eh[10:]), rho[10:], rtol=0,
+                           atol=1e-12)
+        assert np.allclose(burns.rho_of_tau(tau_burns[10:]), rho[10:],
+                           rtol=0, atol=1e-12)
+
+
+def _round_trip_profiles():
+    base = lebrun_profile(1, 1.0)
+    samples = np.geomspace(1.0, 1e11, 400)
+    custom = custom_profile(
+        n=2, k=2, tau_min=1.0,
+        phi=lambda t: t - 1.0 / t + 0.1 * (1.0 - t ** -2.0),
+        d1=lambda t: 1.0 + t ** -2.0 + 0.2 * t ** -3.0,
+        d2=lambda t: -2.0 * t ** -3.0 - 0.6 * t ** -4.0,
+        d3=lambda t: 6.0 * t ** -4.0 + 2.4 * t ** -5.0,
+    )
+    return {
+        "lebrun": lebrun_profile(3, 1.0),
+        "custom": custom,
+        "sampled": sampled_profile(2, 2, 1.0, samples,
+                                   lebrun_profile(2, 1.0).phi(samples)),
+        "bump": bump_perturbed_profile(base, center=10.0, width=3.0,
+                                       amplitude=0.05),
+    }
+
+
+@pytest.mark.parametrize("name", ["lebrun", "custom", "sampled", "bump"])
+def test_tau_of_rho_vectorised_round_trip(name):
+    p = _round_trip_profiles()[name]
+    taus = np.geomspace(p.tau_min * (1.0 + 1e-5), 1e11, 400)
+    back = p.tau_of_rho(p.rho_of_tau(taus))
+    assert np.allclose(back, taus, rtol=1e-12, atol=0)
+    grid = taus.reshape(20, 20)
+    assert p.tau_of_rho(p.rho_of_tau(grid)).shape == (20, 20)
+    one = p.tau_of_rho(p.rho_of_tau(taus[123]))
+    assert np.ndim(one) == 0
+    assert one == pytest.approx(taus[123], rel=1e-12)
+
+
+def test_tau_of_rho_rejects_out_of_range():
+    p = lebrun_profile(2, 1.0)
+    with pytest.raises(ProfileError):
+        p.tau_of_rho(np.array([0.0, -20.0]))
+    with pytest.raises(ProfileError):
+        p.tau_of_rho(30.0)
+
+
+def test_profiles_stay_equal_after_queries():
+    p, q = lebrun_profile(2, 1.0), lebrun_profile(2, 1.0)
+    p.rho_of_tau(np.geomspace(1.5, 1e4, 10))
+    p.tau_of_rho(np.linspace(0.0, 5.0, 10))
+    assert p == q
+    assert p.params == {"A": 0.0, "B": -1.0}
+
+
+def test_bump_rho_is_base_rho_past_support():
+    base = lebrun_profile(1, 1.0)
+    p = bump_perturbed_profile(base, center=10.0, width=3.0, amplitude=0.05)
+    outside = np.concatenate([[13.0], np.geomspace(13.0 + 1e-9, 1e11, 50)])
+    assert np.array_equal(p.rho_of_tau(outside), base.rho_of_tau(outside))
+    assert p.rho_of_tau(13.0) == base.rho_of_tau(13.0)
+    # inside the support rho follows int d tau / phi of the bumped phi
+    lo, hi = 8.0, 12.0
+    ref, _ = integrate.quad(lambda t: 1.0 / p.phi(t), lo, hi,
+                            epsabs=1e-14, epsrel=1e-13)
+    assert p.rho_of_tau(hi) - p.rho_of_tau(lo) == pytest.approx(ref,
+                                                                abs=1e-12)

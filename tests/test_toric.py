@@ -9,7 +9,6 @@ from alegeo.toric import (
     IntersectionReport,
     intersection_numbers,
     mixed_type_certificate,
-    oracle_calibration,
     representative_integral_oracle,
     wedge_integral_oracle,
 )
@@ -91,10 +90,6 @@ def test_certificate_soundness(n, k):
 # numeric oracle
 # ---------------------------------------------------------------------------
 
-def test_calibration_near_unity():
-    assert oracle_calibration() == pytest.approx(1.0, abs=1e-10)
-
-
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_oracle_reproduces_table(n, k):
@@ -109,13 +104,12 @@ def test_oracle_reproduces_table(n, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_oracle_linearity_dinf(k):
     # Dinf = D0 + k Df in cohomology, so wedge integrals expand linearly
-    cal = oracle_calibration()
-    lhs = wedge_integral_oracle(2, k, ("dinf", "df")) * cal
+    lhs = wedge_integral_oracle(2, k, ("dinf", "df"))
     rhs = (wedge_integral_oracle(2, k, ("d0", "df"))
-           + k * wedge_integral_oracle(2, k, ("df", "df"))) * cal
+           + k * wedge_integral_oracle(2, k, ("df", "df")))
     assert lhs == pytest.approx(rhs, abs=1e-6)
     assert lhs == pytest.approx(1.0, abs=1e-6)  # Dinf.Df = D0.Df = 1
-    dinf2 = wedge_integral_oracle(2, k, ("dinf", "dinf")) * cal
+    dinf2 = wedge_integral_oracle(2, k, ("dinf", "dinf"))
     assert dinf2 == pytest.approx(k, rel=1e-6)  # -k + 2k
 
 
