@@ -13,6 +13,18 @@ with phi = 0 at t = 0, 1, a spatially constant Dirichlet value at rho_max
 (the far-field limit) and a homogeneous Neumann condition at rho_min.
 Newton runs on the concave log form of the equation; the continuity path
 lowers the right-hand side from 1 to the target epsilon geometrically.
+
+What depends only on the grid is built once per solve: u', u'' and the
+first two rho-derivatives of psi0 and psi1 on the residual rows, with the
+background density (_FixedData), and the CSR structure of the 12-term
+Jacobian stencil, whose values each iterate refills (_StencilPattern).
+The line search evaluates the residual only.  Each stage after the first
+starts from a secant predictor in s through the last two solutions (from
+one solution, the shift by the trivial solution s t(t-1)/2), falling back
+to the last solution when the prediction leaves the ellipticity cone.
+Sparse LU factorizations use the MMD_AT_PLUS_A fill-reducing ordering,
+which suits the structurally symmetric 9-point stencil.  The reported
+residual is recomputed from the profile by reduced_residual.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
 from .analysis import fit_decay_exponent
@@ -145,6 +157,17 @@ def _background_fields(p: RadialProfile, rho):
     return np.asarray(u1), np.asarray(u2)
 
 
+def _weighted_upsilon(s, n, u1, u2, psi0_1, psi0_2):
+    """Profile-weighted upsilon from u', u'' and psi0', psi0'' at s."""
+    w1 = u1 + psi0_1
+    w2 = u2 + psi0_2
+    if np.any(w1 <= 0) or np.any(w2 <= 0):
+        raise BoundaryInconsistency("psi0 metric not positive on the grid")
+    f_vol = u1 ** (n - 1) * u2 / (w1 ** (n - 1) * w2)
+    chi = smoothstep_cutoff(s)
+    return s * ((1.0 - chi) * f_vol + chi)
+
+
 def upsilon_field(grid_or_profile, rho, s, mode, psi0=None):
     """Right-hand-side weight upsilon(rho) at continuity value s.
 
@@ -158,27 +181,56 @@ def upsilon_field(grid_or_profile, rho, s, mode, psi0=None):
     p = grid_or_profile
     u1, u2 = _background_fields(p, rho)
     psi0 = psi0 or zero_potential()
-    w1 = u1 + psi0(rho, 1)
-    w2 = u2 + psi0(rho, 2)
-    if np.any(w1 <= 0) or np.any(w2 <= 0):
-        raise BoundaryInconsistency("psi0 metric not positive on the grid")
-    f_vol = u1 ** (p.n - 1) * u2 / (w1 ** (p.n - 1) * w2)
-    chi = smoothstep_cutoff(s)
-    return s * ((1.0 - chi) * f_vol + chi)
+    return _weighted_upsilon(s, p.n, u1, u2, psi0(rho, 1), psi0(rho, 2))
 
 
-def _field_arrays(grid: PathGrid):
+@dataclass(frozen=True)
+class _FixedData:
+    """The background and boundary data on the residual rows rho[:-1].
+
+    None of it depends on phi, so a solve builds it once and every
+    iterate, backtrack and stage reads it.
+    """
+
+    n: int
+    u1: np.ndarray
+    u2: np.ndarray
+    psi0_1: np.ndarray
+    psi0_2: np.ndarray
+    psi1_1: np.ndarray
+    psi1_2: np.ndarray
+    density: np.ndarray  # (u')^{n-1} u'' as a column
+
+    @classmethod
+    def build(cls, grid: PathGrid) -> "_FixedData":
+        rho = grid.rho_nodes[:-1]
+        u1, u2 = _background_fields(grid.background, rho)
+        n = grid.background.n
+        return cls(n=n, u1=u1, u2=u2,
+                   psi0_1=grid.psi0(rho, 1), psi0_2=grid.psi0(rho, 2),
+                   psi1_1=grid.psi1(rho, 1), psi1_2=grid.psi1(rho, 2),
+                   density=(u1 ** (n - 1) * u2)[:, None])
+
+    def upsilon(self, s, mode):
+        """upsilon_field on the residual rows, as a column."""
+        if mode == "constant":
+            ups = s * np.ones_like(self.u1)
+        else:
+            ups = _weighted_upsilon(s, self.n, self.u1, self.u2,
+                                    self.psi0_1, self.psi0_2)
+        return ups[:, None]
+
+
+def _field_arrays(grid: PathGrid, fixed: _FixedData):
     """w', w'', P = Psi_t' + phi_t', phi_tt on residual nodes.
 
     Residual nodes are i = 0..n_rho-2 (Neumann mirror at i = 0, Dirichlet
-    column excluded) and j = 1..n_t-2.  Returns views of shape
-    (n_rho-1, n_t-2) plus the background density on the same nodes.
+    column excluded) and j = 1..n_t-2.  Returns arrays of shape
+    (n_rho-1, n_t-2).
     """
-    p = grid.background
-    rho = grid.rho_nodes
     t = grid.t_nodes
     hr, ht = grid.h_rho, grid.h_t
-    nr, nt = rho.size, t.size
+    nr, nt = grid.rho_nodes.size, t.size
     phi = grid.phi
 
     # ghost row at i = -1 mirrors i = 1
@@ -194,17 +246,21 @@ def _field_arrays(grid: PathGrid):
     phi_rt = (ext[2:nr + 1, 2:nt] - ext[2:nr + 1, 0:nt - 2]
               - ext[0:nr - 1, 2:nt] + ext[0:nr - 1, 0:nt - 2]) / (4.0 * hr * ht)
 
-    u1, u2 = _background_fields(p, rho[sl_r])
-    psi0_1, psi1_1 = grid.psi0(rho[sl_r], 1), grid.psi1(rho[sl_r], 1)
-    psi0_2, psi1_2 = grid.psi0(rho[sl_r], 2), grid.psi1(rho[sl_r], 2)
+    f = fixed
     tj = t[sl_t][None, :]
-    w1 = (u1[:, None] + (1.0 - tj) * psi0_1[:, None] + tj * psi1_1[:, None]
-          + phi_r)
-    w2 = (u2[:, None] + (1.0 - tj) * psi0_2[:, None] + tj * psi1_2[:, None]
-          + phi_rr)
-    P = (psi1_1 - psi0_1)[:, None] + phi_rt
-    density = (u1 ** (p.n - 1) * u2)[:, None] * np.ones_like(w1)
-    return w1, w2, P, phi_tt, density
+    w1 = (f.u1[:, None] + (1.0 - tj) * f.psi0_1[:, None]
+          + tj * f.psi1_1[:, None] + phi_r)
+    w2 = (f.u2[:, None] + (1.0 - tj) * f.psi0_2[:, None]
+          + tj * f.psi1_2[:, None] + phi_rr)
+    P = (f.psi1_1 - f.psi0_1)[:, None] + phi_rt
+    return w1, w2, P, phi_tt
+
+
+def _residual(grid: PathGrid, fixed: _FixedData, ups, normalized):
+    w1, w2, P, phi_tt = _field_arrays(grid, fixed)
+    _check_positive(w1, w2, grid)
+    G = (phi_tt * w2 - P ** 2) * w1 ** (fixed.n - 1) - ups * fixed.density
+    return G / fixed.density if normalized else G
 
 
 def reduced_residual(grid: PathGrid, epsilon=None, upsilon_mode=None,
@@ -216,13 +272,8 @@ def reduced_residual(grid: PathGrid, epsilon=None, upsilon_mode=None,
     """
     eps = grid.epsilon if epsilon is None else epsilon
     mode = grid.upsilon_mode if upsilon_mode is None else upsilon_mode
-    w1, w2, P, phi_tt, density = _field_arrays(grid)
-    _check_positive(w1, w2, grid)
-    n = grid.background.n
-    ups = upsilon_field(grid.background, grid.rho_nodes[:-1], eps, mode,
-                        psi0=grid.psi0)[:, None]
-    G = (phi_tt * w2 - P ** 2) * w1 ** (n - 1) - ups * density
-    return G / density if normalized else G
+    fixed = _FixedData.build(grid)
+    return _residual(grid, fixed, fixed.upsilon(eps, mode), normalized)
 
 
 def _check_positive(w1, w2, grid):
@@ -238,68 +289,110 @@ def _check_positive(w1, w2, grid):
 # Newton assembly
 # ---------------------------------------------------------------------------
 
-def _newton_system(grid: PathGrid, s, mode):
-    """Log-form residual and sparse Jacobian over the unknown block."""
-    n = grid.background.n
-    nr, nt = grid.rho_nodes.size, grid.t_nodes.size
+# The Jacobian's stencil terms: (di, dj, coefficient, multiple), with the
+# coefficients cA = dR/dphi_tt / ht^2, cB = dR/dphi_rr / hr^2,
+# cC = dR/dphi_rt / (4 hr ht) and cD = dR/dphi_r / (2 hr).
+_STENCIL = ((0, -1, 0, 1.0), (0, 1, 0, 1.0), (0, 0, 0, -2.0),
+            (-1, 0, 1, 1.0), (1, 0, 1, 1.0), (0, 0, 1, -2.0),
+            (1, 1, 2, 1.0), (1, -1, 2, -1.0), (-1, 1, 2, -1.0),
+            (-1, -1, 2, 1.0),
+            (1, 0, 3, 1.0), (-1, 0, 3, -1.0))
+
+
+@dataclass(frozen=True)
+class _StencilPattern:
+    """CSR structure of the Jacobian over an (ni, nj) unknown block.
+
+    Term m of the stencil entries takes the value multiple[m] *
+    coefs.flat[src[m]] and is summed into the CSR data at slot[m].
+    """
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    src: np.ndarray
+    multiple: np.ndarray
+    slot: np.ndarray
+
+    @classmethod
+    def build(cls, ni, nj) -> "_StencilPattern":
+        size = ni * nj
+        row = np.arange(size)
+        ii, jj = np.divmod(row, nj)
+        rows, cols, src, multiple = [], [], [], []
+        for di, dj, coef, mult in _STENCIL:
+            ti = np.abs(ii + di)  # Neumann mirror: ghost row -1 is row +1
+            tj = jj + dj
+            keep = (ti <= ni - 1) & (tj >= 0) & (tj <= nj - 1)
+            rows.append(row[keep])
+            cols.append((ti * nj + tj)[keep])
+            src.append(coef * size + row[keep])
+            multiple.append(np.full(int(keep.sum()), mult))
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        keys, slot = np.unique(rows * size + cols, return_inverse=True)
+        # let scipy pick the index dtype once, so refills copy nothing
+        template = csr_matrix(
+            (np.zeros(keys.size), keys % size,
+             np.searchsorted(keys // size, np.arange(size + 1))),
+            shape=(size, size))
+        return cls(shape=(size, size), indptr=template.indptr,
+                   indices=template.indices, src=np.concatenate(src),
+                   multiple=np.concatenate(multiple), slot=slot)
+
+    def matrix(self, coefs):
+        """The CSR matrix for stacked coefficients of shape (4, ni, nj)."""
+        vals = self.multiple * coefs.ravel()[self.src]
+        data = np.bincount(self.slot, weights=vals,
+                           minlength=self.indices.size)
+        return csr_matrix((data, self.indices, self.indptr),
+                          shape=self.shape)
+
+
+def _newton_system(grid: PathGrid, fixed: _FixedData, ups, pattern=None):
+    """Log-form residual R, Monge-Ampere factor M and, given the stencil
+    pattern, the sparse Jacobian of R over the unknown block.
+
+    Returns (R, J, M); J is None without a pattern (the line search needs
+    R only), and all three are None outside the ellipticity cone.
+    """
+    n = fixed.n
     hr, ht = grid.h_rho, grid.h_t
-    w1, w2, P, phi_tt, density = _field_arrays(grid)
+    w1, w2, P, phi_tt = _field_arrays(grid, fixed)
     M = phi_tt * w2 - P ** 2
     if np.any(w1 <= 0) or np.any(w2 <= 0) or np.any(M <= 0):
         return None, None, None
-    ups = upsilon_field(grid.background, grid.rho_nodes[:-1], s, mode,
-                        psi0=grid.psi0)[:, None]
-    R = np.log(M) + (n - 1) * np.log(w1) - np.log(ups * density)
-
-    ni, nj = nr - 1, nt - 2  # unknown block dimensions
-
-    def uid(i, j):
-        return i * nj + (j - 1)
-
-    ii, jj = np.meshgrid(np.arange(ni), np.arange(1, nt - 1), indexing="ij")
-    rows_base = uid(ii, jj)
-
-    rows, cols, vals = [], [], []
-
-    def add(di, dj, coef):
-        ti = ii + di
-        tj = jj + dj
-        c = coef.copy()
-        # Neumann mirror: ghost row -1 maps onto row +1
-        mirror = ti < 0
-        ti = np.where(mirror, -ti, ti)
-        keep = (ti <= ni - 1) & (tj >= 1) & (tj <= nt - 2)
-        rows.append(rows_base[keep])
-        cols.append(uid(ti, tj)[keep])
-        vals.append(c[keep])
-
-    cA = w2 / M / ht ** 2          # d/d phi_tt
-    cB = phi_tt / M / hr ** 2      # d/d phi_rr
-    cC = -2.0 * P / M / (4.0 * hr * ht)
-    cD = (n - 1) / w1 / (2.0 * hr)
-
-    add(0, -1, cA)
-    add(0, 1, cA)
-    add(0, 0, -2.0 * cA)
-    add(-1, 0, cB)
-    add(1, 0, cB)
-    add(0, 0, -2.0 * cB)
-    add(1, 1, cC)
-    add(1, -1, -cC)
-    add(-1, 1, -cC)
-    add(-1, -1, cC)
-    add(1, 0, cD)
-    add(-1, 0, -cD)
-
-    J = coo_matrix((np.concatenate(vals),
-                    (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(ni * nj, ni * nj)).tocsr()
-    return R, J, M
+    R = np.log(M) + (n - 1) * np.log(w1) - np.log(ups * fixed.density)
+    if pattern is None:
+        return R, None, M
+    coefs = np.stack([w2 / M / ht ** 2,
+                      phi_tt / M / hr ** 2,
+                      -2.0 * P / M / (4.0 * hr * ht),
+                      (n - 1) / w1 / (2.0 * hr)])
+    return R, pattern.matrix(coefs), M
 
 
 def _dirichlet_column(t, s):
     """Far-field Dirichlet value s * t(t-1)/2 at rho_max."""
     return s * t * (t - 1.0) / 2.0
+
+
+def _impose_boundary(phi, t, s):
+    phi[-1, :] = _dirichlet_column(t, s)
+    phi[:, 0] = 0.0
+    phi[:, -1] = 0.0
+
+
+def _secant_predictor(t, s, solved):
+    """First iterate at stage s from the solved stages [(s_i, phi_i), ...].
+
+    The secant through the last two solutions, or from a single one the
+    shift by the trivial solution s t(t-1)/2; both are exact for zero data.
+    """
+    s1, phi1 = solved[-1]
+    if len(solved) == 1:
+        return phi1 + _dirichlet_column(t, s - s1)[None, :]
+    s0, phi0 = solved[-2]
+    return phi1 + (s - s1) / (s1 - s0) * (phi1 - phi0)
 
 
 def _check_boundary_data(p, psi, cfg, rho_nodes, label):
@@ -337,39 +430,48 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     _check_boundary_data(profile, psi0, config, rho, "psi0")
     _check_boundary_data(profile, psi1, config, rho, "psi1")
 
+    # spatially constant seed, exact for trivial data and elliptic everywhere
     grid = PathGrid(rho_nodes=rho, t_nodes=t,
-                    phi=np.zeros((config.n_rho, config.n_t)),
+                    phi=np.tile(_dirichlet_column(t, 1.0), (config.n_rho, 1)),
                     psi0=psi0, psi1=psi1, background=profile,
                     epsilon=config.epsilon, upsilon_mode=config.upsilon_mode)
 
     nr, nt = config.n_rho, config.n_t
     ni, nj = nr - 1, nt - 2
+    fixed = _FixedData.build(grid)
+    pattern = _StencilPattern.build(ni, nj)
     stage_iters = []
-    # spatially constant seed, exact for trivial data and elliptic everywhere
-    grid.phi[:] = 1.0 * t[None, :] * (t[None, :] - 1.0) / 2.0
+    solved = []  # (s, phi) of the last two solved stages
 
     for s in config.schedule():
-        grid.phi[-1, :] = _dirichlet_column(t, s)
-        grid.phi[:, 0] = 0.0
-        grid.phi[:, -1] = 0.0
+        ups = fixed.upsilon(s, config.upsilon_mode)
+        if solved:
+            grid.phi = _secant_predictor(t, s, solved)
+            _impose_boundary(grid.phi, t, s)
+            if _newton_system(grid, fixed, ups)[0] is None:
+                # the prediction left the ellipticity cone: restart from
+                # the last solution
+                grid.phi = solved[-1][1].copy()
+        _impose_boundary(grid.phi, t, s)
         history = []
         for _ in range(config.max_iters):
-            R, J, M = _newton_system(grid, s, config.upsilon_mode)
+            R, J, M = _newton_system(grid, fixed, ups, pattern)
             if R is None:
                 raise PositivityLoss(
                     f"iterate left the ellipticity cone at stage s={s:g}")
             res = float(np.max(np.abs(
-                reduced_residual(grid, epsilon=s, normalized=True))))
+                _residual(grid, fixed, ups, normalized=True))))
             history.append(res)
             if res <= config.newton_tol:
                 break
-            delta = spsolve(J, -R.ravel()).reshape(ni, nj)
+            delta = spsolve(J, -R.ravel(),
+                            permc_spec="MMD_AT_PLUS_A").reshape(ni, nj)
             alpha = 1.0
             base = grid.phi[:ni, 1:nt - 1].copy()
             accepted = False
             for _ in range(config.max_backtracks):
                 grid.phi[:ni, 1:nt - 1] = base + alpha * delta
-                Rn, _, Mn = _newton_system(grid, s, config.upsilon_mode)
+                Rn, _, _ = _newton_system(grid, fixed, ups)
                 if Rn is not None and (np.max(np.abs(Rn))
                                        < np.max(np.abs(R)) * (1 - 1e-4 * alpha)
                                        or np.max(np.abs(Rn)) < 1e-13):
@@ -382,16 +484,16 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
         else:
             raise NonConvergence(s, history)
         stage_iters.append(len(history))
+        solved = solved[-1:] + [(s, grid.phi.copy())]
 
     res_norm = float(np.max(np.abs(reduced_residual(grid, normalized=True))))
     res_raw = float(np.max(np.abs(reduced_residual(grid))))
     if res_norm > config.newton_tol:
         raise NonConvergence(config.epsilon, [res_norm])
 
-    w1, w2, P, phi_tt, _ = _field_arrays(grid)
+    w1, w2, P, phi_tt = _field_arrays(grid, fixed)
     M = phi_tt * w2 - P ** 2
-    ups = upsilon_field(profile, rho[:-1], config.epsilon,
-                        config.upsilon_mode, psi0=psi0)
+    ups = fixed.upsilon(config.epsilon, config.upsilon_mode)
     report = SolverReport(
         residual_sup=res_norm,
         residual_raw_sup=res_raw,

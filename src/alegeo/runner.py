@@ -4,8 +4,9 @@ A Scenario bundles geometry, boundary data, solver settings and the list
 of analyses to run; run_scenario executes it and writes diff-able JSON
 reports plus CSV curves into the scenario's output directory.  Outputs
 are cached by a content hash over the canonicalized scenario document
-(sort_keys JSON), so re-running an unchanged scenario is a no-op unless
-no_cache is set.
+(sort_keys JSON) and the package version, so re-running an unchanged
+scenario with the same code is a no-op unless no_cache is set or an
+artifact of the cached run has gone missing.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ class Scenario:
                    out_dir=doc.get("out_dir", "."))
 
     def content_hash(self) -> str:
-        doc = {"id": self.id, "geometry": self.geometry,
+        doc = {"version": __version__, "id": self.id,
+               "geometry": self.geometry,
                "boundary": self.boundary, "solver": self.solver,
                "analyses": list(self.analyses)}
         return canonical_hash(doc)
@@ -261,7 +263,9 @@ def run_scenario(scenario: Scenario, no_cache: bool = False) -> RunManifest:
         try:
             cached = RunManifest.from_json_dict(
                 json.loads(manifest_path.read_text()))
-            if cached.scenario_hash == shash and cached.status == "ok":
+            if (cached.scenario_hash == shash and cached.status == "ok"
+                    and all(Path(p).exists()
+                            for p in cached.artifacts.values())):
                 return cached
         except (KeyError, json.JSONDecodeError):
             pass
@@ -350,16 +354,21 @@ def _run_analyses(scenario, out, manifest):
 
 
 def _sweep_groups(scenarios):
-    """Group scenario ids that differ only in solver.epsilon."""
+    """Group scenario ids that differ only in solver.epsilon.
+
+    A group keeps one id per epsilon (the first in id order) and counts as
+    a sweep only with at least two distinct epsilons.
+    """
     groups = {}
-    for s in scenarios:
+    for s in sorted(scenarios, key=lambda s: s.id):
         solver = {key: val for key, val in s.solver.items()
                   if key != "epsilon"}
         key = canonical_hash({"geometry": s.geometry,
                               "boundary": s.boundary, "solver": solver,
                               "analyses": list(s.analyses)})
-        groups.setdefault(key, []).append(s.id)
-    return [ids for ids in groups.values() if len(ids) >= 2]
+        groups.setdefault(key, {}).setdefault(s.solver.get("epsilon"), s.id)
+    return [list(by_eps.values()) for by_eps in groups.values()
+            if len(by_eps) >= 2]
 
 
 def batch(scenarios, no_cache: bool = False):

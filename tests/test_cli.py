@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from alegeo import __version__, runner
 from alegeo.cli import main
 from alegeo.profiles import lebrun_profile
 from alegeo.runner import (
@@ -120,6 +121,41 @@ def test_cache_and_determinism(tmp_path):
     assert manifest_doc() == doc1
 
 
+def test_cache_misses_after_version_change(tmp_path, monkeypatch):
+    s = trivial_scenario(tmp_path / "run")
+    path = tmp_path / "run" / "manifest.json"
+    monkeypatch.setattr(runner, "__version__", "0.1.0")
+    old = run_scenario(s)
+    monkeypatch.undo()
+    assert old.version == "0.1.0"
+    m = run_scenario(s)
+    assert m.version == __version__ != "0.1.0"
+    assert m.scenario_hash != old.scenario_hash
+    assert json.loads(path.read_text())["version"] == __version__
+
+    # a manifest keyed as before the version entered the hash is stale too
+    doc = json.loads(path.read_text())
+    doc["version"] = "0.1.0"
+    doc["scenario_hash"] = canonical_hash({
+        "id": s.id, "geometry": s.geometry, "boundary": s.boundary,
+        "solver": s.solver, "analyses": list(s.analyses)})
+    path.write_text(json.dumps(doc))
+    assert run_scenario(s).version == __version__
+    assert json.loads(path.read_text())["scenario_hash"] == s.content_hash()
+
+
+def test_cache_misses_when_an_artifact_is_gone(tmp_path):
+    s = trivial_scenario(tmp_path / "run")
+    m1 = run_scenario(s)
+    csv_path = Path(m1.artifacts["grid_csv"])
+    csv_bytes = csv_path.read_bytes()
+    assert run_scenario(s).artifacts == m1.artifacts  # a plain hit
+    csv_path.unlink()
+    m2 = run_scenario(s)
+    assert m2.passed
+    assert csv_path.read_bytes() == csv_bytes
+
+
 def test_intersections_scenario(tmp_path):
     s = Scenario.from_dict({"id": "toric", "geometry": {"n": 2, "k": 3},
                             "analyses": ["intersections"],
@@ -218,6 +254,17 @@ def test_batch_sweep_probe_row(tmp_path):
     assert probe[0]["probe_ratio"] <= 2.0
     assert probe[0]["passed"]
     assert len(rows) == 8
+
+
+def test_batch_no_probe_row_without_distinct_epsilons(tmp_path):
+    # identical scenarios under two ids are not an epsilon sweep
+    a = eh_data_scenario(tmp_path / "a", epsilon=0.5, n=17)
+    b = Scenario.from_dict({**a.__dict__, "id": "eh-0.5-copy",
+                            "analyses": list(a.analyses),
+                            "out_dir": str(tmp_path / "b")})
+    rows, _ = batch([a, b])
+    assert [row["id"] for row in rows] == ["eh-0.5", "eh-0.5-copy"]
+    assert all(row["passed"] for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from alegeo import geodesic
 from alegeo.geodesic import (
     BoundaryInconsistency,
+    NonConvergence,
     PathGrid,
     PositivityLoss,
     SolverConfig,
@@ -13,14 +15,18 @@ from alegeo.geodesic import (
     smoothstep_cutoff,
     solve_epsilon_geodesic,
     upsilon_field,
+    _FixedData,
+    _StencilPattern,
     _newton_system,
+    _residual,
 )
 from alegeo.potentials import (
     RadialPotential,
     exp_decay_potential,
+    tau_power_potential,
     zero_potential,
 )
-from alegeo.profiles import flat_profile, lebrun_profile
+from alegeo.profiles import RadialProfile, flat_profile, lebrun_profile
 
 
 EH = lebrun_profile(2, 1.0)
@@ -92,27 +98,59 @@ def test_residual_positivity_guard():
 # Jacobian correctness
 # ---------------------------------------------------------------------------
 
-def test_newton_jacobian_matches_finite_differences():
+def _system_at(g, s, mode):
+    fixed = _FixedData.build(g)
+    return fixed, fixed.upsilon(s, mode)
+
+
+def _check_jacobian(n_rho, n_t, mode):
     rng = np.random.default_rng(7)
-    g = make_grid(EH, n_rho=9, n_t=9,
+    g = make_grid(EH, n_rho=n_rho, n_t=n_t,
+                  psi0=exp_decay_potential(0.03, 4.0, rho_ref=RHO_MIN_EH),
                   psi1=exp_decay_potential(0.05, 4.0, rho_ref=RHO_MIN_EH))
     t = g.t_nodes[None, :]
     g.phi[:] = 0.7 * t * (t - 1.0) / 2.0
     g.phi[:-1, 1:-1] += 0.001 * rng.standard_normal(g.phi[:-1, 1:-1].shape)
-    R0, J, _ = _newton_system(g, 0.7, "constant")
-    assert R0 is not None
     ni, nj = g.phi.shape[0] - 1, g.phi.shape[1] - 2
+    fixed, ups = _system_at(g, 0.7, mode)
+    R0, J, M0 = _newton_system(g, fixed, ups, _StencilPattern.build(ni, nj))
+    assert R0 is not None
+    # the residual-only path gives the full system's R and M bit for bit
+    R1, J1, M1 = _newton_system(g, fixed, ups)
+    assert J1 is None
+    assert np.array_equal(R0, R1) and np.array_equal(M0, M1)
     h = 1e-6
     J = J.toarray()
     for col in rng.choice(ni * nj, size=12, replace=False):
         i, j = divmod(col, nj)
         g.phi[i, j + 1] += h
-        Rp, _, _ = _newton_system(g, 0.7, "constant")
+        Rp, _, _ = _newton_system(g, fixed, ups)
         g.phi[i, j + 1] -= 2 * h
-        Rm, _, _ = _newton_system(g, 0.7, "constant")
+        Rm, _, _ = _newton_system(g, fixed, ups)
         g.phi[i, j + 1] += h
         fd = (Rp - Rm).ravel() / (2 * h)
         assert np.allclose(J[:, col], fd, atol=1e-4)
+
+
+def test_newton_jacobian_matches_finite_differences():
+    # non-square grids catch an i/j transposition in the stencil pattern
+    for n_rho, n_t in ((9, 9), (9, 7), (7, 11)):
+        for mode in ("constant", "profile-weighted"):
+            _check_jacobian(n_rho, n_t, mode)
+
+
+def test_fixed_data_matches_public_residual():
+    psi1 = exp_decay_potential(0.05, 4.0, rho_ref=RHO_MIN_EH)
+    g = make_grid(EH, n_rho=9, n_t=7, psi1=psi1, epsilon=0.3)
+    t = g.t_nodes[None, :]
+    g.phi[:] = 0.3 * t * (t - 1.0) / 2.0
+    for mode in ("constant", "profile-weighted"):
+        fixed, ups = _system_at(g, 0.3, mode)
+        assert np.array_equal(
+            _residual(g, fixed, ups, normalized=True),
+            reduced_residual(g, upsilon_mode=mode, normalized=True))
+        assert np.array_equal(
+            ups[:, 0], upsilon_field(EH, g.rho_nodes[:-1], 0.3, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +222,67 @@ def test_upsilon_field_modes():
     assert smoothstep_cutoff(0.2) == 0.0
     assert smoothstep_cutoff(0.9) == 1.0
     assert 0.0 < smoothstep_cutoff(0.5) < 1.0
+
+
+def _eh_tau_power_config(n_rho, n_t):
+    rho_min = float(EH.rho_of_tau(1.0 + 1e-4))
+    return SolverConfig(epsilon=0.125, n_rho=n_rho, n_t=n_t, rho_min=rho_min,
+                        rho_max=rho_min + 12.0, newton_tol=1e-9)
+
+
+@pytest.mark.parametrize("n_rho,n_t", [(33, 33), (65, 45)])
+def test_profile_inverted_a_fixed_number_of_times(monkeypatch, n_rho, n_t):
+    calls = []
+    inverse = RadialProfile.tau_of_rho
+
+    def counted(self, rho):
+        calls.append(np.size(rho))
+        return inverse(self, rho)
+
+    monkeypatch.setattr(RadialProfile, "tau_of_rho", counted)
+    psi1 = tau_power_potential(EH, 0.1, 4.0)
+    _, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1,
+                                    _eh_tau_power_config(n_rho, n_t))
+    assert sum(rep.stage_iterations) > len(rep.stage_iterations)
+    assert len(calls) <= 20
+
+
+def test_zero_data_stages_converge_at_first_iterate():
+    cfg = SolverConfig(epsilon=0.1)
+    _, rep = solve_epsilon_geodesic(EH, zero_potential(), zero_potential(),
+                                    cfg)
+    assert len(rep.stage_iterations) == len(cfg.schedule()) == 5
+    assert rep.stage_iterations[1:] == [1] * 4
+
+
+def test_predictor_leaving_the_cone_falls_back(monkeypatch):
+    psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
+    cfg = SolverConfig(epsilon=0.25, n_rho=33, n_t=33)
+    g_ref, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+
+    predictions = []
+
+    def non_elliptic(t, s, solved):
+        phi = solved[-1][1].copy()
+        phi[5, :] = 50.0  # destroys w'' at the neighbouring nodes
+        predictions.append(phi)
+        return phi
+
+    monkeypatch.setattr(geodesic, "_secant_predictor", non_elliptic)
+    g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+    assert len(predictions) == len(cfg.schedule()) - 1 == 2
+    assert rep.residual_sup <= cfg.newton_tol
+    assert np.max(np.abs(g.phi - g_ref.phi)) < 1e-9
+
+
+def test_nonconvergence_carries_stage_and_history():
+    psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
+    cfg = SolverConfig(epsilon=0.25, n_rho=17, n_t=17, max_iters=1)
+    with pytest.raises(NonConvergence) as info:
+        solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+    assert info.value.stage == 1.0
+    assert len(info.value.history) == 1
+    assert info.value.history[0] > cfg.newton_tol
 
 
 # ---------------------------------------------------------------------------
