@@ -99,9 +99,9 @@ def _path_fields(grid: PathGrid):
 
     psi = {}
     for m in (1, 2, 3):
-        psi[m] = ((1.0 - t[None, :]) * grid.psi0(rho, m)[:, None]
-                  + t[None, :] * grid.psi1(rho, m)[:, None])
-        psi[m + 10] = (grid.psi1(rho, m) - grid.psi0(rho, m))[:, None]
+        p0, p1 = grid.psi0(rho, m), grid.psi1(rho, m)
+        psi[m] = (1.0 - t[None, :]) * p0[:, None] + t[None, :] * p1[:, None]
+        psi[m + 10] = (p1 - p0)[:, None]
 
     phi = grid.phi
     phi_t = np.gradient(phi, ht, axis=1, edge_order=2)

@@ -22,9 +22,18 @@ The line search evaluates the residual only.  Each stage after the first
 starts from a secant predictor in s through the last two solutions (from
 one solution, the shift by the trivial solution s t(t-1)/2), falling back
 to the last solution when the prediction leaves the ellipticity cone.
-Sparse LU factorizations use the MMD_AT_PLUS_A fill-reducing ordering,
+
+Newton steps are chord steps (Kelley, Iterative Methods for Linear and
+Nonlinear Equations, SIAM 1995, ch. 5): a stage factors its Jacobian at
+its first iterate and later iterates reuse that sparse LU, taking the
+accepted line-search residual as their own.  The Jacobian is assembled and
+factored again only after a step that backtracked or cut max|R| by less
+than a factor 4 (_CHORD_CONTRACTION), and at once when a chord step finds
+no acceptable step length; only a freshly factored step that fails raises
+NonConvergence.  Pure Newton is the case where the refresh fires after
+every step.  Factorizations use the MMD_AT_PLUS_A fill-reducing ordering,
 which suits the structurally symmetric 9-point stencil.  The reported
-residual is recomputed from the profile by reduced_residual.
+residual is recomputed from the profile, with fixed data built afresh.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .analysis import fit_decay_exponent
 from .potentials import RadialPotential, zero_potential
@@ -52,12 +61,21 @@ class GeodesicError(RuntimeError):
 
 
 class NonConvergence(GeodesicError):
-    def __init__(self, stage, history):
+    """Newton failed at continuity stage ``stage``.
+
+    ``history`` is that stage's residual history; ``stage_factorizations``
+    counts the Jacobian factorizations of every stage run, the failed one
+    last.
+    """
+
+    def __init__(self, stage, history, stage_factorizations):
         self.stage = stage
         self.history = history
+        self.stage_factorizations = list(stage_factorizations)
         super().__init__(
             f"Newton stalled at continuity stage s={stage:g}; "
-            f"residual history {['%.3e' % h for h in history]}")
+            f"residual history {['%.3e' % h for h in history]}; "
+            f"factorizations per stage {self.stage_factorizations}")
 
 
 class PositivityLoss(GeodesicError):
@@ -136,6 +154,7 @@ class SolverReport:
     residual_sup: float          # normalized by the reference density
     residual_raw_sup: float
     stage_iterations: list
+    stage_factorizations: list   # Jacobian LU factorizations per stage
     c0_check: BoundCheck
     positivity_margins: dict     # min of w', w'', M over interior nodes
     wall_time: float
@@ -256,10 +275,15 @@ def _field_arrays(grid: PathGrid, fixed: _FixedData):
     return w1, w2, P, phi_tt
 
 
+def _density_residual(M, w1, fixed: _FixedData, ups):
+    """G = M (w')^{n-1} - upsilon (u')^{n-1} u'' from the field arrays."""
+    return M * w1 ** (fixed.n - 1) - ups * fixed.density
+
+
 def _residual(grid: PathGrid, fixed: _FixedData, ups, normalized):
     w1, w2, P, phi_tt = _field_arrays(grid, fixed)
     _check_positive(w1, w2, grid)
-    G = (phi_tt * w2 - P ** 2) * w1 ** (fixed.n - 1) - ups * fixed.density
+    G = _density_residual(phi_tt * w2 - P ** 2, w1, fixed, ups)
     return G / fixed.density if normalized else G
 
 
@@ -349,11 +373,13 @@ class _StencilPattern:
 
 
 def _newton_system(grid: PathGrid, fixed: _FixedData, ups, pattern=None):
-    """Log-form residual R, Monge-Ampere factor M and, given the stencil
+    """Log-form residual R, normalized residual G and, given the stencil
     pattern, the sparse Jacobian of R over the unknown block.
 
-    Returns (R, J, M); J is None without a pattern (the line search needs
-    R only), and all three are None outside the ellipticity cone.
+    Returns (R, J, G), with G equal bit for bit to _residual(...,
+    normalized=True) from the same field arrays; J is None without a
+    pattern (the line search needs R and G only), and all three are None
+    outside the ellipticity cone.
     """
     n = fixed.n
     hr, ht = grid.h_rho, grid.h_t
@@ -362,13 +388,48 @@ def _newton_system(grid: PathGrid, fixed: _FixedData, ups, pattern=None):
     if np.any(w1 <= 0) or np.any(w2 <= 0) or np.any(M <= 0):
         return None, None, None
     R = np.log(M) + (n - 1) * np.log(w1) - np.log(ups * fixed.density)
+    G = _density_residual(M, w1, fixed, ups) / fixed.density
     if pattern is None:
-        return R, None, M
+        return R, None, G
     coefs = np.stack([w2 / M / ht ** 2,
                       phi_tt / M / hr ** 2,
                       -2.0 * P / M / (4.0 * hr * ht),
                       (n - 1) / w1 / (2.0 * hr)])
-    return R, pattern.matrix(coefs), M
+    return R, pattern.matrix(coefs), G
+
+
+# A stage keeps its LU only while each step is taken whole and cuts max|R|
+# to at most this fraction; 0 refreshes it after every step (pure Newton).
+_CHORD_CONTRACTION = 0.25
+
+
+def spsolve(J, rhs):
+    """Factor J with the MMD_AT_PLUS_A ordering and solve J x = rhs.
+
+    Returns (x, lu); lu.solve(rhs) reuses the factorization.
+    """
+    lu = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return lu.solve(rhs), lu
+
+
+def _line_search(grid: PathGrid, fixed: _FixedData, ups, base, delta, r_max,
+                 max_backtracks):
+    """Halve alpha from 1 until phi = base + alpha delta cuts max|R|.
+
+    Returns (R, G, backtracks) at the accepted step, or None with the
+    unknown block restored to base.
+    """
+    ni, nj = delta.shape
+    for k in range(max_backtracks):
+        alpha = 0.5 ** k
+        grid.phi[:ni, 1:nj + 1] = base + alpha * delta
+        R, _, G = _newton_system(grid, fixed, ups)
+        if R is not None:
+            r = np.max(np.abs(R))
+            if r < r_max * (1 - 1e-4 * alpha) or r < 1e-13:
+                return R, G, k
+    grid.phi[:ni, 1:nj + 1] = base
+    return None
 
 
 def _dirichlet_column(t, s):
@@ -440,64 +501,76 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     ni, nj = nr - 1, nt - 2
     fixed = _FixedData.build(grid)
     pattern = _StencilPattern.build(ni, nj)
-    stage_iters = []
+    stage_iters, stage_factors = [], []
     solved = []  # (s, phi) of the last two solved stages
 
     for s in config.schedule():
         ups = fixed.upsilon(s, config.upsilon_mode)
+        R = None
         if solved:
             grid.phi = _secant_predictor(t, s, solved)
             _impose_boundary(grid.phi, t, s)
-            if _newton_system(grid, fixed, ups)[0] is None:
+            R, _, G = _newton_system(grid, fixed, ups)
+            if R is None:
                 # the prediction left the ellipticity cone: restart from
                 # the last solution
                 grid.phi = solved[-1][1].copy()
-        _impose_boundary(grid.phi, t, s)
-        history = []
-        for _ in range(config.max_iters):
-            R, J, M = _newton_system(grid, fixed, ups, pattern)
+        if R is None:
+            _impose_boundary(grid.phi, t, s)
+            R, _, G = _newton_system(grid, fixed, ups)
             if R is None:
                 raise PositivityLoss(
                     f"iterate left the ellipticity cone at stage s={s:g}")
-            res = float(np.max(np.abs(
-                _residual(grid, fixed, ups, normalized=True))))
+        history, lu = [], None
+        stage_factors.append(0)
+        for _ in range(config.max_iters):
+            res = float(np.max(np.abs(G)))
             history.append(res)
             if res <= config.newton_tol:
                 break
-            delta = spsolve(J, -R.ravel(),
-                            permc_spec="MMD_AT_PLUS_A").reshape(ni, nj)
-            alpha = 1.0
+            r_max = float(np.max(np.abs(R)))
             base = grid.phi[:ni, 1:nt - 1].copy()
-            accepted = False
-            for _ in range(config.max_backtracks):
-                grid.phi[:ni, 1:nt - 1] = base + alpha * delta
-                Rn, _, _ = _newton_system(grid, fixed, ups)
-                if Rn is not None and (np.max(np.abs(Rn))
-                                       < np.max(np.abs(R)) * (1 - 1e-4 * alpha)
-                                       or np.max(np.abs(Rn)) < 1e-13):
-                    accepted = True
+            while True:
+                fresh = lu is None
+                if fresh:
+                    J = _newton_system(grid, fixed, ups, pattern)[1]
+                    delta, lu = spsolve(J, -R.ravel())
+                    stage_factors[-1] += 1
+                else:
+                    delta = lu.solve(-R.ravel())
+                step = _line_search(grid, fixed, ups, base,
+                                    delta.reshape(ni, nj), r_max,
+                                    config.max_backtracks)
+                if step is not None:
                     break
-                alpha *= 0.5
-            if not accepted:
-                grid.phi[:ni, 1:nt - 1] = base
-                raise NonConvergence(s, history)
+                if fresh:
+                    raise NonConvergence(s, history, stage_factors)
+                lu = None  # the chord step failed: refactor here and retry
+            R, G, backtracks = step
+            if backtracks or np.max(np.abs(R)) > _CHORD_CONTRACTION * r_max:
+                lu = None
         else:
-            raise NonConvergence(s, history)
+            raise NonConvergence(s, history, stage_factors)
         stage_iters.append(len(history))
         solved = solved[-1:] + [(s, grid.phi.copy())]
 
-    res_norm = float(np.max(np.abs(reduced_residual(grid, normalized=True))))
-    res_raw = float(np.max(np.abs(reduced_residual(grid))))
+    # the certificate comes from the profile, through fixed data built
+    # afresh rather than the solve's own
+    final = _FixedData.build(grid)
+    ups = final.upsilon(config.epsilon, config.upsilon_mode)
+    G = _residual(grid, final, ups, normalized=False)
+    res_raw = float(np.max(np.abs(G)))
+    res_norm = float(np.max(np.abs(G / final.density)))
     if res_norm > config.newton_tol:
-        raise NonConvergence(config.epsilon, [res_norm])
+        raise NonConvergence(config.epsilon, [res_norm], stage_factors)
 
-    w1, w2, P, phi_tt = _field_arrays(grid, fixed)
+    w1, w2, P, phi_tt = _field_arrays(grid, final)
     M = phi_tt * w2 - P ** 2
-    ups = fixed.upsilon(config.epsilon, config.upsilon_mode)
     report = SolverReport(
         residual_sup=res_norm,
         residual_raw_sup=res_raw,
         stage_iterations=stage_iters,
+        stage_factorizations=stage_factors,
         c0_check=c0_bound_check(grid),
         positivity_margins={"w1": float(w1.min()), "w2": float(w2.min()),
                             "M": float(M.min())},

@@ -99,6 +99,11 @@ def test_grid_round_trip(tmp_path):
     assert grid.phi.shape == (33, 33)
     assert grid.epsilon == 0.5
     assert not grid.psi1.is_zero
+    report = json.loads(Path(m.artifacts["report_json"]).read_text())
+    iters, factors = (report["stage_iterations"],
+                      report["stage_factorizations"])
+    assert len(factors) == len(iters) == 2
+    assert all(1 <= f < i for f, i in zip(factors, iters))
 
 
 def test_cache_and_determinism(tmp_path):

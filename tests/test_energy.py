@@ -18,7 +18,7 @@ from alegeo.potentials import (
     tau_power_potential,
     zero_potential,
 )
-from alegeo.profiles import flat_profile, lebrun_profile
+from alegeo.profiles import RadialProfile, flat_profile, lebrun_profile
 
 
 EH = lebrun_profile(2, 1.0)
@@ -245,3 +245,19 @@ def test_tau_power_validation():
         tau_power_potential(EH, 0.1, 0.0)
     with pytest.raises(ValueError):
         tau_power_potential(flat_profile(), 0.1, 4.0)
+
+
+def test_energy_report_inverts_the_profile_once_per_field(eh_sweep,
+                                                          monkeypatch):
+    calls = []
+    inverse = RadialProfile.tau_of_rho
+
+    def counted(self, rho):
+        calls.append(np.size(rho))
+        return inverse(self, rho)
+
+    monkeypatch.setattr(RadialProfile, "tau_of_rho", counted)
+    energy_report(eh_sweep[-1], EPSILONS[-1])
+    # on-shell check: u', u'' and psi1', psi1''; path fields: u' to u'''
+    # and psi1 with its first three derivatives, each evaluated once
+    assert len(calls) == 8

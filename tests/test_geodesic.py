@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -113,12 +115,14 @@ def _check_jacobian(n_rho, n_t, mode):
     g.phi[:-1, 1:-1] += 0.001 * rng.standard_normal(g.phi[:-1, 1:-1].shape)
     ni, nj = g.phi.shape[0] - 1, g.phi.shape[1] - 2
     fixed, ups = _system_at(g, 0.7, mode)
-    R0, J, M0 = _newton_system(g, fixed, ups, _StencilPattern.build(ni, nj))
+    R0, J, G0 = _newton_system(g, fixed, ups, _StencilPattern.build(ni, nj))
     assert R0 is not None
-    # the residual-only path gives the full system's R and M bit for bit
-    R1, J1, M1 = _newton_system(g, fixed, ups)
+    # the residual-only path gives the full system's R and G bit for bit,
+    # and G is the normalized residual the certificate uses
+    R1, J1, G1 = _newton_system(g, fixed, ups)
     assert J1 is None
-    assert np.array_equal(R0, R1) and np.array_equal(M0, M1)
+    assert np.array_equal(R0, R1) and np.array_equal(G0, G1)
+    assert np.array_equal(G0, _residual(g, fixed, ups, normalized=True))
     h = 1e-6
     J = J.toarray()
     for col in rng.choice(ni * nj, size=12, replace=False):
@@ -244,7 +248,9 @@ def test_profile_inverted_a_fixed_number_of_times(monkeypatch, n_rho, n_t):
     _, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1,
                                     _eh_tau_power_config(n_rho, n_t))
     assert sum(rep.stage_iterations) > len(rep.stage_iterations)
-    assert len(calls) <= 20
+    # 4 to check psi1 and the background on the full grid, 3 for the
+    # solve's fixed data and 3 for the certificate's, built from the profile
+    assert len(calls) == 10
 
 
 def test_zero_data_stages_converge_at_first_iterate():
@@ -283,6 +289,82 @@ def test_nonconvergence_carries_stage_and_history():
     assert info.value.stage == 1.0
     assert len(info.value.history) == 1
     assert info.value.history[0] > cfg.newton_tol
+    assert info.value.stage_factorizations == [1]
+
+
+def _counted_factorizations(monkeypatch):
+    calls = []
+    factor = geodesic.spsolve
+
+    def counted(J, rhs):
+        calls.append(J.shape)
+        return factor(J, rhs)
+
+    monkeypatch.setattr(geodesic, "spsolve", counted)
+    return calls
+
+
+def test_chord_steps_reuse_each_stage_factorization(monkeypatch):
+    psi1 = tau_power_potential(EH, 0.1, 4.0)
+    cfg = _eh_tau_power_config(65, 45)
+    # 1e-11: at s = 1 the normalized residual has a roundoff floor near
+    # 6e-12 on this grid, where pure Newton stalls as well
+    g_tight, rep_tight = solve_epsilon_geodesic(
+        EH, zero_potential(), psi1, replace(cfg, newton_tol=1e-11))
+    assert rep_tight.residual_sup <= 1e-11
+
+    calls = _counted_factorizations(monkeypatch)
+    g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+    assert rep.residual_sup <= cfg.newton_tol
+    assert len(calls) == sum(rep.stage_factorizations)
+    assert len(rep.stage_factorizations) == len(rep.stage_iterations) == 4
+    assert all(1 <= f <= 2 for f in rep.stage_factorizations)
+    assert np.max(np.abs(g.phi - g_tight.phi)) < 1e-9
+
+
+def test_pure_newton_refreshes_after_every_step(monkeypatch):
+    monkeypatch.setattr(geodesic, "_CHORD_CONTRACTION", 0.0)
+    calls = _counted_factorizations(monkeypatch)
+    psi1 = tau_power_potential(EH, 0.1, 4.0)
+    _, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1,
+                                    _eh_tau_power_config(65, 45))
+    assert rep.stage_iterations == [5, 5, 4, 4]
+    assert rep.stage_factorizations == [4, 4, 3, 3]
+    assert len(calls) == 14
+
+
+def test_rejected_chord_step_refactors_and_converges(monkeypatch):
+    psi1 = tau_power_potential(EH, 0.1, 4.0)
+    cfg = _eh_tau_power_config(33, 33)
+    g_ref, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+
+    events = []
+    factor = geodesic.spsolve
+
+    class UphillOnce:
+        """An LU whose first chord solve points uphill."""
+
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            x = self.lu.solve(rhs)
+            events.append("chord")
+            return -x if events.count("chord") == 1 else x
+
+    def spsolve(J, rhs):
+        events.append("factor")
+        x, lu = factor(J, rhs)
+        return x, UphillOnce(lu)
+
+    monkeypatch.setattr(geodesic, "spsolve", spsolve)
+    g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+    # the uphill chord step is rejected and refactored at the same iterate
+    first = events.index("chord")
+    assert events[first + 1] == "factor"
+    assert events.count("factor") == sum(rep.stage_factorizations)
+    assert rep.residual_sup <= cfg.newton_tol
+    assert np.max(np.abs(g.phi - g_ref.phi)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
