@@ -30,6 +30,12 @@ difference of K_values telescopes to the centered first difference of
 dK/dt; Simpson accumulation would inject an odd/even oscillation that the
 1/h^2 second difference amplifies.
 
+Both quadratures are numpy code for the uniform grids PathGrid builds (the
+derivatives use h_rho and h_t too): composite Simpson in rho, with the
+end-interval correction h/12 (5 y[-1] + 8 y[-2] - y[-3]) for an even node
+count, which is what scipy's simpson applies on a uniform grid, and a
+cumulative-sum trapezoid in t.
+
 The decomposition identity total = lich + ricci + grad holds by assembly;
 the independent validation is the finite-difference check against the
 integrated K curve, which also fixes the global sign of the on-shell term
@@ -41,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
 
 from .geodesic import PathGrid, reduced_residual, upsilon_field
 from .profiles import ricci_sign_scan
@@ -80,6 +85,26 @@ class EnergyReport:
         diff = np.max(np.abs(self.d2K_dt2_formula - self.d2K_dt2_fd))
         scale = max(float(np.max(np.abs(self.d2K_dt2_fd))), 1e-8)
         return diff / scale
+
+
+def _simpson(y, h):
+    """Composite Simpson's rule along axis 0 at uniform spacing h.
+
+    An even node count takes Simpson on all but the last node plus the
+    end-interval rule h/12 (5 y[-1] + 8 y[-2] - y[-3]), which integrates
+    the quadratic through the last three nodes over the last interval.
+    """
+    if y.shape[0] % 2 == 0:
+        return _simpson(y[:-1], h) + h / 12.0 * (5.0 * y[-1] + 8.0 * y[-2]
+                                                 - y[-3])
+    return h / 3.0 * (y[0] + 4.0 * y[1:-1:2].sum(axis=0)
+                      + 2.0 * y[2:-1:2].sum(axis=0) + y[-1])
+
+
+def _cumulative_trapezoid(y, h):
+    """Running trapezoid integral along axis 0 at uniform spacing h, from 0."""
+    steps = 0.5 * h * (y[1:] + y[:-1])
+    return np.concatenate([np.zeros_like(y[:1]), np.cumsum(steps, axis=0)])
 
 
 def _d_rho(arr, h, order=1):
@@ -160,23 +185,22 @@ def _first_variation_curve(grid, fields):
     w1, w2, w3 = fields["w1"], fields["w2"], fields["w3"]
     F1 = (n - 1) * w2 / w1 + w3 / w2 - n
     W = w1 ** (n - 1)
-    return -simpson(fields["v1"] * F1 * W, x=grid.rho_nodes, axis=0)
+    return -_simpson(fields["v1"] * F1 * W, grid.h_rho)
 
 
 def _decomposition_terms(grid, fields, epsilon):
     """Integrands of the three second-variation terms, integrated per t."""
     n = grid.background.n
-    x = grid.rho_nodes
+    h = grid.h_rho
     V = fields["w1"] ** (n - 1) * fields["w2"]
-    ups = upsilon_field(grid.background, x, epsilon, grid.upsilon_mode,
-                        psi0=grid.psi0)[:, None]
+    ups = upsilon_field(grid.background, grid.rho_nodes, epsilon,
+                        grid.upsilon_mode, psi0=grid.psi0)[:, None]
     f = ups * fields["u1"] ** (n - 1) * fields["u2"] / V
-    f1 = _d_rho(f, grid.h_rho)
+    f1 = _d_rho(f, h)
     W = V / fields["w2"]
-    lich = simpson(_lichnerowicz_density(fields) * V, x=x, axis=0)
-    ricci = simpson(-f * _background_ricci_trace(grid, fields) * V, x=x,
-                    axis=0)
-    grad = simpson(f1 ** 2 / f * W, x=x, axis=0)
+    lich = _simpson(_lichnerowicz_density(fields) * V, h)
+    ricci = _simpson(-f * _background_ricci_trace(grid, fields) * V, h)
+    grad = _simpson(f1 ** 2 / f * W, h)
     return lich, ricci, grad
 
 
@@ -231,7 +255,7 @@ def energy_report(grid: PathGrid, epsilon: float) -> EnergyReport:
     fields = _path_fields(grid)
     t = grid.t_nodes
     dK = _first_variation_curve(grid, fields)
-    K = np.concatenate([[0.0], cumulative_trapezoid(dK, x=t)])
+    K = _cumulative_trapezoid(dK, grid.h_t)
 
     lich, ricci, grad = _decomposition_terms(grid, fields, epsilon)
 

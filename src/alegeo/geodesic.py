@@ -22,6 +22,8 @@ The line search evaluates the residual only.  Each stage after the first
 starts from a secant predictor in s through the last two solutions (from
 one solution, the shift by the trivial solution s t(t-1)/2), falling back
 to the last solution when the prediction leaves the ellipticity cone.
+Only the last stage, s = epsilon, is solved to newton_tol; the stages
+before it stop at the looser _STAGE_TOL, since they only seed the next.
 
 Newton steps are chord steps (Kelley, Iterative Methods for Linear and
 Nonlinear Equations, SIAM 1995, ch. 5): a stage factors its Jacobian at
@@ -402,6 +404,10 @@ def _newton_system(grid: PathGrid, fixed: _FixedData, ups, pattern=None):
 # to at most this fraction; 0 refreshes it after every step (pure Newton).
 _CHORD_CONTRACTION = 0.25
 
+# Stages before the last only seed the next one, so they stop at this
+# normalized residual, or at newton_tol if that is looser.
+_STAGE_TOL = 1e-6
+
 
 def spsolve(J, rhs):
     """Factor J with the MMD_AT_PLUS_A ordering and solve J x = rhs.
@@ -504,8 +510,11 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     stage_iters, stage_factors = [], []
     solved = []  # (s, phi) of the last two solved stages
 
-    for s in config.schedule():
+    schedule = config.schedule()
+    for s in schedule:
         ups = fixed.upsilon(s, config.upsilon_mode)
+        tol = (config.newton_tol if s == schedule[-1]
+               else max(config.newton_tol, _STAGE_TOL))
         R = None
         if solved:
             grid.phi = _secant_predictor(t, s, solved)
@@ -526,7 +535,7 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
         for _ in range(config.max_iters):
             res = float(np.max(np.abs(G)))
             history.append(res)
-            if res <= config.newton_tol:
+            if res <= tol:
                 break
             r_max = float(np.max(np.abs(R)))
             base = grid.phi[:ni, 1:nt - 1].copy()

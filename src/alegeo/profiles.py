@@ -19,6 +19,11 @@ of 1/phi) and the flat cone (log tau), the base rho plus a compact
 Gauss-Legendre correction for a bump perturbation, and a log-grid
 quadrature only for custom and sampled profiles.  The inverse tau(rho) is
 one vectorised safeguarded Newton iteration shared by every profile.
+
+scipy's quadrature and interpolation (scipy.integrate, scipy.interpolate)
+are imported inside the custom and sampled constructors that use them, so
+importing this module, or building a LeBrun, flat or bump-perturbed
+profile, loads numpy alone.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, interpolate
 
 __all__ = [
     "RadialProfile",
@@ -242,6 +246,8 @@ def _quadrature_rho(phi, tau_min, tau_max, anchor):
     the metric eigenvalues tend to exactly 1; with "tau_max",
     rho(tau_max) = log(tau_max).
     """
+    from scipy import integrate, interpolate
+
     # geometric clustering in tau - tau_min: 1/phi ~ 1/(k(tau-tau_min))
     # near the zero section, so uniform-in-log-tau grids misintegrate it
     if tau_min > 0:
@@ -334,6 +340,8 @@ def sampled_profile(n, k, tau_min, tau: Sequence[float],
         raise ProfileError("tau samples must be strictly increasing")
     if np.any(phi[tau > tau_min] <= 0):
         raise ProfileError("phi samples must be positive above tau_min")
+    from scipy import interpolate
+
     interp = interpolate.PchipInterpolator(tau, phi)
     kern = _Kernel(phi=interp, d1=interp.derivative(1),
                    d2=interp.derivative(2), d3=interp.derivative(3),

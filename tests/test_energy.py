@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_trapezoid, simpson
 
 from alegeo.energy import (
     MixedBackgroundError,
     OffShellError,
+    _cumulative_trapezoid,
+    _simpson,
     _path_curvature,
     _path_fields,
     convexity_audit,
@@ -23,6 +25,22 @@ from alegeo.profiles import RadialProfile, flat_profile, lebrun_profile
 
 EH = lebrun_profile(2, 1.0)
 EPSILONS = (0.5, 0.25, 0.125)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 64, 65])
+def test_quadratures_match_scipy_on_uniform_grids(n):
+    # scipy is the reference: on a uniform grid its simpson takes the
+    # end-interval correction for an even node count
+    x = np.linspace(-0.7, 2.3, n)
+    rates = np.array([0.0, 0.5, -1.3, 3.0])
+    y = (2.0 + np.cos(3.0 * x))[:, None] * np.exp(rates[None, :] * x[:, None])
+    h = x[1] - x[0]
+    np.testing.assert_allclose(_simpson(y, h), simpson(y, x=x, axis=0),
+                               rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(
+        _cumulative_trapezoid(y, h),
+        cumulative_trapezoid(y, x=x, axis=0, initial=0.0),
+        rtol=1e-14, atol=0.0)
 
 
 def energy_config(epsilon, profile=EH):

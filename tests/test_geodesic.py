@@ -307,8 +307,8 @@ def _counted_factorizations(monkeypatch):
 def test_chord_steps_reuse_each_stage_factorization(monkeypatch):
     psi1 = tau_power_potential(EH, 0.1, 4.0)
     cfg = _eh_tau_power_config(65, 45)
-    # 1e-11: at s = 1 the normalized residual has a roundoff floor near
-    # 6e-12 on this grid, where pure Newton stalls as well
+    # 1e-11 is reachable because only the last stage is solved to it: the
+    # s = 1 stage, with a roundoff floor near 5e-12 here, stops at _STAGE_TOL
     g_tight, rep_tight = solve_epsilon_geodesic(
         EH, zero_potential(), psi1, replace(cfg, newton_tol=1e-11))
     assert rep_tight.residual_sup <= 1e-11
@@ -328,9 +328,24 @@ def test_pure_newton_refreshes_after_every_step(monkeypatch):
     psi1 = tau_power_potential(EH, 0.1, 4.0)
     _, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1,
                                     _eh_tau_power_config(65, 45))
-    assert rep.stage_iterations == [5, 5, 4, 4]
-    assert rep.stage_factorizations == [4, 4, 3, 3]
-    assert len(calls) == 14
+    assert rep.stage_iterations == [5, 4, 3, 4]
+    assert rep.stage_factorizations == [4, 3, 2, 3]
+    assert [i - 1 for i in rep.stage_iterations] == rep.stage_factorizations
+    assert len(calls) == 12
+
+
+def test_intermediate_stages_stop_at_the_stage_tolerance():
+    # the s = 1 stage stalls near 5e-12 on this grid, so a 1e-12
+    # certificate needs that stage stopped at _STAGE_TOL
+    psi1 = tau_power_potential(EH, 0.1, 4.0)
+    cfg = replace(_eh_tau_power_config(65, 45), newton_tol=1e-12)
+    g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+    assert rep.residual_sup <= 1e-12
+    assert len(rep.stage_iterations) == 4
+
+    loose = replace(cfg, newton_tol=1e-9)
+    g_loose, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1, loose)
+    assert np.max(np.abs(g.phi - g_loose.phi)) < 1e-9
 
 
 def test_rejected_chord_step_refactors_and_converges(monkeypatch):
