@@ -158,7 +158,7 @@ class SolverReport:
     stage_iterations: list
     stage_factorizations: list   # Jacobian LU factorizations per stage
     c0_check: BoundCheck
-    positivity_margins: dict     # min of w', w'', M over interior nodes
+    positivity_margins: dict     # min of w', w'', M; "worst_nodes": (rho, t)
     wall_time: float
     upsilon_range: tuple
 
@@ -173,11 +173,6 @@ def smoothstep_cutoff(s: float) -> float:
     return x * x * (3.0 - 2.0 * x)
 
 
-def _background_fields(p: RadialProfile, rho):
-    u1, u2 = p.u_derivatives(rho, order=2)
-    return np.asarray(u1), np.asarray(u2)
-
-
 def _weighted_upsilon(s, n, u1, u2, psi0_1, psi0_2):
     """Profile-weighted upsilon from u', u'' and psi0', psi0'' at s."""
     w1 = u1 + psi0_1
@@ -189,7 +184,7 @@ def _weighted_upsilon(s, n, u1, u2, psi0_1, psi0_2):
     return s * ((1.0 - chi) * f_vol + chi)
 
 
-def upsilon_field(grid_or_profile, rho, s, mode, psi0=None):
+def upsilon_field(profile, rho, s, mode, psi0=None):
     """Right-hand-side weight upsilon(rho) at continuity value s.
 
     Constant mode returns s everywhere.  Profile-weighted mode blends the
@@ -199,10 +194,9 @@ def upsilon_field(grid_or_profile, rho, s, mode, psi0=None):
     rho = np.asarray(rho, dtype=float)
     if mode == "constant":
         return s * np.ones_like(rho)
-    p = grid_or_profile
-    u1, u2 = _background_fields(p, rho)
+    u1, u2 = profile.u_derivatives(rho, order=2)
     psi0 = psi0 or zero_potential()
-    return _weighted_upsilon(s, p.n, u1, u2, psi0(rho, 1), psi0(rho, 2))
+    return _weighted_upsilon(s, profile.n, u1, u2, psi0(rho, 1), psi0(rho, 2))
 
 
 @dataclass(frozen=True)
@@ -225,7 +219,7 @@ class _FixedData:
     @classmethod
     def build(cls, grid: PathGrid) -> "_FixedData":
         rho = grid.rho_nodes[:-1]
-        u1, u2 = _background_fields(grid.background, rho)
+        u1, u2 = grid.background.u_derivatives(rho, order=2)
         n = grid.background.n
         return cls(n=n, u1=u1, u2=u2,
                    psi0_1=grid.psi0(rho, 1), psi0_2=grid.psi0(rho, 2),
@@ -477,7 +471,7 @@ def _check_boundary_data(p, psi, cfg, rho_nodes, label):
         raise BoundaryInconsistency(
             f"{label} decays like r^{fit.exponent:.2f}, slower than the "
             f"required r^-{cfg.min_decay}")
-    u1, u2 = _background_fields(p, rho)
+    u1, u2 = p.u_derivatives(rho, order=2)
     if np.any(u1 + psi(rho, 1) <= 0) or np.any(u2 + psi(rho, 2) <= 0):
         raise BoundaryInconsistency(f"{label} does not give a positive metric")
 
@@ -575,14 +569,17 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
 
     w1, w2, P, phi_tt = _field_arrays(grid, final)
     M = phi_tt * w2 - P ** 2
+    margins = {"worst_nodes": {}}
+    for name, values in (("w1", w1), ("w2", w2), ("M", M)):
+        margins[name], margins["worst_nodes"][name] = _argmin_node(
+            values, grid.rho_nodes[:-1], grid.t_nodes[1:-1])
     report = SolverReport(
         residual_sup=res_norm,
         residual_raw_sup=res_raw,
         stage_iterations=stage_iters,
         stage_factorizations=stage_factors,
         c0_check=c0_bound_check(grid),
-        positivity_margins={"w1": float(w1.min()), "w2": float(w2.min()),
-                            "M": float(M.min())},
+        positivity_margins=margins,
         wall_time=time.perf_counter() - t_start,
         upsilon_range=(float(ups.min()), float(ups.max())),
     )
@@ -593,15 +590,19 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
 # checks
 # ---------------------------------------------------------------------------
 
+def _argmin_node(values, rho, t):
+    """Minimum of values over the (rho, t) nodes, and the node it sits at."""
+    i, j = np.unravel_index(int(np.argmin(values)), values.shape)
+    return float(values[i, j]), (float(rho[i]), float(t[j]))
+
+
 def c0_bound_check(grid: PathGrid) -> BoundCheck:
     """Sandwich bound |phi| <= 2 t (1 - t) nodewise; reports minimum slack."""
     t = grid.t_nodes[None, :]
     slack = 2.0 * t * (1.0 - t) - np.abs(grid.phi)
-    i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
-    return BoundCheck(passed=bool(slack.min() >= -1e-12),
-                      min_slack=float(slack.min()),
-                      worst_node=(float(grid.rho_nodes[i]),
-                                  float(grid.t_nodes[j])))
+    min_slack, worst = _argmin_node(slack, grid.rho_nodes, grid.t_nodes)
+    return BoundCheck(passed=bool(min_slack >= -1e-12), min_slack=min_slack,
+                      worst_node=worst)
 
 
 def comparison_check(grid_a: PathGrid, grid_b: PathGrid, tol=1e-10):

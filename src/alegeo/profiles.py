@@ -355,7 +355,7 @@ def sampled_profile(n, k, tau_min, tau: Sequence[float],
 
 def bump_perturbed_profile(base: RadialProfile, center: float, width: float,
                            amplitude: float) -> RadialProfile:
-    """Base profile plus a compactly supported C^2 bump in phi.
+    """Base profile plus a compactly supported C^3 bump in phi.
 
     The bump is amplitude * (1 - ((tau-center)/width)^2)^4 on
     |tau - center| < width and zero outside; used for the mass-invariance
@@ -363,38 +363,13 @@ def bump_perturbed_profile(base: RadialProfile, center: float, width: float,
     boundary flux at large radius.
     """
     c, w, a = float(center), float(width), float(amplitude)
+    bump = a * np.polynomial.Polynomial([1.0, 0.0, -1.0]) ** 4
+    derivs = [bump.deriv(m) for m in range(4)]
 
-    def s(t):
-        t = np.asarray(t, dtype=float)
-        x = (t - c) / w
-        inside = np.abs(x) < 1.0
-        y = np.where(inside, 1.0 - x * x, 0.0)
-        return a * y ** 4
-
-    def s1(t):
-        t = np.asarray(t, dtype=float)
-        x = (t - c) / w
-        inside = np.abs(x) < 1.0
-        y = np.where(inside, 1.0 - x * x, 0.0)
-        return a * 4 * y ** 3 * (-2 * x / w) * inside
-
-    def s2(t):
-        t = np.asarray(t, dtype=float)
-        x = (t - c) / w
-        inside = np.abs(x) < 1.0
-        y = np.where(inside, 1.0 - x * x, 0.0)
-        return a * (12 * y ** 2 * (2 * x / w) ** 2 - 8 * y ** 3 / w ** 2) * inside
-
-    def s3(t):
-        # d/dt of s2 / a = 12 y^2 (2x/w)^2 - 8 y^3 / w^2, with dy/dt = -2x/w
-        t = np.asarray(t, dtype=float)
-        x = (t - c) / w
-        inside = np.abs(x) < 1.0
-        y = np.where(inside, 1.0 - x * x, 0.0)
-        d = (24 * y * (-2 * x / w) * (2 * x / w) ** 2
-             + 12 * y ** 2 * 2 * (2 * x / w) * (2 / w ** 2)
-             - 24 * y ** 2 * (-2 * x / w) / w ** 2)
-        return a * d * inside
+    def s(t, m=0):
+        """Order-m tau-derivative of the bump, zero off its support."""
+        x = (np.asarray(t, dtype=float) - c) / w
+        return np.where(np.abs(x) < 1.0, derivs[m](x) / w ** m, 0.0)
 
     base_phi, base_rho = base._kernel.phi, base._kernel.rho
     nodes, weights = np.polynomial.legendre.leggauss(BUMP_RHO_NODES)
@@ -413,9 +388,9 @@ def bump_perturbed_profile(base: RadialProfile, center: float, width: float,
 
     kern = _Kernel(
         phi=lambda t: base_phi(np.asarray(t, dtype=float)) + s(t),
-        d1=lambda t: base.phi_d1(t) + s1(t),
-        d2=lambda t: base.phi_d2(t) + s2(t),
-        d3=lambda t: base.phi_d3(t) + s3(t),
+        d1=lambda t: base.phi_d1(t) + s(t, 1),
+        d2=lambda t: base.phi_d2(t) + s(t, 2),
+        d3=lambda t: base.phi_d3(t) + s(t, 3),
         rho=rho,
     )
     return RadialProfile(n=base.n, k=base.k, tau_min=base.tau_min,

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .analysis import fit_decay_exponent
@@ -141,6 +141,9 @@ class RunManifest:
     checks: dict
     status: str = "ok"
     error: str = None
+    # wall times and library versions vary between runs and hosts; kept
+    # apart from the results so two manifests diff directly
+    timings: dict = field(default_factory=dict)
 
     @property
     def passed(self):
@@ -156,7 +159,7 @@ class RunManifest:
     def from_json_dict(cls, doc):
         doc = {key: doc[key] for key in
                ("version", "scenario_id", "scenario_hash", "inputs",
-                "artifacts", "checks", "status", "error")}
+                "artifacts", "checks", "status", "error", "timings")}
         return cls(**doc)
 
 
@@ -274,7 +277,10 @@ def run_scenario(scenario: Scenario, no_cache: bool = False) -> RunManifest:
               "solver": scenario.solver, "analyses": list(scenario.analyses)}
     manifest = RunManifest(version=__version__, scenario_id=scenario.id,
                            scenario_hash=shash, inputs=inputs,
-                           artifacts={}, checks={})
+                           artifacts={}, checks={},
+                           timings={"versions": {"alegeo": __version__,
+                                                 "numpy": np.__version__,
+                                                 "scipy": scipy.__version__}})
     try:
         _run_analyses(scenario, out, manifest)
     except (GeodesicError, MixedBackgroundError, ValueError) as exc:
@@ -294,14 +300,13 @@ def _run_analyses(scenario, out, manifest):
         profile = scenario.build_profile()
         psi0, psi1 = scenario.build_potentials(profile)
         cfg = scenario.build_config()
-        t0 = time.perf_counter()
         grid, report = solve_epsilon_geodesic(profile, psi0, psi1, cfg)
+        manifest.timings["solve_wall_time"] = report.wall_time
         _write_grid_csv(out / "grid.csv", grid)
         _write_json(out / "grid.meta.json",
                     _grid_meta(grid, profile, psi0, psi1))
         solve_details = {
             "residual_sup": report.residual_sup,
-            "wall_time": time.perf_counter() - t0,
             "max_second_derivative": _max_second_derivative(grid),
             "upsilon_range": list(report.upsilon_range),
         }

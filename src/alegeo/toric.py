@@ -14,6 +14,14 @@ representatives over the chart covering the zero section, reduced to a 2D
 
 with q the base |u|^2 and v the fiber |w|^2.  Forms are (1/2pi) i ddbar h,
 normalized so the hyperplane class integrates to 1.
+
+At (sqrt(q), 0, ..., 0, sqrt(v)) each Hessian is a 2x2 block [[a, c], [c, b]]
+on the radial and fiber directions plus d on the n - 2 tangent directions:
+a = h_q + q h_qq, b = h_v + v h_vv, c = h_qv sqrt(qv), d = h_q.  For that
+shape the mixed discriminant of n Hessians, normalized so that equal
+arguments give det = d^{n-2} (ab - c^2), is a sum over pairs:
+
+    D = sum_{i<j} [(a_i b_j + a_j b_i)/2 - c_i c_j] prod_{l!=i,j} d_l / C(n,2)
 """
 
 from __future__ import annotations
@@ -87,10 +95,19 @@ def mixed_type_certificate(n: int, k: int) -> dict:
 # numeric oracle
 # ---------------------------------------------------------------------------
 
+def _half_line_rule(nodes):
+    """Gauss-Legendre nodes and weights on (0, inf) through q = x/(1-x)."""
+    x, wx = np.polynomial.legendre.leggauss(nodes)
+    x = 0.5 * (x + 1.0)
+    return x / (1.0 - x), 0.5 * wx / (1.0 - x) ** 2
+
+
 def _hessian_blocks(label, q, v, k):
-    """(h_q, h_qq, h_v, h_vv, h_qv) of the labeled potential at (q, v)."""
+    """Hessian entries (a, b, c, d) of the labeled potential at (q, v)."""
     if label == "df":
-        return (1.0 / (1.0 + q), -1.0 / (1.0 + q) ** 2, 0.0 * q, 0.0 * q, 0.0 * q)
+        h_q = 1.0 / (1.0 + q)
+        zero = 0.0 * q
+        return h_q ** 2, zero, zero, h_q  # a = h_q + q h_qq = h_q^2
     if label == "dinf":
         w = (1.0 + q) ** k * v + 1.0
         w_q = k * (1.0 + q) ** (k - 1) * v
@@ -99,63 +116,46 @@ def _hessian_blocks(label, q, v, k):
         w_qv = k * (1.0 + q) ** (k - 1)
         h_q = w_q / w
         h_v = w_v / w
-        return (h_q, w_qq / w - h_q ** 2, h_v, -h_v ** 2,
-                w_qv / w - w_q * w_v / w ** 2)
+        h_qv = w_qv / w - w_q * w_v / w ** 2
+        return (h_q + q * (w_qq / w - h_q ** 2), h_v - v * h_v ** 2,
+                h_qv * np.sqrt(q * v), h_q)
     if label == "d0":
-        a = _hessian_blocks("dinf", q, v, k)
-        b = _hessian_blocks("df", q, v, k)
-        return tuple(x - k * y for x, y in zip(a, b))
+        inf = _hessian_blocks("dinf", q, v, k)
+        f = _hessian_blocks("df", q, v, k)
+        return tuple(x - k * y for x, y in zip(inf, f))
     raise ValueError(f"unknown representative {label!r}")
 
 
-def _hessian_matrix(label, q, v, k, n):
-    """n x n complex Hessian at the symmetric point (sqrt(q), 0, ..., sqrt(v)).
-
-    Index 0 is the radial base direction, 1..n-2 the base tangent directions
-    (each with second derivative h_q), n-1 the fiber.
-    """
-    h_q, h_qq, h_v, h_vv, h_qv = _hessian_blocks(label, q, v, k)
-    H = np.zeros((n, n) + np.shape(q))
-    H[0, 0] = h_q + q * h_qq
-    for j in range(1, n - 1):
-        H[j, j] = h_q
-    H[n - 1, n - 1] = h_v + v * h_vv
-    H[0, n - 1] = H[n - 1, 0] = h_qv * np.sqrt(q * v)
-    return H
-
-
-def _mixed_determinant(mats):
-    """Polarized determinant, normalized so all-equal arguments give det."""
-    n = len(mats)
+def _mixed_determinant(blocks):
+    """Mixed discriminant of n Hessians from their (a, b, c, d) entries."""
+    n = len(blocks)
     total = 0.0
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            S = sum(mats[i] for i in subset)
-            total += (-1) ** (n - size) * np.linalg.det(np.moveaxis(S, (0, 1), (-2, -1)))
-    return total / math.factorial(n)
+    for i, j in itertools.combinations(range(n), 2):
+        a_i, b_i, c_i, _ = blocks[i]
+        a_j, b_j, c_j, _ = blocks[j]
+        pair = 0.5 * (a_i * b_j + a_j * b_i) - c_i * c_j
+        total = total + math.prod(
+            (blocks[l][3] for l in range(n) if l not in (i, j)), start=pair)
+    return total / math.comb(n, 2)
 
 
 def wedge_integral_oracle(n, k, labels, nodes=ORACLE_NODES) -> float:
     """int over the chart of the wedge of the n labeled representatives.
 
-    The U(n-1) x U(1) symmetry collapses the integral to (q, v); each half
-    line maps to (0,1) by q = x/(1-x) before tensor Gauss-Legendre.
+    The U(n-1) x U(1) symmetry collapses the integral to (q, v), a tensor
+    grid of _half_line_rule.
     """
     _validate(n, k)
     if len(labels) != n:
         raise ValueError(f"need exactly n = {n} representative labels")
-    x, wx = np.polynomial.legendre.leggauss(nodes)
-    x = 0.5 * (x + 1.0)
-    wx = 0.5 * wx
-    q = x / (1.0 - x)
-    jac = 1.0 / (1.0 - x) ** 2
+    q, wq = _half_line_rule(nodes)
     Q, S = np.meshgrid(q, q, indexing="ij")
     # the fiber integrand lives at scale v ~ (1+q)^-k; substitute
     # v = s / (1+q)^k so one grid resolves it at every q
     V = S / (1.0 + Q) ** k
-    W = np.outer(wx * jac, wx * jac) / (1.0 + Q) ** k
-    mats = [_hessian_matrix(lab, Q, V, k, n) for lab in labels]
-    md = _mixed_determinant(mats)
+    W = np.outer(wq, wq) / (1.0 + Q) ** k
+    entries = {lab: _hessian_blocks(lab, Q, V, k) for lab in set(labels)}
+    md = _mixed_determinant([entries[lab] for lab in labels])
     measure = math.pi ** (n - 1) / math.factorial(n - 2) * Q ** (n - 2) * math.pi
     integral = float(np.sum(md * measure * W))
     return (FORM_NORMALIZATION ** n * math.factorial(n) * 2 ** n * integral)
@@ -168,17 +168,11 @@ def _restricted_d0_oracle(n, k, nodes=ORACLE_NODES) -> float:
     the restricted form is -k times the hyperplane form of the base.
     """
     m = n - 1
-    x, wx = np.polynomial.legendre.leggauss(nodes)
-    x = 0.5 * (x + 1.0)
-    wx = 0.5 * wx
-    q = x / (1.0 - x)
-    jac = 1.0 / (1.0 - x) ** 2
-    # h0 restricted to v = 0 is -k log(1+q); radial eigenvalues of its ddbar
-    h_q = -k / (1.0 + q)
-    h_qq = k / (1.0 + q) ** 2
-    det = h_q ** (m - 1) * (h_q + q * h_qq)
+    q, wq = _half_line_rule(nodes)
+    a, _, _, d = _hessian_blocks("d0", q, 0.0 * q, k)
+    det = d ** (m - 1) * a
     measure = math.pi ** m / math.factorial(m - 1) * q ** (m - 1)
-    integral = float(np.sum(det * measure * wx * jac))
+    integral = float(np.sum(det * measure * wq))
     return FORM_NORMALIZATION ** m * math.factorial(m) * 2 ** m * integral
 
 

@@ -183,6 +183,13 @@ def test_nontrivial_solve_certificate_and_sandwich():
     assert res <= cfg.newton_tol
     assert rep.c0_check.passed
     assert rep.positivity_margins["M"] > 0
+    # each minimum sits at its worst node; field columns start at t_nodes[1]
+    w1, w2, P, phi_tt = geodesic._field_arrays(g, _FixedData.build(g))
+    for name, values in (("w1", w1), ("w2", w2), ("M", phi_tt * w2 - P ** 2)):
+        rho_w, t_w = rep.positivity_margins["worst_nodes"][name]
+        i = int(np.flatnonzero(g.rho_nodes == rho_w)[0])
+        j = int(np.flatnonzero(g.t_nodes == t_w)[0])
+        assert values[i, j - 1] == values.min() == rep.positivity_margins[name]
 
 
 def test_symmetric_data_symmetric_solution():

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from alegeo.profiles import lebrun_profile, ricci_eigenvalues
 from alegeo.toric import (
     IntersectionReport,
+    _mixed_determinant,
     intersection_numbers,
     mixed_type_certificate,
     representative_integral_oracle,
@@ -111,6 +114,51 @@ def test_oracle_linearity_dinf(k):
     assert lhs == pytest.approx(1.0, abs=1e-6)  # Dinf.Df = D0.Df = 1
     dinf2 = wedge_integral_oracle(2, k, ("dinf", "dinf"))
     assert dinf2 == pytest.approx(k, rel=1e-6)  # -k + 2k
+    # n = 3: Dinf^2.Df = D0^2.Df + 2k D0.Df^2 = -k + 2k
+    lhs = wedge_integral_oracle(3, k, ("dinf", "dinf", "df"))
+    rhs = (wedge_integral_oracle(3, k, ("d0", "dinf", "df"))
+           + k * wedge_integral_oracle(3, k, ("df", "dinf", "df")))
+    assert lhs == pytest.approx(rhs, abs=1e-6)
+    assert lhs == pytest.approx(k, rel=1e-6)
+    # Dinf^3 = D0^3 + 3k D0^2.Df + 3k^2 D0.Df^2 = k^2 - 3k^2 + 3k^2
+    lhs = wedge_integral_oracle(3, k, ("dinf",) * 3)
+    rhs = (wedge_integral_oracle(3, k, ("d0", "dinf", "dinf"))
+           + k * wedge_integral_oracle(3, k, ("df", "dinf", "dinf")))
+    assert lhs == pytest.approx(rhs, abs=1e-6)
+    assert lhs == pytest.approx(k ** 2, rel=1e-6)
+
+
+def _dense_block_matrix(a, b, c, d, n):
+    """(..., n, n) matrix: radial 0, tangents 1..n-2, fiber n-1."""
+    H = np.zeros(a.shape + (n, n))
+    H[..., 0, 0] = a
+    for j in range(1, n - 1):
+        H[..., j, j] = d
+    H[..., n - 1, n - 1] = b
+    H[..., 0, n - 1] = H[..., n - 1, 0] = c
+    return H
+
+
+def _polarized_determinant(mats):
+    """Mixed discriminant by polarization over all nonempty subsets."""
+    n = len(mats)
+    total = 0.0
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            total += (-1) ** (n - size) * np.linalg.det(sum(mats[i] for i in subset))
+    return total / math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_block_mixed_determinant_matches_polarization(n):
+    rng = np.random.default_rng(n)
+    blocks = [tuple(rng.normal(size=7) for _ in range(4)) for _ in range(n)]
+    dense = [_dense_block_matrix(*entries, n) for entries in blocks]
+    ref = _polarized_determinant(dense)
+    assert np.allclose(_mixed_determinant(blocks), ref, rtol=1e-12, atol=0.0)
+    # equal arguments give the determinant
+    same = _mixed_determinant([blocks[0]] * n)
+    assert np.allclose(same, np.linalg.det(dense[0]), rtol=1e-12, atol=0.0)
 
 
 def test_oracle_rejects_bad_input():
