@@ -119,25 +119,22 @@ def _path_fields(grid: PathGrid):
     t = grid.t_nodes
     hr, ht = grid.h_rho, grid.h_t
     p = grid.background
-    u = p.u_derivatives(rho, order=4)
-    u1, u2, u3 = (np.asarray(u[0]), np.asarray(u[1]), np.asarray(u[2]))
-
-    psi = {}
-    for m in (1, 2, 3):
-        p0, p1 = grid.psi0(rho, m), grid.psi1(rho, m)
-        psi[m] = (1.0 - t[None, :]) * p0[:, None] + t[None, :] * p1[:, None]
-        psi[m + 10] = (p1 - p0)[:, None]
+    u1, u2, u3 = p.u_derivatives(rho, order=3)
+    jets = list(zip(grid.psi0.jet(rho, 3), grid.psi1.jet(rho, 3)))
+    Psi = [(1.0 - t[None, :]) * p0[:, None] + t[None, :] * p1[:, None]
+           for p0, p1 in jets]
+    Psi_t = [(p1 - p0)[:, None] for p0, p1 in jets]
 
     phi = grid.phi
     phi_t = np.gradient(phi, ht, axis=1, edge_order=2)
 
     fields = {
-        "w1": u1[:, None] + psi[1] + _d_rho(phi, hr),
-        "w2": u2[:, None] + psi[2] + _d_rho(phi, hr, 2),
-        "w3": u3[:, None] + psi[3] + _d_rho(phi, hr, 3),
-        "v": (grid.psi1(rho, 0) - grid.psi0(rho, 0))[:, None] + phi_t,
-        "v1": psi[11] + _d_rho(phi_t, hr),
-        "v2": psi[12] + _d_rho(phi_t, hr, 2),
+        "w1": u1[:, None] + Psi[1] + _d_rho(phi, hr),
+        "w2": u2[:, None] + Psi[2] + _d_rho(phi, hr, 2),
+        "w3": u3[:, None] + Psi[3] + _d_rho(phi, hr, 3),
+        "v": Psi_t[0] + phi_t,
+        "v1": Psi_t[1] + _d_rho(phi_t, hr),
+        "v2": Psi_t[2] + _d_rho(phi_t, hr, 2),
         "u1": u1[:, None], "u2": u2[:, None], "u3": u3[:, None],
     }
     return fields

@@ -195,8 +195,8 @@ def upsilon_field(profile, rho, s, mode, psi0=None):
     if mode == "constant":
         return s * np.ones_like(rho)
     u1, u2 = profile.u_derivatives(rho, order=2)
-    psi0 = psi0 or zero_potential()
-    return _weighted_upsilon(s, profile.n, u1, u2, psi0(rho, 1), psi0(rho, 2))
+    _, psi0_1, psi0_2 = (psi0 or zero_potential()).jet(rho, 2)
+    return _weighted_upsilon(s, profile.n, u1, u2, psi0_1, psi0_2)
 
 
 @dataclass(frozen=True)
@@ -220,10 +220,11 @@ class _FixedData:
     def build(cls, grid: PathGrid) -> "_FixedData":
         rho = grid.rho_nodes[:-1]
         u1, u2 = grid.background.u_derivatives(rho, order=2)
+        _, psi0_1, psi0_2 = grid.psi0.jet(rho, 2)
+        _, psi1_1, psi1_2 = grid.psi1.jet(rho, 2)
         n = grid.background.n
-        return cls(n=n, u1=u1, u2=u2,
-                   psi0_1=grid.psi0(rho, 1), psi0_2=grid.psi0(rho, 2),
-                   psi1_1=grid.psi1(rho, 1), psi1_2=grid.psi1(rho, 2),
+        return cls(n=n, u1=u1, u2=u2, psi0_1=psi0_1, psi0_2=psi0_2,
+                   psi1_1=psi1_1, psi1_2=psi1_2,
                    density=(u1 ** (n - 1) * u2)[:, None])
 
     def upsilon(self, s, mode):
@@ -456,12 +457,11 @@ def _secant_predictor(t, s, solved):
     return phi1 + (s - s1) / (s1 - s0) * (phi1 - phi0)
 
 
-def _check_boundary_data(p, psi, cfg, rho_nodes, label):
+def _check_boundary_data(p, psi, cfg, rho, label):
     if psi.is_zero:
         return
-    rho = rho_nodes
     r = np.exp(rho / 2.0)
-    vals = psi(rho)
+    vals, psi_1, psi_2 = psi.jet(rho, 2)
     try:
         fit = fit_decay_exponent(r, vals, window=(r[0], r[-1]))
     except ValueError as exc:
@@ -472,7 +472,7 @@ def _check_boundary_data(p, psi, cfg, rho_nodes, label):
             f"{label} decays like r^{fit.exponent:.2f}, slower than the "
             f"required r^-{cfg.min_decay}")
     u1, u2 = p.u_derivatives(rho, order=2)
-    if np.any(u1 + psi(rho, 1) <= 0) or np.any(u2 + psi(rho, 2) <= 0):
+    if np.any(u1 + psi_1 <= 0) or np.any(u2 + psi_2 <= 0):
         raise BoundaryInconsistency(f"{label} does not give a positive metric")
 
 
@@ -651,13 +651,13 @@ def _max_second_derivative(grid: PathGrid):
     rho = grid.rho_nodes
     t = grid.t_nodes
     hr, ht = grid.h_rho, grid.h_t
-    psi0_2 = grid.psi0(rho, 2)
-    psi1_2 = grid.psi1(rho, 2)
+    _, psi0_1, psi0_2 = grid.psi0.jet(rho, 2)
+    _, psi1_1, psi1_2 = grid.psi1.jet(rho, 2)
     Psi_rr = (1 - t[None, :]) * psi0_2[:, None] + t[None, :] * psi1_2[:, None]
     phi = grid.phi
     phi_rr = (phi[:-2, :] - 2 * phi[1:-1, :] + phi[2:, :]) / hr ** 2
     phi_rt = (phi[2:, 2:] - phi[2:, :-2] - phi[:-2, 2:]
               + phi[:-2, :-2]) / (4 * hr * ht)
-    P = (grid.psi1(rho, 1) - grid.psi0(rho, 1))[1:-1, None] + phi_rt
+    P = (psi1_1 - psi0_1)[1:-1, None] + phi_rt
     return float(max(np.max(np.abs(phi_rr + Psi_rr[1:-1, :])),
                      np.max(np.abs(P))))

@@ -1,9 +1,12 @@
 """Radial boundary potentials for the geodesic endpoints.
 
-A potential is a smooth function of rho with analytic derivatives up to
-fourth order (the energy quadratures need three spatial derivatives of the
-perturbed Kahler potential).  Decay is parameterized by the exponent gamma
-in r-coordinates: psi ~ r^{-gamma} = exp(-gamma * rho / 2).
+A potential is a smooth function of rho that yields its jet, the values
+and analytic rho-derivatives up to fourth order, from one evaluation (the
+energy quadratures need three spatial derivatives of the perturbed Kahler
+potential); data given in tau invert the profile once and hand their
+tau-derivatives to the chain rule ``RadialProfile.rho_jet``.  Decay is
+parameterized by the exponent gamma in r-coordinates:
+psi ~ r^{-gamma} = exp(-gamma * rho / 2).
 """
 
 from __future__ import annotations
@@ -23,12 +26,16 @@ class RadialPotential:
 
     kind: str
     params: dict = field(default_factory=dict)
-    _derivs: tuple = field(repr=False, compare=False, default=None)
+    _jet: Callable = field(repr=False, compare=False, default=None)
 
-    def __call__(self, rho, order=0):
+    def jet(self, rho, order):
+        """[psi, psi', ..., psi^(order)] at rho, from one evaluation."""
         if not 0 <= order <= 4:
             raise ValueError(f"derivative order must be in 0..4, got {order}")
-        return self._derivs[order](np.asarray(rho, dtype=float))
+        return self._jet(np.asarray(rho, dtype=float), order)
+
+    def __call__(self, rho, order=0):
+        return self.jet(rho, order)[order]
 
     @property
     def is_zero(self):
@@ -45,8 +52,10 @@ class RadialPotential:
 
 
 def zero_potential() -> RadialPotential:
-    z = lambda rho: np.zeros_like(rho)
-    return RadialPotential(kind="zero", params={}, _derivs=(z, z, z, z, z))
+    def jet(rho, order):
+        return [np.zeros_like(rho) for _ in range(order + 1)]
+
+    return RadialPotential(kind="zero", params={}, _jet=jet)
 
 
 def exp_decay_potential(amplitude: float, gamma: float,
@@ -57,12 +66,13 @@ def exp_decay_potential(amplitude: float, gamma: float,
     a, g, r0 = float(amplitude), float(gamma), float(rho_ref)
     c = -g / 2.0
 
-    def make(order):
-        return lambda rho: a * c ** order * np.exp(c * (rho - r0))
+    def jet(rho, order):
+        e = np.exp(c * (rho - r0))
+        return [a * c ** m * e for m in range(order + 1)]
 
     return RadialPotential(
         kind="exp", params={"amplitude": a, "gamma": g, "rho_ref": r0},
-        _derivs=tuple(make(m) for m in range(5)))
+        _jet=jet)
 
 
 def tau_power_potential(profile, amplitude: float,
@@ -81,51 +91,19 @@ def tau_power_potential(profile, amplitude: float,
     a, g = float(amplitude), float(gamma)
     gg = g / 2.0
     scale = a * profile.tau_min ** gg
+    # d^m/dtau^m tau^-gg = coef[m] tau^(-gg-m)
+    coef = np.cumprod([1.0, -gg, -gg - 1.0, -gg - 2.0, -gg - 3.0])
 
-    def h(tau, m):
-        coef = 1.0
-        for i in range(m):
-            coef *= (-gg - i)
-        return scale * coef * tau ** (-gg - m)
-
-    def d0(rho):
-        return h(profile.tau_of_rho(rho), 0)
-
-    def d1(rho):
+    def jet(rho, order):
         tau = profile.tau_of_rho(rho)
-        return profile.phi(tau) * h(tau, 1)
-
-    def d2(rho):
-        tau = profile.tau_of_rho(rho)
-        ph, p1 = profile.phi(tau), profile.phi_d1(tau)
-        return ph * (p1 * h(tau, 1) + ph * h(tau, 2))
-
-    def d3(rho):
-        tau = profile.tau_of_rho(rho)
-        ph, p1, p2 = (profile.phi(tau), profile.phi_d1(tau),
-                      profile.phi_d2(tau))
-        inner = p1 * h(tau, 1) + ph * h(tau, 2)
-        d_inner = p2 * h(tau, 1) + 2.0 * p1 * h(tau, 2) + ph * h(tau, 3)
-        return ph * (p1 * inner + ph * d_inner)
-
-    def d4(rho):
-        tau = profile.tau_of_rho(rho)
-        ph, p1, p2, p3 = (profile.phi(tau), profile.phi_d1(tau),
-                          profile.phi_d2(tau), profile.phi_d3(tau))
-        inner = p1 * h(tau, 1) + ph * h(tau, 2)
-        d_inner = p2 * h(tau, 1) + 2.0 * p1 * h(tau, 2) + ph * h(tau, 3)
-        d2_inner = (p3 * h(tau, 1) + 3.0 * p2 * h(tau, 2)
-                    + 3.0 * p1 * h(tau, 3) + ph * h(tau, 4))
-        # d/drho = phi d/dtau applied to phi*(p1*inner + phi*d_inner)
-        bracket = p1 * inner + ph * d_inner
-        d_bracket = (p2 * inner + 2.0 * p1 * d_inner + ph * d2_inner)
-        return ph * (p1 * bracket + ph * d_bracket)
+        f = [scale * coef[m] * tau ** (-gg - m) for m in range(order + 1)]
+        return profile.rho_jet(tau, f, order)
 
     return RadialPotential(
         kind="tau_power",
         params={"amplitude": a, "gamma": g, "k": profile.k,
                 "tau_min": profile.tau_min},
-        _derivs=(d0, d1, d2, d3, d4))
+        _jet=jet)
 
 
 def potential_from_json(doc, profile=None) -> RadialPotential:

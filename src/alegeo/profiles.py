@@ -20,6 +20,10 @@ Gauss-Legendre correction for a bump perturbation, and a log-grid
 quadrature only for custom and sampled profiles.  The inverse tau(rho) is
 one vectorised safeguarded Newton iteration shared by every profile.
 
+Every rho-derivative of a radial field comes from d/drho = phi d/dtau,
+written once as ``RadialProfile.rho_jet``; the background potential and
+the boundary data given in tau each use it after one inversion tau(rho).
+
 scipy's quadrature and interpolation (scipy.integrate, scipy.interpolate)
 are imported inside the custom and sampled constructors that use them, so
 importing this module, or building a LeBrun, flat or bump-perturbed
@@ -186,24 +190,35 @@ class RadialProfile:
             f"tau_of_rho: {idx.size} points unconverged after "
             f"{INVERSE_MAX_ITERS} iterations")
 
-    # -- background potential derivatives in rho -------------------------
+    # -- rho-derivatives of radial fields ---------------------------------
+
+    def rho_jet(self, tau, f, order):
+        """[f, Df, ..., D^order f] for D = d/drho = phi(tau) d/dtau.
+
+        ``f`` holds the tau-derivatives f, ..., f^(order) at tau, order <= 4.
+        Each step takes the tau-derivatives of D g = phi g' by the Leibniz
+        rule, (phi g')^(m) = sum_i C(m, i) phi^(i) g^(m+1-i), so only
+        phi, ..., phi^(order-1) are evaluated.
+        """
+        dphi = [d(tau) for d in (self.phi, self.phi_d1, self.phi_d2,
+                                 self.phi_d3)[:order]]
+        g = list(f[:order + 1])
+        jet = [g[0]]
+        for j in range(order):
+            g = [sum(math.comb(m, i) * dphi[i] * g[m + 1 - i]
+                     for i in range(m + 1))
+                 for m in range(order - j)]
+            jet.append(g[0])
+        return jet
 
     def u_derivatives(self, rho, order=4):
-        """(u', u'', u''', u'''') of the background potential at rho.
+        """(u', ..., u^(order)) of the background potential at rho.
 
-        u' = tau, u'' = phi(tau); higher orders follow from the chain rule
-        d/drho = phi(tau) d/dtau.  Used by the geodesic and energy modules.
+        u' = tau and u'' = D tau = phi(tau); the rest is ``rho_jet`` of tau.
+        Used by the geodesic and energy modules.
         """
         tau = self.tau_of_rho(rho)
-        p = self.phi(tau)
-        out = [tau, p]
-        if order >= 3:
-            d1 = self.phi_d1(tau)
-            out.append(p * d1)
-        if order >= 4:
-            d2 = self.phi_d2(tau)
-            out.append(p * (d1 * d1 + p * d2))
-        return tuple(out[:order])
+        return tuple(self.rho_jet(tau, [tau, 1.0, 0.0, 0.0], order - 1))
 
     def to_json_dict(self):
         if self.form == "lebrun":

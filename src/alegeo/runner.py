@@ -27,7 +27,7 @@ from .geodesic import (GeodesicError, PathGrid, SolverConfig,
 from .potentials import potential_from_json
 from .profiles import (flat_profile, lebrun_profile, profile_from_json,
                        ricci_sign_scan)
-from .toric import IntersectionReport
+from .toric import MAX_ORACLE_ERROR, IntersectionReport
 
 __all__ = ["Scenario", "RunManifest", "ScenarioError", "run_scenario",
            "batch", "canonical_hash"]
@@ -350,13 +350,17 @@ def _run_analyses(scenario, out, manifest):
         manifest.artifacts["intersect_json"] = str(out / "intersect.json")
         cert_ok = (doc["certificate"]["opposite_signs"]
                    == (geom.get("k", 1) != geom.get("n", 2)))
+        # the oracle bounds its own error estimate, so only the exact table
+        # can tell a wrong value; rho0^{n-1} over the zero section is D0^n
+        exact = dict(rep.table, restricted_d0=rep.table["d0_power"])
         oracle_ok = all(
-            entry["error"] <= 0.005 * max(abs(entry["value"]), 1.0)
-            for entry in doc["oracle"].values())
+            abs(entry["value"] - exact[which])
+            <= MAX_ORACLE_ERROR * abs(exact[which])
+            for which, entry in rep.oracle.items())
         manifest.checks["intersections"] = {
             "passed": bool(cert_ok and oracle_ok),
             "details": {"certificate_consistent": cert_ok,
-                        "oracle_within_budget": oracle_ok}}
+                        "oracle_matches_table": oracle_ok}}
 
 
 def _sweep_groups(scenarios):

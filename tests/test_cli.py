@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from alegeo import __version__, runner
+from alegeo import __version__, runner, toric
 from alegeo.cli import main
 from alegeo.profiles import lebrun_profile
 from alegeo.runner import (
@@ -174,6 +174,23 @@ def test_intersections_scenario(tmp_path):
     assert m.passed
     doc = json.loads(Path(m.artifacts["intersect_json"]).read_text())
     assert doc["table"]["d0.d0"] == {"num": -3, "den": 1}
+    assert m.checks["intersections"]["details"]["oracle_matches_table"]
+
+
+def test_intersections_check_fails_on_a_wrong_oracle(tmp_path, monkeypatch):
+    # 20% off yet self-consistent: the error estimate alone cannot see it
+    oracle = toric.representative_integral_oracle
+    monkeypatch.setattr(toric, "representative_integral_oracle",
+                        lambda n, k, which: {
+                            "value": 1.2 * oracle(n, k, which)["value"],
+                            "error": 0.0})
+    s = Scenario.from_dict({"id": "toric", "geometry": {"n": 2, "k": 3},
+                            "analyses": ["intersections"],
+                            "out_dir": str(tmp_path)})
+    m = run_scenario(s)
+    assert not m.passed
+    assert m.checks["intersections"]["details"] == {
+        "certificate_consistent": True, "oracle_matches_table": False}
 
 
 def test_energy_scenario_convexity(tmp_path):

@@ -248,6 +248,22 @@ def test_tau_power_derivative_consistency():
         assert np.allclose(fd, psi(rho, order + 1), rtol=1e-4, atol=1e-7)
 
 
+@pytest.mark.parametrize("make", [
+    zero_potential,
+    lambda: exp_decay_potential(0.1, 4.0, rho_ref=0.5),
+    lambda: tau_power_potential(lebrun_profile(3, 1.0), 0.1, 4.0),
+], ids=["zero", "exp", "tau_power"])
+def test_potential_jet_matches_each_order(make):
+    psi = make()
+    rho = np.linspace(-1.0, 3.0, 9)
+    jet = psi.jet(rho, 4)
+    assert len(jet) == 5
+    for m in range(5):
+        assert np.array_equal(jet[m], psi(rho, m))
+    with pytest.raises(ValueError, match="0..4"):
+        psi.jet(rho, 5)
+
+
 def test_tau_power_smooth_at_zero_section():
     psi = tau_power_potential(EH, 0.1, 4.0)
     rho = float(EH.rho_of_tau(1.0 + 1e-6))
@@ -276,6 +292,7 @@ def test_energy_report_inverts_the_profile_once_per_field(eh_sweep,
 
     monkeypatch.setattr(RadialProfile, "tau_of_rho", counted)
     energy_report(eh_sweep[-1], EPSILONS[-1])
-    # on-shell check: u', u'' and psi1', psi1''; path fields: u' to u'''
-    # and psi1 with its first three derivatives, each evaluated once
-    assert len(calls) == 8
+    # one for the background and one for psi1's jet in each of the
+    # on-shell check (u', u'' and psi1 to order 2) and the path fields
+    # (u' to u''' and psi1 to order 3)
+    assert len(calls) == 4

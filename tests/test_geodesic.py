@@ -36,10 +36,9 @@ RHO_MIN_EH = float(EH.rho_of_tau(2.0))
 
 
 def constant_potential(c):
-    z = lambda rho: np.zeros_like(rho)
-    v = lambda rho: c * np.ones_like(np.asarray(rho, dtype=float))
-    return RadialPotential(kind="const", params={"c": c},
-                           _derivs=(v, z, z, z, z))
+    def jet(rho, order):
+        return [np.full_like(rho, c)] + [np.zeros_like(rho)] * order
+    return RadialPotential(kind="const", params={"c": c}, _jet=jet)
 
 
 def make_grid(profile, phi=None, n_rho=17, n_t=17, psi0=None, psi1=None,
@@ -255,9 +254,10 @@ def test_profile_inverted_a_fixed_number_of_times(monkeypatch, n_rho, n_t):
     _, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1,
                                     _eh_tau_power_config(n_rho, n_t))
     assert sum(rep.stage_iterations) > len(rep.stage_iterations)
-    # 4 to check psi1 and the background on the full grid, 3 for the
-    # solve's fixed data and 3 for the certificate's, built from the profile
-    assert len(calls) == 10
+    # one for the background and one for psi1's jet in each of the
+    # boundary check on the full grid, the solve's fixed data and the
+    # certificate's fixed data, which is built afresh from the profile
+    assert len(calls) == 6
 
 
 def test_zero_data_stages_converge_at_first_iterate():

@@ -256,8 +256,10 @@ def test_rho_monotone():
     assert np.all(np.diff(rho) > 0)
 
 
-def test_u_derivatives_chain_rule():
-    p = lebrun_profile(1, 1.0)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_u_derivatives_chain_rule(k):
+    # k = 1 (Burns) has B = 0, so phi'' = 0; k = 2, 3 exercise phi'' too
+    p = lebrun_profile(k, 1.0)
     rho = 3.0
     u1, u2, u3, u4 = p.u_derivatives(rho)
     h = 1e-5
@@ -268,6 +270,18 @@ def test_u_derivatives_chain_rule():
     u3p = p.u_derivatives(rho + h, order=3)[2]
     u3m = p.u_derivatives(rho - h, order=3)[2]
     assert (u3p - u3m) / (2 * h) == pytest.approx(u4, rel=1e-6)
+
+    # u' = tau has no second tau-derivative, so its jet never meets the
+    # binomial weights of (phi g')^(m); f = tau^-2 reads them at D^3, D^4
+    def jet(rho):
+        tau = p.tau_of_rho(rho)
+        f = [c * tau ** (-2 - m) for m, c in enumerate((1, -2, 6, -24, 120))]
+        return p.rho_jet(tau, f, 4)
+
+    mid, plus, minus = jet(rho), jet(rho + h), jet(rho - h)
+    for m in range(4):
+        fd = (plus[m] - minus[m]) / (2 * h)
+        assert fd == pytest.approx(mid[m + 1], rel=1e-6)
 
 
 def test_sampled_profile_matches_closed_form():
