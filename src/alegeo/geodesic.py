@@ -36,6 +36,19 @@ NonConvergence.  Pure Newton is the case where the refresh fires after
 every step.  Factorizations use the MMD_AT_PLUS_A fill-reducing ordering,
 which suits the structurally symmetric 9-point stencil.  The reported
 residual is recomputed from the profile, with fixed data built afresh.
+
+Grid sequencing (nested iteration: Allgower, Bohmer, Potra and Rheinboldt,
+SIAM J. Numer. Anal. 23, 1986).  The Newton counts of each stage do not
+depend on the mesh, so when n_rho and n_t are odd and every other node
+leaves at least _MIN_COARSE nodes each way, the whole continuation first
+runs on that coarse grid, each stage stopping at _STAGE_TOL, with the fixed
+data sliced from the grid's.  The grid then starts at the last coarse stage
+whose prolongation (4-point cubic midpoints, _prolong) lies in the
+ellipticity cone, with the prolonged stage before it as the secant's second
+point, and solves the stages from there on; on Eguchi-Hanson data that is
+s = epsilon alone, with one factorization.  Coarse stages that fail are
+logged and dropped, and with none usable the grid runs the whole schedule
+from its own seed.  Only one level is coarsened.
 """
 
 from __future__ import annotations
@@ -66,8 +79,8 @@ class NonConvergence(GeodesicError):
     """Newton failed at continuity stage ``stage``.
 
     ``history`` is that stage's residual history; ``stage_factorizations``
-    counts the Jacobian factorizations of every stage run, the failed one
-    last.
+    counts the Jacobian factorizations of every stage run, on either grid
+    of a sequenced solve, the failed one last.
     """
 
     def __init__(self, stage, history, stage_factorizations):
@@ -157,6 +170,7 @@ class SolverReport:
     residual_raw_sup: float
     stage_iterations: list
     stage_factorizations: list   # Jacobian LU factorizations per stage
+    stage_shapes: list           # (n_rho, n_t) of the grid of each stage
     c0_check: BoundCheck
     positivity_margins: dict     # min of w', w'', M; "worst_nodes": (rho, t)
     wall_time: float
@@ -226,6 +240,12 @@ class _FixedData:
         return cls(n=n, u1=u1, u2=u2, psi0_1=psi0_1, psi0_2=psi0_2,
                    psi1_1=psi1_1, psi1_2=psi1_2,
                    density=(u1 ** (n - 1) * u2)[:, None])
+
+    def every_other_row(self) -> "_FixedData":
+        """The fixed data of the grid on every other node of this one."""
+        return replace(self, **{name: getattr(self, name)[::2] for name in
+                                ("u1", "u2", "psi0_1", "psi0_2", "psi1_1",
+                                 "psi1_2", "density")})
 
     def upsilon(self, s, mode):
         """upsilon_field on the residual rows, as a column."""
@@ -403,6 +423,10 @@ _CHORD_CONTRACTION = 0.25
 # normalized residual, or at newton_tol if that is looser.
 _STAGE_TOL = 1e-6
 
+# A solve on odd n_rho and n_t runs its continuation first on every other
+# node when that grid keeps at least this many nodes each way.
+_MIN_COARSE = 17
+
 
 def spsolve(J, rhs):
     """Factor J with the MMD_AT_PLUS_A ordering and solve J x = rhs.
@@ -476,6 +500,136 @@ def _check_boundary_data(p, psi, cfg, rho, label):
         raise BoundaryInconsistency(f"{label} does not give a positive metric")
 
 
+def _prolong(phi):
+    """phi on the grid with its cell midpoints added along both axes.
+
+    Each midpoint is the 4-point cubic (-a + 9b + 9c - d)/16 through its
+    neighbours, or next to an end a the one-sided (5a + 15b - 5c + d)/16,
+    so the prolongation is exact on bicubic polynomials.
+    """
+    return _cubic_midpoints(_cubic_midpoints(phi).T).T.copy()
+
+
+def _cubic_midpoints(a):
+    """The rows of a with a cubic midpoint row between each pair."""
+    out = np.empty((2 * a.shape[0] - 1,) + a.shape[1:])
+    out[::2] = a
+    out[3:-3:2] = (9.0 * (a[1:-2] + a[2:-1]) - a[:-3] - a[3:]) / 16.0
+    out[1] = (5.0 * a[0] + 15.0 * a[1] - 5.0 * a[2] + a[3]) / 16.0
+    out[-2] = (5.0 * a[-1] + 15.0 * a[-2] - 5.0 * a[-3] + a[-4]) / 16.0
+    return out
+
+
+@dataclass
+class _StageLog:
+    """Iterations, factorizations and (n_rho, n_t) of every stage run, on
+    either grid, in the order they ran; a failed stage is logged too."""
+
+    iterations: list = field(default_factory=list)
+    factorizations: list = field(default_factory=list)
+    shapes: list = field(default_factory=list)
+
+
+def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
+                stages, solved, log: _StageLog, final_tol):
+    """Solve the continuity stages in turn on grid, appending (s, phi) to
+    solved after each.
+
+    The first stage starts from grid.phi, every later one from the secant
+    predictor through solved; the last stage stops at final_tol and the
+    others at _STAGE_TOL.
+    """
+    t = grid.t_nodes
+    ni, nj = grid.phi.shape[0] - 1, grid.phi.shape[1] - 2
+    pattern = _StencilPattern.build(ni, nj)
+    for index, s in enumerate(stages):
+        ups = fixed.upsilon(s, config.upsilon_mode)
+        tol = (final_tol if s == stages[-1]
+               else max(config.newton_tol, _STAGE_TOL))
+        log.iterations.append(0)
+        log.factorizations.append(0)
+        log.shapes.append(grid.phi.shape)
+        R = None
+        if index:
+            grid.phi = _secant_predictor(t, s, solved)
+            _impose_boundary(grid.phi, t, s)
+            R, _, G = _newton_system(grid, fixed, ups)
+            if R is None:
+                # the prediction left the ellipticity cone: restart from
+                # the last solution
+                grid.phi = solved[-1][1].copy()
+        if R is None:
+            _impose_boundary(grid.phi, t, s)
+            R, _, G = _newton_system(grid, fixed, ups)
+            if R is None:
+                raise PositivityLoss(
+                    f"iterate left the ellipticity cone at stage s={s:g}")
+        history, lu = [], None
+        for _ in range(config.max_iters):
+            res = float(np.max(np.abs(G)))
+            history.append(res)
+            log.iterations[-1] = len(history)
+            if res <= tol:
+                break
+            r_max = float(np.max(np.abs(R)))
+            base = grid.phi[:ni, 1:nj + 1].copy()
+            while True:
+                fresh = lu is None
+                if fresh:
+                    J = _newton_system(grid, fixed, ups, pattern)[1]
+                    delta, lu = spsolve(J, -R.ravel())
+                    log.factorizations[-1] += 1
+                else:
+                    delta = lu.solve(-R.ravel())
+                step = _line_search(grid, fixed, ups, base,
+                                    delta.reshape(ni, nj), r_max,
+                                    config.max_backtracks)
+                if step is not None:
+                    break
+                if fresh:
+                    raise NonConvergence(s, history, log.factorizations)
+                lu = None  # the chord step failed: refactor here and retry
+            R, G, backtracks = step
+            if backtracks or np.max(np.abs(R)) > _CHORD_CONTRACTION * r_max:
+                lu = None
+        else:
+            raise NonConvergence(s, history, log.factorizations)
+        solved.append((s, grid.phi.copy()))
+
+
+def _coarse_start(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
+                  log: _StageLog):
+    """Run the whole continuation on every other node and hand it to grid.
+
+    Returns the stages grid still has to solve and the solved list they
+    start from, with grid.phi set to the first one's start: the prolonged
+    solution of the last coarse stage whose prolongation is elliptic on
+    grid, with the prolonged stage before it as the secant's second point.
+    Coarse stages that fail are logged and dropped; with no usable coarse
+    stage, grid keeps its seed and solves the whole schedule.
+    """
+    schedule = config.schedule()
+    coarse = replace(grid, rho_nodes=grid.rho_nodes[::2],
+                     t_nodes=grid.t_nodes[::2], phi=grid.phi[::2, ::2].copy())
+    solved = []
+    try:
+        _run_stages(coarse, fixed.every_other_row(), config, schedule,
+                    solved, log, max(config.newton_tol, _STAGE_TOL))
+    except GeodesicError:
+        pass  # go on from the stages that converged
+    seed, t = grid.phi, grid.t_nodes
+    for k in reversed(range(len(solved))):
+        s, phi = solved[k]
+        grid.phi = _prolong(phi)
+        _impose_boundary(grid.phi, t, s)
+        if _newton_system(grid, fixed,
+                          fixed.upsilon(s, config.upsilon_mode))[0] is not None:
+            return schedule[k:], [(s0, _prolong(phi0))
+                                  for s0, phi0 in solved[max(k - 1, 0):k]]
+    grid.phi = seed
+    return schedule, []
+
+
 def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
                            psi1: RadialPotential, config: SolverConfig):
     """Continuity-path damped Newton solve; returns (PathGrid, SolverReport)."""
@@ -497,65 +651,13 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
                     psi0=psi0, psi1=psi1, background=profile,
                     epsilon=config.epsilon, upsilon_mode=config.upsilon_mode)
 
-    nr, nt = config.n_rho, config.n_t
-    ni, nj = nr - 1, nt - 2
     fixed = _FixedData.build(grid)
-    pattern = _StencilPattern.build(ni, nj)
-    stage_iters, stage_factors = [], []
-    solved = []  # (s, phi) of the last two solved stages
-
-    schedule = config.schedule()
-    for s in schedule:
-        ups = fixed.upsilon(s, config.upsilon_mode)
-        tol = (config.newton_tol if s == schedule[-1]
-               else max(config.newton_tol, _STAGE_TOL))
-        R = None
-        if solved:
-            grid.phi = _secant_predictor(t, s, solved)
-            _impose_boundary(grid.phi, t, s)
-            R, _, G = _newton_system(grid, fixed, ups)
-            if R is None:
-                # the prediction left the ellipticity cone: restart from
-                # the last solution
-                grid.phi = solved[-1][1].copy()
-        if R is None:
-            _impose_boundary(grid.phi, t, s)
-            R, _, G = _newton_system(grid, fixed, ups)
-            if R is None:
-                raise PositivityLoss(
-                    f"iterate left the ellipticity cone at stage s={s:g}")
-        history, lu = [], None
-        stage_factors.append(0)
-        for _ in range(config.max_iters):
-            res = float(np.max(np.abs(G)))
-            history.append(res)
-            if res <= tol:
-                break
-            r_max = float(np.max(np.abs(R)))
-            base = grid.phi[:ni, 1:nt - 1].copy()
-            while True:
-                fresh = lu is None
-                if fresh:
-                    J = _newton_system(grid, fixed, ups, pattern)[1]
-                    delta, lu = spsolve(J, -R.ravel())
-                    stage_factors[-1] += 1
-                else:
-                    delta = lu.solve(-R.ravel())
-                step = _line_search(grid, fixed, ups, base,
-                                    delta.reshape(ni, nj), r_max,
-                                    config.max_backtracks)
-                if step is not None:
-                    break
-                if fresh:
-                    raise NonConvergence(s, history, stage_factors)
-                lu = None  # the chord step failed: refactor here and retry
-            R, G, backtracks = step
-            if backtracks or np.max(np.abs(R)) > _CHORD_CONTRACTION * r_max:
-                lu = None
-        else:
-            raise NonConvergence(s, history, stage_factors)
-        stage_iters.append(len(history))
-        solved = solved[-1:] + [(s, grid.phi.copy())]
+    log = _StageLog()
+    stages, solved = config.schedule(), []
+    if all(m % 2 and (m + 1) // 2 >= _MIN_COARSE
+           for m in (config.n_rho, config.n_t)):
+        stages, solved = _coarse_start(grid, fixed, config, log)
+    _run_stages(grid, fixed, config, stages, solved, log, config.newton_tol)
 
     # the certificate comes from the profile, through fixed data built
     # afresh rather than the solve's own
@@ -565,7 +667,7 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     res_raw = float(np.max(np.abs(G)))
     res_norm = float(np.max(np.abs(G / final.density)))
     if res_norm > config.newton_tol:
-        raise NonConvergence(config.epsilon, [res_norm], stage_factors)
+        raise NonConvergence(config.epsilon, [res_norm], log.factorizations)
 
     w1, w2, P, phi_tt = _field_arrays(grid, final)
     M = phi_tt * w2 - P ** 2
@@ -576,8 +678,9 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     report = SolverReport(
         residual_sup=res_norm,
         residual_raw_sup=res_raw,
-        stage_iterations=stage_iters,
-        stage_factorizations=stage_factors,
+        stage_iterations=log.iterations,
+        stage_factorizations=log.factorizations,
+        stage_shapes=log.shapes,
         c0_check=c0_bound_check(grid),
         positivity_margins=margins,
         wall_time=time.perf_counter() - t_start,

@@ -325,6 +325,7 @@ def _run_analyses(scenario, out, manifest):
             "residual_raw_sup": report.residual_raw_sup,
             "stage_iterations": report.stage_iterations,
             "stage_factorizations": report.stage_factorizations,
+            "stage_shapes": report.stage_shapes,
             "c0_passed": report.c0_check.passed,
             "positivity_margins": report.positivity_margins,
         })

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from alegeo.geodesic import (
     _FixedData,
     _StencilPattern,
     _newton_system,
+    _prolong,
     _residual,
 )
 from alegeo.potentials import (
@@ -264,8 +265,10 @@ def test_zero_data_stages_converge_at_first_iterate():
     cfg = SolverConfig(epsilon=0.1)
     _, rep = solve_epsilon_geodesic(EH, zero_potential(), zero_potential(),
                                     cfg)
-    assert len(rep.stage_iterations) == len(cfg.schedule()) == 5
-    assert rep.stage_iterations[1:] == [1] * 4
+    # five stages on every other node, then s = epsilon alone on the grid
+    assert len(cfg.schedule()) == 5
+    assert rep.stage_shapes == [(33, 33)] * 5 + [(65, 65)]
+    assert rep.stage_iterations == [1] * 6
 
 
 def test_predictor_leaving_the_cone_falls_back(monkeypatch):
@@ -315,7 +318,8 @@ def test_chord_steps_reuse_each_stage_factorization(monkeypatch):
     psi1 = tau_power_potential(EH, 0.1, 4.0)
     cfg = _eh_tau_power_config(65, 45)
     # 1e-11 is reachable because only the last stage is solved to it: the
-    # s = 1 stage, with a roundoff floor near 5e-12 here, stops at _STAGE_TOL
+    # s = 1 stage, with a roundoff floor near 7e-12 on this grid, runs on
+    # every other node and stops at _STAGE_TOL
     g_tight, rep_tight = solve_epsilon_geodesic(
         EH, zero_potential(), psi1, replace(cfg, newton_tol=1e-11))
     assert rep_tight.residual_sup <= 1e-11
@@ -324,8 +328,8 @@ def test_chord_steps_reuse_each_stage_factorization(monkeypatch):
     g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
     assert rep.residual_sup <= cfg.newton_tol
     assert len(calls) == sum(rep.stage_factorizations)
-    assert len(rep.stage_factorizations) == len(rep.stage_iterations) == 4
-    assert all(1 <= f <= 2 for f in rep.stage_factorizations)
+    assert len(rep.stage_factorizations) == len(rep.stage_iterations) == 5
+    assert rep.stage_factorizations == [2, 2, 1, 1, 1]
     assert np.max(np.abs(g.phi - g_tight.phi)) < 1e-9
 
 
@@ -335,20 +339,21 @@ def test_pure_newton_refreshes_after_every_step(monkeypatch):
     psi1 = tau_power_potential(EH, 0.1, 4.0)
     _, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1,
                                     _eh_tau_power_config(65, 45))
-    assert rep.stage_iterations == [5, 4, 3, 4]
-    assert rep.stage_factorizations == [4, 3, 2, 3]
+    assert rep.stage_iterations == [5, 4, 3, 3, 3]
+    assert rep.stage_factorizations == [4, 3, 2, 2, 2]
     assert [i - 1 for i in rep.stage_iterations] == rep.stage_factorizations
-    assert len(calls) == 12
+    assert len(calls) == 13
 
 
 def test_intermediate_stages_stop_at_the_stage_tolerance():
-    # the s = 1 stage stalls near 5e-12 on this grid, so a 1e-12
-    # certificate needs that stage stopped at _STAGE_TOL
+    # the s = 1 stage stalls above 1e-12 on this data (near 2e-12 on every
+    # other node, 7e-12 on the grid), so a 1e-12 certificate needs that
+    # stage stopped at _STAGE_TOL
     psi1 = tau_power_potential(EH, 0.1, 4.0)
     cfg = replace(_eh_tau_power_config(65, 45), newton_tol=1e-12)
     g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
     assert rep.residual_sup <= 1e-12
-    assert len(rep.stage_iterations) == 4
+    assert len(rep.stage_iterations) == 5
 
     loose = replace(cfg, newton_tol=1e-9)
     g_loose, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1, loose)
@@ -387,6 +392,110 @@ def test_rejected_chord_step_refactors_and_converges(monkeypatch):
     assert events.count("factor") == sum(rep.stage_factorizations)
     assert rep.residual_sup <= cfg.newton_tol
     assert np.max(np.abs(g.phi - g_ref.phi)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# grid sequencing
+# ---------------------------------------------------------------------------
+
+def test_prolong_is_exact_on_bicubics():
+    coef = np.random.default_rng(3).standard_normal((4, 4))
+
+    def bicubic(x, y):
+        return np.polynomial.polynomial.polygrid2d(x, y, coef)
+
+    x, y = np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 1.0, 6)
+    fine = bicubic(np.linspace(0.0, 2.0, 17), np.linspace(-1.0, 1.0, 11))
+    prolonged = _prolong(bicubic(x, y))
+    assert prolonged.shape == fine.shape
+    assert np.max(np.abs(prolonged - fine)) < 1e-12 * np.max(np.abs(fine))
+
+
+def test_coarse_fixed_data_is_every_other_row():
+    cfg = _eh_tau_power_config(65, 45)
+    rho = np.linspace(cfg.rho_min, cfg.rho_max, cfg.n_rho)
+    t = np.linspace(0.0, 1.0, cfg.n_t)
+    fine = PathGrid(rho_nodes=rho, t_nodes=t, phi=np.zeros((65, 45)),
+                    psi0=zero_potential(),
+                    psi1=tau_power_potential(EH, 0.1, 4.0), background=EH,
+                    epsilon=cfg.epsilon)
+    coarse = replace(fine, rho_nodes=rho[::2], t_nodes=t[::2],
+                     phi=np.zeros((33, 23)))
+    sliced = _FixedData.build(fine).every_other_row()
+    built = _FixedData.build(coarse)
+    for f in fields(_FixedData):
+        assert np.array_equal(getattr(sliced, f.name), getattr(built, f.name))
+
+
+@pytest.mark.parametrize("n_rho,n_t", [(65, 45), (129, 89)])
+def test_fine_grid_solves_only_the_last_stage(n_rho, n_t):
+    # the Newton counts do not depend on the mesh, so the continuation runs
+    # on every other node and the grid factors one Jacobian, at s = epsilon
+    psi1 = tau_power_potential(EH, 0.1, 4.0)
+    cfg = _eh_tau_power_config(n_rho, n_t)
+    _, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+    coarse = ((n_rho + 1) // 2, (n_t + 1) // 2)
+    assert rep.stage_shapes == [coarse] * 4 + [(n_rho, n_t)]
+    assert rep.stage_factorizations == [2, 2, 1, 1, 1]
+    assert rep.residual_sup <= cfg.newton_tol
+
+
+def test_failed_coarse_stage_is_absorbed(monkeypatch):
+    psi1 = tau_power_potential(EH, 0.1, 4.0)
+    cfg = replace(_eh_tau_power_config(65, 45), newton_tol=1e-11)
+    g_ref, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+
+    second = cfg.schedule()[1]
+    line_search = geodesic._line_search
+
+    def failing(grid, fixed, ups, *args):
+        # no step is acceptable at the coarse grid's second stage
+        if grid.phi.shape == (33, 23) and ups[0, 0] == second:
+            return None
+        return line_search(grid, fixed, ups, *args)
+
+    monkeypatch.setattr(geodesic, "_line_search", failing)
+    g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+    # the failed stage is reported; the grid goes on from s = 1
+    assert rep.stage_shapes == [(33, 23)] * 2 + [(65, 45)] * 4
+    assert rep.stage_iterations[1] == rep.stage_factorizations[1] == 1
+    assert rep.residual_sup <= cfg.newton_tol
+    assert np.max(np.abs(g.phi - g_ref.phi)) < 1e-10
+
+
+def test_flat_data_hands_off_before_epsilon():
+    # the prolonged solutions at s = 1/32 and 1/64 leave the ellipticity
+    # cone on this grid, so the grid takes over at s = 1/16
+    psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
+    cfg = SolverConfig(epsilon=1.0 / 64.0, n_rho=65, n_t=65)
+    _, rep = solve_epsilon_geodesic(flat_profile(), zero_potential(), psi1,
+                                    cfg)
+    assert rep.stage_shapes == [(33, 33)] * 7 + [(65, 65)] * 3
+    assert rep.residual_sup <= cfg.newton_tol
+
+
+def _refinement_orders(profile, psi1, config, sizes):
+    """Observed orders from the sup-differences of successive solutions on
+    the nodes of the coarsest grid; sizes double less one at each step."""
+    phis = [solve_epsilon_geodesic(profile, zero_potential(), psi1,
+                                   replace(config, n_rho=nr, n_t=nt))[0].phi
+            for nr, nt in sizes]
+    diffs = [np.max(np.abs(a[::2 ** i, ::2 ** i]
+                           - b[::2 ** (i + 1), ::2 ** (i + 1)]))
+             for i, (a, b) in enumerate(zip(phis, phis[1:]))]
+    return [np.log2(d0 / d1) for d0, d1 in zip(diffs, diffs[1:])]
+
+
+def test_grid_refinement_is_second_order():
+    nested = [(33, 17), (65, 33), (129, 65), (257, 129)]
+    eh = _refinement_orders(EH, tau_power_potential(EH, 0.1, 4.0),
+                            _eh_tau_power_config(33, 17), nested)
+    assert all(1.8 <= p <= 2.2 for p in eh)  # measured 1.993, 1.998
+    # flat data reach the asymptotic range later (measured 1.74, 1.95)
+    flat = _refinement_orders(
+        flat_profile(), exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH),
+        SolverConfig(epsilon=0.5, newton_tol=1e-9), nested)
+    assert 1.8 <= flat[-1] <= 2.2
 
 
 # ---------------------------------------------------------------------------
