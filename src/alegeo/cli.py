@@ -2,7 +2,7 @@
 
 Subcommands: solve-geodesic, k-energy, ricci-scan, intersect, decay-fit,
 batch.  Exit codes: 0 all checks pass, 2 validation error, 3 numerical
-failure, 4 partial batch failure.
+failure or a failed check, 4 partial batch failure.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ import click
 import numpy as np
 
 from .analysis import InsufficientDecayError, fit_decay_exponent
-from .energy import MixedBackgroundError, OffShellError, energy_report
+from .energy import MixedBackgroundError, OffShellError
 from .geodesic import GeodesicError
 from .profiles import (ProfileError, curvature_scan_rows, flat_profile,
                        lebrun_profile, profile_from_json, ricci_sign_scan)
-from .runner import (ENERGY_CSV_HEADER, Scenario, ScenarioError,
-                     _write_json, batch as run_batch, energy_csv_rows,
-                     load_grid_csv, run_scenario, write_summary_csv)
+from .runner import (Scenario, ScenarioError, _write_json, batch as run_batch,
+                     energy_check, load_grid_csv, run_scenario,
+                     write_summary_csv)
 from .toric import IntersectionReport
 
 EXIT_OK = 0
@@ -94,37 +94,25 @@ def solve_geodesic(config_path, out_dir, no_cache):
 @click.option("--epsilon", type=float, required=True)
 @click.option("--out", "out_dir", default=".", type=click.Path())
 def k_energy(grid_path, epsilon, out_dir):
-    """K-energy curve and convexity decomposition along a solved path."""
+    """K-energy curve and convexity decomposition along a solved path.
+
+    Writes energy.csv and energy.json as a scenario's energy analysis does,
+    and exits 0 when the energy verdict passes, 3 when it fails.
+    """
+    out = Path(out_dir)
     try:
         grid = load_grid_csv(grid_path)
-    except VALIDATION_ERRORS as exc:
-        _fail(EXIT_VALIDATION, exc)
-    try:
-        rep = energy_report(grid, epsilon)
+        out.mkdir(parents=True, exist_ok=True)
+        verdict, _ = energy_check(grid, epsilon, out)
     except NUMERICAL_ERRORS as exc:
         _fail(EXIT_NUMERICAL, exc)
     except VALIDATION_ERRORS as exc:
         _fail(EXIT_VALIDATION, exc)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out / "energy.csv", energy_csv_rows(rep), delimiter=",",
-               header=ENERGY_CSV_HEADER, comments="")
-    doc = {
-        "t_samples": rep.t_samples.tolist(),
-        "K_values": rep.K_values.tolist(),
-        "dK_dt": rep.dK_dt.tolist(),
-        "d2K_dt2_formula": rep.d2K_dt2_formula.tolist(),
-        "d2K_dt2_fd": rep.d2K_dt2_fd.tolist(),
-        "lich_term": rep.lich_term.tolist(),
-        "ricci_term": rep.ricci_term.tolist(),
-        "grad_term": rep.grad_term.tolist(),
-        "min_second_derivative": rep.min_second_derivative(),
-        "fd_agreement": rep.fd_agreement(),
-    }
-    _write_json(out / "energy.json", doc)
-    click.echo(f"min d2K/dt2 = {rep.min_second_derivative():.6e}, "
-               f"fd agreement = {rep.fd_agreement():.4f}")
-    sys.exit(EXIT_OK)
+    d = verdict["details"]
+    click.echo(f"min d2K/dt2 = {d['min_d2K']:.6e}, "
+               f"fd agreement = {d['fd_agreement']:.4f}, "
+               f"passed = {verdict['passed']}")
+    sys.exit(EXIT_OK if verdict["passed"] else EXIT_NUMERICAL)
 
 
 @main.command("ricci-scan")

@@ -36,10 +36,11 @@ end-interval correction h/12 (5 y[-1] + 8 y[-2] - y[-3]) for an even node
 count, which is what scipy's simpson applies on a uniform grid, and a
 cumulative-sum trapezoid in t.
 
-The decomposition identity total = lich + ricci + grad holds by assembly;
-the independent validation is the finite-difference check against the
-integrated K curve, which also fixes the global sign of the on-shell term
-(hard-coded here, frozen by a regression test).
+The decomposition identity total = lich + ricci + grad holds by assembly,
+so its gap is 0 by construction; the check that can fail is the
+finite-difference agreement with the integrated K curve, which also fixes
+the global sign of the on-shell term (hard-coded here, frozen by a
+regression test).
 """
 
 from __future__ import annotations
@@ -52,10 +53,15 @@ from .geodesic import PathGrid, reduced_residual, upsilon_field
 from .profiles import ricci_sign_scan
 
 __all__ = ["EnergyReport", "k_energy_first_variation",
-           "k_energy_second_derivative", "energy_report", "convexity_audit",
-           "OffShellError", "MixedBackgroundError"]
+           "k_energy_second_derivative", "energy_report", "energy_verdict",
+           "convexity_audit", "OffShellError", "MixedBackgroundError"]
 
 ON_SHELL_TOL = 1e-8
+# energy_verdict's thresholds, and the Ricci classes where convexity applies
+IDENTITY_TOL = 1e-10
+FD_AGREEMENT_TOL = 0.01
+CONVEXITY_TOL = 1e-6
+RIC_NONPOSITIVE = ("zero", "negative-semidefinite")
 
 
 class OffShellError(RuntimeError):
@@ -271,7 +277,25 @@ def energy_report(grid: PathGrid, epsilon: float) -> EnergyReport:
     )
 
 
-def convexity_audit(grids, epsilons, tol: float = 1e-6) -> dict:
+def energy_verdict(rep: EnergyReport, background) -> dict:
+    """{"passed", "details"} of a report: the identity gap (0 by
+    construction), the FD agreement (the check that can fail) and, on a
+    background with Ric <= 0 only, the convexity min d2K/dt2."""
+    terms = rep.lich_term + rep.ricci_term + rep.grad_term
+    identity = float(np.max(np.abs(rep.d2K_dt2_formula - terms)))
+    agreement = rep.fd_agreement()
+    classification = ricci_sign_scan(background).classification
+    convex_applies = classification in RIC_NONPOSITIVE
+    min_d2 = rep.min_second_derivative()
+    passed = (identity <= IDENTITY_TOL and agreement < FD_AGREEMENT_TOL
+              and (min_d2 >= -CONVEXITY_TOL or not convex_applies))
+    return {"passed": bool(passed), "details": {
+        "identity_gap": identity, "fd_agreement": agreement,
+        "min_d2K": min_d2, "ricci_classification": classification,
+        "convexity_applicable": convex_applies}}
+
+
+def convexity_audit(grids, epsilons, tol: float = CONVEXITY_TOL) -> dict:
     """Assert d2K/dt2 >= -tol at all interior t for every grid of a sweep.
 
     Refuses when the shared background has Ricci curvature of mixed or
@@ -279,7 +303,7 @@ def convexity_audit(grids, epsilons, tol: float = 1e-6) -> dict:
     """
     background = grids[0].background
     scan = ricci_sign_scan(background)
-    if scan.classification not in ("zero", "negative-semidefinite"):
+    if scan.classification not in RIC_NONPOSITIVE:
         raise MixedBackgroundError(
             f"background Ricci is {scan.classification}; positive witness "
             f"{scan.positive_witness} violates the Ric <= 0 hypothesis")

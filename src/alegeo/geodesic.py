@@ -111,9 +111,7 @@ class SolverConfig:
     rho_max: float | None = None
     newton_tol: float = 1e-11
     max_iters: int = 60
-    max_backtracks: int = 40
     schedule_ratio: float = 0.5
-    min_decay: float = 0.5  # slowest admissible r-decay of boundary data
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
@@ -427,6 +425,11 @@ _STAGE_TOL = 1e-6
 # node when that grid keeps at least this many nodes each way.
 _MIN_COARSE = 17
 
+# A line search halves its step at most this many times, and boundary data
+# must decay at least like r^-_MIN_DECAY.
+_MAX_BACKTRACKS = 40
+_MIN_DECAY = 0.5
+
 
 def spsolve(J, rhs):
     """Factor J with the MMD_AT_PLUS_A ordering and solve J x = rhs.
@@ -437,15 +440,14 @@ def spsolve(J, rhs):
     return lu.solve(rhs), lu
 
 
-def _line_search(grid: PathGrid, fixed: _FixedData, ups, base, delta, r_max,
-                 max_backtracks):
+def _line_search(grid: PathGrid, fixed: _FixedData, ups, base, delta, r_max):
     """Halve alpha from 1 until phi = base + alpha delta cuts max|R|.
 
     Returns (R, G, backtracks) at the accepted step, or None with the
     unknown block restored to base.
     """
     ni, nj = delta.shape
-    for k in range(max_backtracks):
+    for k in range(_MAX_BACKTRACKS):
         alpha = 0.5 ** k
         grid.phi[:ni, 1:nj + 1] = base + alpha * delta
         R, _, G = _newton_system(grid, fixed, ups)
@@ -481,7 +483,7 @@ def _secant_predictor(t, s, solved):
     return phi1 + (s - s1) / (s1 - s0) * (phi1 - phi0)
 
 
-def _check_boundary_data(p, psi, cfg, rho, label):
+def _check_boundary_data(p, psi, rho, label):
     if psi.is_zero:
         return
     r = np.exp(rho / 2.0)
@@ -491,10 +493,10 @@ def _check_boundary_data(p, psi, cfg, rho, label):
     except ValueError as exc:
         raise BoundaryInconsistency(f"{label}: cannot assess decay: {exc}")
     if not fit.below_floor and (fit.exponent is None
-                                or fit.exponent > -cfg.min_decay):
+                                or fit.exponent > -_MIN_DECAY):
         raise BoundaryInconsistency(
             f"{label} decays like r^{fit.exponent:.2f}, slower than the "
-            f"required r^-{cfg.min_decay}")
+            f"required r^-{_MIN_DECAY}")
     u1, u2 = p.u_derivatives(rho, order=2)
     if np.any(u1 + psi_1 <= 0) or np.any(u2 + psi_2 <= 0):
         raise BoundaryInconsistency(f"{label} does not give a positive metric")
@@ -582,8 +584,7 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
                 else:
                     delta = lu.solve(-R.ravel())
                 step = _line_search(grid, fixed, ups, base,
-                                    delta.reshape(ni, nj), r_max,
-                                    config.max_backtracks)
+                                    delta.reshape(ni, nj), r_max)
                 if step is not None:
                     break
                 if fresh:
@@ -642,8 +643,8 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     rho = np.linspace(rho_min, rho_max, config.n_rho)
     t = np.linspace(0.0, 1.0, config.n_t)
 
-    _check_boundary_data(profile, psi0, config, rho, "psi0")
-    _check_boundary_data(profile, psi1, config, rho, "psi1")
+    _check_boundary_data(profile, psi0, rho, "psi0")
+    _check_boundary_data(profile, psi1, rho, "psi1")
 
     # spatially constant seed, exact for trivial data and elliptic everywhere
     grid = PathGrid(rho_nodes=rho, t_nodes=t,

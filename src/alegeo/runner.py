@@ -21,12 +21,11 @@ import scipy
 
 from . import __version__
 from .analysis import fit_decay_exponent
-from .energy import MixedBackgroundError, energy_report
+from .energy import MixedBackgroundError, energy_report, energy_verdict
 from .geodesic import (GeodesicError, PathGrid, SolverConfig,
                        _max_second_derivative, solve_epsilon_geodesic)
 from .potentials import potential_from_json
-from .profiles import (flat_profile, lebrun_profile, profile_from_json,
-                       ricci_sign_scan)
+from .profiles import flat_profile, lebrun_profile, profile_from_json
 from .toric import MAX_ORACLE_ERROR, IntersectionReport
 
 __all__ = ["Scenario", "RunManifest", "ScenarioError", "run_scenario",
@@ -115,20 +114,17 @@ class Scenario:
         return psi0, psi1
 
     def build_config(self) -> SolverConfig:
+        """SolverConfig from the solver keys the scenario gives; every
+        other field keeps the SolverConfig default."""
         s = self.solver
-        grid = s.get("grid", {})
-        tol = s.get("tolerances", {})
-        return SolverConfig(
-            epsilon=s["epsilon"],
-            upsilon_mode=s.get("upsilon_mode", "constant"),
-            n_rho=grid.get("n_rho", 65),
-            n_t=grid.get("n_t", 65),
-            rho_min=grid.get("rho_min"),
-            rho_max=grid.get("rho_max"),
-            newton_tol=tol.get("newton_tol", 1e-11),
-            max_iters=tol.get("max_iters", 60),
-            schedule_ratio=s.get("schedule", {}).get("ratio", 0.5),
-        )
+        given = {"upsilon_mode": s.get("upsilon_mode"),
+                 **s.get("grid", {}), **s.get("tolerances", {}),
+                 "schedule_ratio": s.get("schedule", {}).get("ratio")}
+        fields = ("upsilon_mode", "n_rho", "n_t", "rho_min", "rho_max",
+                  "newton_tol", "max_iters", "schedule_ratio")
+        return SolverConfig(epsilon=s["epsilon"],
+                            **{key: given[key] for key in fields
+                               if given.get(key) is not None})
 
 
 @dataclass
@@ -200,44 +196,29 @@ def load_grid_csv(csv_path, meta_path=None) -> PathGrid:
                     upsilon_mode=meta["upsilon_mode"])
 
 
-def energy_csv_rows(rep):
-    """Rows (t, K, dK, d2K_formula, d2K_fd, lich, ricci, grad); NaN pads
-    the endpoint t nodes where second derivatives are interior-only."""
-    m = rep.t_samples.size
+def energy_check(grid, epsilon, out: Path):
+    """The energy verdict of grid and the paths of its two artifacts.
+
+    energy.csv holds the per-t arrays, NaN where second derivatives are
+    interior-only; energy.json the verdict's details as "checks", "passed"
+    and K at both ends.
+    """
+    rep = energy_report(grid, epsilon)
+    verdict = energy_verdict(rep, grid.background)
     pad = lambda arr: np.concatenate([[np.nan], arr, [np.nan]])
-    return np.column_stack([
+    rows = np.column_stack([
         rep.t_samples, rep.K_values, rep.dK_dt,
         pad(rep.d2K_dt2_formula), pad(rep.d2K_dt2_fd),
         pad(rep.lich_term), pad(rep.ricci_term), pad(rep.grad_term),
-    ]).reshape(m, 8)
-
-
-ENERGY_CSV_HEADER = "t,K,dK,d2K_formula,d2K_fd,lich,ricci,grad"
-
-
-def _energy_check(grid, epsilon, out, artifacts):
-    rep = energy_report(grid, epsilon)
-    np.savetxt(out / "energy.csv", energy_csv_rows(rep), delimiter=",",
-               header=ENERGY_CSV_HEADER, comments="")
-    artifacts["energy_csv"] = str(out / "energy.csv")
-    identity = float(np.max(np.abs(
-        rep.d2K_dt2_formula - (rep.lich_term + rep.ricci_term
-                               + rep.grad_term))))
-    agreement = rep.fd_agreement()
-    scan = ricci_sign_scan(grid.background)
-    convex_applies = scan.classification in ("zero", "negative-semidefinite")
-    min_d2 = rep.min_second_derivative()
-    passed = identity <= 1e-10 and agreement < 0.01
-    if convex_applies:
-        passed = passed and min_d2 >= -1e-6
-    details = {"identity_gap": identity, "fd_agreement": agreement,
-               "min_d2K": min_d2, "ricci_classification": scan.classification,
-               "convexity_applicable": convex_applies}
-    doc = {"checks": details}
-    doc["K_endpoints"] = [float(rep.K_values[0]), float(rep.K_values[-1])]
-    _write_json(out / "energy.json", doc)
-    artifacts["energy_json"] = str(out / "energy.json")
-    return {"passed": bool(passed), "details": details}
+    ])
+    np.savetxt(out / "energy.csv", rows, delimiter=",",
+               header="t,K,dK,d2K_formula,d2K_fd,lich,ricci,grad",
+               comments="")
+    _write_json(out / "energy.json", {
+        "checks": verdict["details"], "passed": verdict["passed"],
+        "K_endpoints": [float(rep.K_values[0]), float(rep.K_values[-1])]})
+    return verdict, {"energy_csv": str(out / "energy.csv"),
+                     "energy_json": str(out / "energy.json")}
 
 
 def _decay_check(grid, psi1, artifacts):
@@ -339,8 +320,9 @@ def _run_analyses(scenario, out, manifest):
             manifest.checks["decay"] = _decay_check(grid, psi1,
                                                     manifest.artifacts)
         if "energy" in analyses:
-            manifest.checks["energy"] = _energy_check(
-                grid, cfg.epsilon, out, manifest.artifacts)
+            manifest.checks["energy"], paths = energy_check(
+                grid, cfg.epsilon, out)
+            manifest.artifacts.update(paths)
 
     if "intersections" in analyses:
         geom = scenario.geometry

@@ -217,6 +217,9 @@ def test_energy_scenario_convexity(tmp_path):
     assert d["ricci_classification"] == "zero"
     data = np.loadtxt(m.artifacts["energy_csv"], delimiter=",", skiprows=1)
     assert data.shape == (129, 8)
+    doc = json.loads(Path(m.artifacts["energy_json"]).read_text())
+    assert doc == {"checks": d, "passed": True,
+                   "K_endpoints": [data[0, 1], data[-1, 1]]}
 
 
 def test_failing_scenario_persists_marker(tmp_path):
@@ -301,27 +304,43 @@ def test_batch_no_probe_row_without_distinct_epsilons(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_cli_solve_and_k_energy(tmp_path):
-    cfg = {"n": 2, "k": 2, "tau_min": 1.0, "profile": "lebrun",
-           "psi0": {"kind": "zero", "params": {}},
-           "psi1": {"kind": "exp", "params": {"amplitude": 0.1,
-                                              "gamma": 4.0,
-                                              "rho_ref": 0.96}},
-           "epsilon": 0.5, "grid": {"n_rho": 17, "n_t": 17},
-           "analyses": ["c0_check"]}
-    cfg_path = tmp_path / "solve.json"
-    cfg_path.write_text(json.dumps(cfg))
     runner = CliRunner()
-    res = runner.invoke(main, ["solve-geodesic", "--config", str(cfg_path),
-                               "--out", str(tmp_path / "run")])
-    assert res.exit_code == 0, res.output
-    assert (tmp_path / "run" / "grid.csv").exists()
-    res = runner.invoke(main, ["k-energy", "--path",
-                               str(tmp_path / "run" / "grid.csv"),
-                               "--epsilon", "0.5",
-                               "--out", str(tmp_path / "energy")])
-    assert res.exit_code == 0, res.output
-    doc = json.loads((tmp_path / "energy" / "energy.json").read_text())
-    assert len(doc["K_values"]) == 17
+
+    def solve_and_judge(name, psi1):
+        cfg = {"n": 2, "k": 2, "tau_min": 1.0, "profile": "lebrun",
+               "psi0": {"kind": "zero", "params": {}}, "psi1": psi1,
+               "epsilon": 0.5, "grid": {"n_rho": 17, "n_t": 17},
+               "analyses": ["c0_check"]}
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run, energy = tmp_path / name / "run", tmp_path / name / "energy"
+        res = runner.invoke(main, ["solve-geodesic", "--config",
+                                   str(cfg_path), "--out", str(run)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["k-energy", "--path",
+                                   str(run / "grid.csv"), "--epsilon", "0.5",
+                                   "--out", str(energy)])
+        doc = json.loads((energy / "energy.json").read_text())
+        assert set(doc) == {"checks", "passed", "K_endpoints"}
+        K = np.loadtxt(energy / "energy.csv", delimiter=",", skiprows=1)[:, 1]
+        assert len(K) == 17
+        assert doc["K_endpoints"] == [K[0], K[-1]]
+        return res.exit_code, doc, K
+
+    # 17 nodes are too few for this data: formula and finite differences
+    # differ by 332%, so the verdict fails and the exit code says so
+    code, doc, _ = solve_and_judge("exp", {
+        "kind": "exp",
+        "params": {"amplitude": 0.1, "gamma": 4.0, "rho_ref": 0.96}})
+    assert code == 3
+    assert doc["passed"] is False
+    assert doc["checks"]["fd_agreement"] == pytest.approx(3.32, abs=0.01)
+
+    # on zero data every term vanishes
+    code, doc, K = solve_and_judge("zero", {"kind": "zero", "params": {}})
+    assert code == 0
+    assert doc["passed"] is True
+    assert np.max(np.abs(K)) < 1e-12
 
 
 def test_cli_validation_exit_code(tmp_path):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, simpson
 
+from alegeo import energy
 from alegeo.energy import (
     MixedBackgroundError,
     OffShellError,
@@ -11,6 +14,7 @@ from alegeo.energy import (
     _path_fields,
     convexity_audit,
     energy_report,
+    energy_verdict,
     k_energy_first_variation,
     k_energy_second_derivative,
 )
@@ -199,6 +203,34 @@ def test_convexity_audit_refuses_burns():
                                   SolverConfig(epsilon=0.5))
     with pytest.raises(MixedBackgroundError, match="mixed"):
         convexity_audit([g], [0.5])
+    # the verdict records that the convexity theorem does not apply
+    details = energy_verdict(energy_report(g, 0.5), burns)["details"]
+    assert details["ricci_classification"] == "mixed"
+    assert details["convexity_applicable"] is False
+
+
+def test_verdict_fails_when_a_term_flips_sign(monkeypatch):
+    # EH tau_power data at 65x45 and eps = 1/8; the identity gap is 0 by
+    # construction, so the finite differences must catch a wrong term
+    cfg = replace(energy_config(0.125), n_rho=65, n_t=45)
+    g, _ = solve_epsilon_geodesic(EH, zero_potential(),
+                                  tau_power_potential(EH, 0.1, 4.0), cfg)
+    verdict = energy_verdict(energy_report(g, 0.125), EH)
+    assert verdict["passed"]
+    assert verdict["details"]["fd_agreement"] < 0.005
+
+    terms = energy._decomposition_terms
+
+    def flipped(*args):
+        lich, ricci, grad = terms(*args)
+        return lich, ricci, -grad
+
+    monkeypatch.setattr(energy, "_decomposition_terms", flipped)
+    verdict = energy_verdict(energy_report(g, 0.125), EH)
+    d = verdict["details"]
+    assert not verdict["passed"]
+    assert d["fd_agreement"] == pytest.approx(0.71, abs=0.01)
+    assert d["identity_gap"] == 0.0 and d["min_d2K"] > 0.0
 
 
 # ---------------------------------------------------------------------------
