@@ -221,7 +221,7 @@ def energy_check(grid, epsilon, out: Path):
                      "energy_json": str(out / "energy.json")}
 
 
-def _decay_check(grid, psi1, artifacts):
+def _decay_check(grid, psi1):
     # spatial decay of phi toward its far-field constant at each t
     c = grid.phi[-1:, :]
     dev = np.max(np.abs(grid.phi - c), axis=1)
@@ -317,8 +317,7 @@ def _run_analyses(scenario, out, manifest):
                 "passed": report.c0_check.passed,
                 "details": {"min_slack": report.c0_check.min_slack}}
         if "decay" in analyses:
-            manifest.checks["decay"] = _decay_check(grid, psi1,
-                                                    manifest.artifacts)
+            manifest.checks["decay"] = _decay_check(grid, psi1)
         if "energy" in analyses:
             manifest.checks["energy"], paths = energy_check(
                 grid, cfg.epsilon, out)

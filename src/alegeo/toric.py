@@ -81,12 +81,11 @@ def mixed_type_certificate(n: int, k: int) -> dict:
     _validate(n, k)
     d0_pairing = Fraction(n - k) ** (n - 1)
     df_pairing = -d0_pairing / k
-    opposite = k != n
     ratio = None if d0_pairing == 0 else df_pairing / d0_pairing
     return {
         "d0_ricci": d0_pairing,
         "df_ricci": df_pairing,
-        "opposite_signs": opposite,
+        "opposite_signs": d0_pairing * df_pairing < 0,
         "ratio": ratio,  # always -1/k when defined
     }
 
