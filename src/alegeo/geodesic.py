@@ -16,26 +16,30 @@ lowers the right-hand side from 1 to the target epsilon geometrically.
 
 What depends only on the grid is built once per solve: u', u'' and the
 first two rho-derivatives of psi0 and psi1 on the residual rows, with the
-background density (_FixedData), and the CSR structure of the 12-term
-Jacobian stencil, whose values each iterate refills (_StencilPattern).
-The line search evaluates the residual only.  Each stage after the first
-starts from a secant predictor in s through the last two solutions (from
-one solution, the shift by the trivial solution s t(t-1)/2), falling back
-to the last solution when the prediction leaves the ellipticity cone.
-Only the last stage, s = epsilon, is solved to newton_tol; the stages
-before it stop at the looser _STAGE_TOL, since they only seed the next.
+background density (_FixedData), and where each of the 12 Jacobian
+stencil terms lands in LAPACK band storage (_StencilBand), so that each
+iterate fills the band with one bincount.  The line search evaluates the
+residual only.  Each stage after the first starts from a secant predictor
+in s through the last two solutions (from one solution, the shift by the
+trivial solution s t(t-1)/2), falling back to the last solution when the
+prediction leaves the ellipticity cone.  Only the last stage, s = epsilon,
+is solved to newton_tol; the stages before it stop at the looser
+_STAGE_TOL, since they only seed the next.
 
 Newton steps are chord steps (Kelley, Iterative Methods for Linear and
 Nonlinear Equations, SIAM 1995, ch. 5): a stage factors its Jacobian at
-its first iterate and later iterates reuse that sparse LU, taking the
-accepted line-search residual as their own.  The Jacobian is assembled and
+its first iterate and later iterates reuse that LU, taking the accepted
+line-search residual as their own.  The Jacobian is assembled and
 factored again only after a step that backtracked or cut max|R| by less
 than a factor 4 (_CHORD_CONTRACTION), and at once when a chord step finds
 no acceptable step length; only a freshly factored step that fails raises
 NonConvergence.  Pure Newton is the case where the refresh fires after
-every step.  Factorizations use the MMD_AT_PLUS_A fill-reducing ordering,
-which suits the structurally symmetric 9-point stencil.  The reported
-residual is recomputed from the profile, with fixed data built afresh.
+every step.  With the unknowns numbered ii nj + jj the Jacobian is a band
+matrix of half-bandwidth nj + 1; it is factored in place by LAPACK's banded
+LU with partial pivoting (dgbtrf, back-solves by dgbtrs), and no
+scipy.sparse is loaded.  A zero pivot raises NonConvergence for its stage.
+The reported residual is recomputed from the profile, with fixed data built
+afresh.
 
 Grid sequencing (nested iteration: Allgower, Bohmer, Potra and Rheinboldt,
 SIAM J. Numer. Anal. 23, 1986).  The Newton counts of each stage do not
@@ -57,8 +61,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .analysis import fit_decay_exponent
 from .potentials import RadialPotential, zero_potential
@@ -339,62 +342,82 @@ _STENCIL = ((0, -1, 0, 1.0), (0, 1, 0, 1.0), (0, 0, 0, -2.0),
 
 
 @dataclass(frozen=True)
-class _StencilPattern:
-    """CSR structure of the Jacobian over an (ni, nj) unknown block.
+class _BandMatrix:
+    """A square matrix in LAPACK band storage, as dgbtrf takes it.
 
-    Term m of the stencil entries takes the value multiple[m] *
-    coefs.flat[src[m]] and is summed into the CSR data at slot[m].
+    A[i, j] sits at ab[2 bw + i - j, j] for |i - j| <= bw; the first bw
+    rows of ab are the room dgbtrf needs for the fill of row pivoting.
+    nnz counts the structural nonzeros.
     """
 
-    shape: tuple
-    indptr: np.ndarray
-    indices: np.ndarray
+    ab: np.ndarray  # (3 bw + 1, N), Fortran order
+    bw: int
+    nnz: int
+
+    @property
+    def shape(self):
+        return (self.ab.shape[1],) * 2
+
+
+@dataclass(frozen=True)
+class _StencilBand:
+    """Where the Jacobian's stencil terms land in band storage over an
+    (ni, nj) unknown block.
+
+    Unknown (ii, jj) is number ii nj + jj, so every term lies within
+    bw = nj + 1 of the diagonal, the Neumann mirror of ghost row -1 onto
+    row +1 included.  Term m takes the value multiple[m] *
+    coefs.flat[src[m]] and is summed into slot[m] of the C-ordered
+    (N, 3 bw + 1) array whose transpose is the Fortran-ordered band.
+    """
+
+    size: int
+    bw: int
+    nnz: int
     src: np.ndarray
     multiple: np.ndarray
     slot: np.ndarray
 
     @classmethod
-    def build(cls, ni, nj) -> "_StencilPattern":
-        size = ni * nj
+    def build(cls, ni, nj) -> "_StencilBand":
+        size, bw = ni * nj, nj + 1
+        ld = 3 * bw + 1
         row = np.arange(size)
         ii, jj = np.divmod(row, nj)
-        rows, cols, src, multiple = [], [], [], []
+        src, multiple, slot = [], [], []
         for di, dj, coef, mult in _STENCIL:
             ti = np.abs(ii + di)  # Neumann mirror: ghost row -1 is row +1
             tj = jj + dj
             keep = (ti <= ni - 1) & (tj >= 0) & (tj <= nj - 1)
-            rows.append(row[keep])
-            cols.append((ti * nj + tj)[keep])
-            src.append(coef * size + row[keep])
-            multiple.append(np.full(int(keep.sum()), mult))
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        keys, slot = np.unique(rows * size + cols, return_inverse=True)
-        # let scipy pick the index dtype once, so refills copy nothing
-        template = csr_matrix(
-            (np.zeros(keys.size), keys % size,
-             np.searchsorted(keys // size, np.arange(size + 1))),
-            shape=(size, size))
-        return cls(shape=(size, size), indptr=template.indptr,
-                   indices=template.indices, src=np.concatenate(src),
-                   multiple=np.concatenate(multiple), slot=slot)
+            r, c = row[keep], (ti * nj + tj)[keep]
+            src.append(coef * size + r)
+            multiple.append(np.full(r.size, mult))
+            slot.append(c * ld + 2 * bw + r - c)
+        # the stencil covers all nine (di, dj); a row reaches 3 unknown rows
+        # (2 at either end, the mirror folding row 0's -1 onto +1) times 3
+        # unknown columns (2 at either end)
+        return cls(size=size, bw=bw, nnz=(3 * ni - 2) * (3 * nj - 2),
+                   src=np.concatenate(src),
+                   multiple=np.concatenate(multiple),
+                   slot=np.concatenate(slot))
 
     def matrix(self, coefs):
-        """The CSR matrix for stacked coefficients of shape (4, ni, nj)."""
-        vals = self.multiple * coefs.ravel()[self.src]
-        data = np.bincount(self.slot, weights=vals,
-                           minlength=self.indices.size)
-        return csr_matrix((data, self.indices, self.indptr),
-                          shape=self.shape)
+        """The band matrix for stacked coefficients of shape (4, ni, nj)."""
+        band = np.bincount(self.slot,
+                           weights=self.multiple * coefs.ravel()[self.src],
+                           minlength=self.size * (3 * self.bw + 1))
+        return _BandMatrix(ab=band.reshape(self.size, -1).T, bw=self.bw,
+                           nnz=self.nnz)
 
 
-def _newton_system(grid: PathGrid, fixed: _FixedData, ups, pattern=None):
+def _newton_system(grid: PathGrid, fixed: _FixedData, ups, band=None):
     """Log-form residual R, normalized residual G and, given the stencil
-    pattern, the sparse Jacobian of R over the unknown block.
+    band, the banded Jacobian of R over the unknown block.
 
     Returns (R, J, G), with G equal bit for bit to _residual(...,
-    normalized=True) from the same field arrays; J is None without a
-    pattern (the line search needs R and G only), and all three are None
-    outside the ellipticity cone.
+    normalized=True) from the same field arrays; J is a _BandMatrix, None
+    without a band (the line search needs R and G only), and all three
+    are None outside the ellipticity cone.
     """
     n = fixed.n
     hr, ht = grid.h_rho, grid.h_t
@@ -404,13 +427,13 @@ def _newton_system(grid: PathGrid, fixed: _FixedData, ups, pattern=None):
         return None, None, None
     R = np.log(M) + (n - 1) * np.log(w1) - np.log(ups * fixed.density)
     G = _density_residual(M, w1, fixed, ups) / fixed.density
-    if pattern is None:
+    if band is None:
         return R, None, G
     coefs = np.stack([w2 / M / ht ** 2,
                       phi_tt / M / hr ** 2,
                       -2.0 * P / M / (4.0 * hr * ht),
                       (n - 1) / w1 / (2.0 * hr)])
-    return R, pattern.matrix(coefs), G
+    return R, band.matrix(coefs), G
 
 
 # A stage keeps its LU only while each step is taken whole and cuts max|R|
@@ -431,12 +454,31 @@ _MAX_BACKTRACKS = 40
 _MIN_DECAY = 0.5
 
 
+class _BandLU:
+    """LU factors, with partial pivoting, of a _BandMatrix (LAPACK dgbtrf).
+
+    The factors overwrite the matrix's band.  Raises
+    numpy.linalg.LinAlgError on an exactly zero pivot.
+    """
+
+    def __init__(self, J: _BandMatrix):
+        self.bw = J.bw
+        self.lu, self.piv, info = dgbtrf(J.ab, J.bw, J.bw, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"singular Jacobian: zero pivot U[{info - 1}, {info - 1}]")
+
+    def solve(self, rhs):
+        return dgbtrs(self.lu, self.bw, self.bw, rhs, self.piv)[0]
+
+
 def spsolve(J, rhs):
-    """Factor J with the MMD_AT_PLUS_A ordering and solve J x = rhs.
+    """Factor the band matrix J in place by banded LU with partial pivoting
+    and solve J x = rhs.
 
     Returns (x, lu); lu.solve(rhs) reuses the factorization.
     """
-    lu = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    lu = _BandLU(J)
     return lu.solve(rhs), lu
 
 
@@ -543,7 +585,7 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
     """
     t = grid.t_nodes
     ni, nj = grid.phi.shape[0] - 1, grid.phi.shape[1] - 2
-    pattern = _StencilPattern.build(ni, nj)
+    band = _StencilBand.build(ni, nj)
     for index, s in enumerate(stages):
         ups = fixed.upsilon(s, config.upsilon_mode)
         tol = (final_tol if s == stages[-1]
@@ -578,9 +620,16 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
             while True:
                 fresh = lu is None
                 if fresh:
-                    J = _newton_system(grid, fixed, ups, pattern)[1]
-                    delta, lu = spsolve(J, -R.ravel())
+                    # the Jacobian is not bound here, so the last band is
+                    # freed (with lu) before the next one is assembled
                     log.factorizations[-1] += 1
+                    try:
+                        delta, lu = spsolve(
+                            _newton_system(grid, fixed, ups, band)[1],
+                            -R.ravel())
+                    except np.linalg.LinAlgError as exc:
+                        raise NonConvergence(s, history,
+                                             log.factorizations) from exc
                 else:
                     delta = lu.solve(-R.ravel())
                 step = _line_search(grid, fixed, ups, base,

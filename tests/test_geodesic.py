@@ -18,7 +18,7 @@ from alegeo.geodesic import (
     solve_epsilon_geodesic,
     upsilon_field,
     _FixedData,
-    _StencilPattern,
+    _StencilBand,
     _newton_system,
     _prolong,
     _residual,
@@ -105,8 +105,44 @@ def _system_at(g, s, mode):
     return fixed, fixed.upsilon(s, mode)
 
 
-def _check_jacobian(n_rho, n_t, mode):
-    rng = np.random.default_rng(7)
+def _dense(J):
+    """The band matrix J unpacked to a dense array."""
+    n, bw = J.shape[0], J.bw
+    A = np.zeros((n, n))
+    for d in range(-bw, bw + 1):  # d = i - j
+        j = np.arange(max(0, -d), min(n, n - d))
+        A[j + d, j] = J.ab[2 * bw + d, j]
+    return A
+
+
+def _dense_from_stencil(coefs):
+    """The Jacobian assembled entry by entry from geodesic._STENCIL."""
+    _, ni, nj = coefs.shape
+    A = np.zeros((ni * nj, ni * nj))
+    for ii in range(ni):
+        for jj in range(nj):
+            for di, dj, coef, mult in geodesic._STENCIL:
+                ti, tj = ii + di, jj + dj
+                if ti == -1:
+                    ti = 1  # Neumann mirror
+                if ti < ni and 0 <= tj < nj:
+                    A[ii * nj + jj, ti * nj + tj] += mult * coefs[coef, ii, jj]
+    return A
+
+
+class _RecordingBand:
+    """A _StencilBand that keeps the coefficients it was last filled with."""
+
+    def __init__(self, band):
+        self.band = band
+
+    def matrix(self, coefs):
+        self.coefs = coefs.copy()
+        return self.band.matrix(coefs)
+
+
+def _perturbed_system(n_rho, n_t, mode, rng):
+    """A grid near the s = 0.7 trivial solution, with its Newton system."""
     g = make_grid(EH, n_rho=n_rho, n_t=n_t,
                   psi0=exp_decay_potential(0.03, 4.0, rho_ref=RHO_MIN_EH),
                   psi1=exp_decay_potential(0.05, 4.0, rho_ref=RHO_MIN_EH))
@@ -115,8 +151,19 @@ def _check_jacobian(n_rho, n_t, mode):
     g.phi[:-1, 1:-1] += 0.001 * rng.standard_normal(g.phi[:-1, 1:-1].shape)
     ni, nj = g.phi.shape[0] - 1, g.phi.shape[1] - 2
     fixed, ups = _system_at(g, 0.7, mode)
-    R0, J, G0 = _newton_system(g, fixed, ups, _StencilPattern.build(ni, nj))
+    band = _RecordingBand(_StencilBand.build(ni, nj))
+    return g, fixed, ups, band, _newton_system(g, fixed, ups, band)
+
+
+def _check_jacobian(n_rho, n_t, mode):
+    rng = np.random.default_rng(7)
+    g, fixed, ups, band, (R0, J, G0) = _perturbed_system(n_rho, n_t, mode,
+                                                         rng)
+    ni, nj = g.phi.shape[0] - 1, g.phi.shape[1] - 2
     assert R0 is not None
+    assert J.shape == (ni * nj, ni * nj)
+    # nnz is the number of distinct band slots the stencil reaches
+    assert J.nnz == np.unique(band.band.slot).size
     # the residual-only path gives the full system's R and G bit for bit,
     # and G is the normalized residual the certificate uses
     R1, J1, G1 = _newton_system(g, fixed, ups)
@@ -124,7 +171,7 @@ def _check_jacobian(n_rho, n_t, mode):
     assert np.array_equal(R0, R1) and np.array_equal(G0, G1)
     assert np.array_equal(G0, _residual(g, fixed, ups, normalized=True))
     h = 1e-6
-    J = J.toarray()
+    J = _dense(J)
     for col in rng.choice(ni * nj, size=12, replace=False):
         i, j = divmod(col, nj)
         g.phi[i, j + 1] += h
@@ -137,10 +184,34 @@ def _check_jacobian(n_rho, n_t, mode):
 
 
 def test_newton_jacobian_matches_finite_differences():
-    # non-square grids catch an i/j transposition in the stencil pattern
+    # non-square grids catch an i/j transposition in the band slots
     for n_rho, n_t in ((9, 9), (9, 7), (7, 11)):
         for mode in ("constant", "profile-weighted"):
             _check_jacobian(n_rho, n_t, mode)
+
+
+@pytest.mark.parametrize("mode", ["constant", "profile-weighted"])
+def test_banded_solve_matches_dense_solve(mode):
+    # an i/j swap in the band slots, or a dropped sum of the Neumann
+    # mirror onto row 0, leaves a band that differs from the dense matrix
+    rng = np.random.default_rng(11)
+    _, _, _, band, (R, J, _) = _perturbed_system(17, 11, mode, rng)
+    A = _dense_from_stencil(band.coefs)
+    assert np.allclose(_dense(J), A, rtol=1e-14, atol=0.0)
+    x, lu = geodesic.spsolve(J, -R.ravel())
+    assert np.shares_memory(lu.lu, J.ab)  # factored in place, no copy
+    ref = np.linalg.solve(A, -R.ravel())
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    rhs = rng.standard_normal(ref.size)
+    again = np.linalg.solve(A, rhs)
+    assert np.max(np.abs(lu.solve(rhs) - again)) <= 1e-12 * np.max(
+        np.abs(again))
+
+
+def test_jacobian_structural_nonzeros():
+    # the counts of the 65x45 grid and of its every-other-node grid
+    assert _StencilBand.build(64, 43).nnz == 24130
+    assert _StencilBand.build(32, 21).nnz == 5734
 
 
 def test_fixed_data_matches_public_residual():
@@ -300,6 +371,27 @@ def test_nonconvergence_carries_stage_and_history():
     assert len(info.value.history) == 1
     assert info.value.history[0] > cfg.newton_tol
     assert info.value.stage_factorizations == [1]
+
+
+def test_singular_jacobian_raises_nonconvergence(monkeypatch):
+    system = geodesic._newton_system
+
+    def zero_coefficients(grid, fixed, ups, band=None):
+        R, J, G = system(grid, fixed, ups, band)
+        if J is not None:
+            J = band.matrix(np.zeros((4,) + R.shape))
+        return R, J, G
+
+    monkeypatch.setattr(geodesic, "_newton_system", zero_coefficients)
+    psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
+    cfg = SolverConfig(epsilon=0.25, n_rho=17, n_t=17)
+    with pytest.raises(NonConvergence) as info:
+        solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+    assert info.value.stage == 1.0
+    assert len(info.value.history) == 1
+    assert info.value.history[0] > cfg.newton_tol
+    assert info.value.stage_factorizations == [1]
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def _counted_factorizations(monkeypatch):
