@@ -19,9 +19,9 @@ from .energy import MixedBackgroundError, OffShellError
 from .geodesic import GeodesicError
 from .profiles import (ProfileError, curvature_scan_rows, flat_profile,
                        lebrun_profile, profile_from_json, ricci_sign_scan)
-from .runner import (Scenario, ScenarioError, _write_json, batch as run_batch,
-                     energy_check, load_grid_csv, run_scenario,
-                     write_summary_csv)
+from .runner import (SOLVER_KEYS, Scenario, ScenarioError, _check_keys,
+                     _write_json, batch as run_batch, energy_check,
+                     load_grid_csv, run_scenario, write_summary_csv)
 from .toric import IntersectionReport
 
 EXIT_OK = 0
@@ -33,6 +33,9 @@ VALIDATION_ERRORS = (ScenarioError, ProfileError, ValueError, KeyError,
                      FileNotFoundError, json.JSONDecodeError)
 NUMERICAL_ERRORS = (GeodesicError, OffShellError, MixedBackgroundError,
                     InsufficientDecayError)
+# a solve-geodesic config: geometry, boundary data, solver keys, analyses
+CONFIG_KEYS = ("id", "n", "k", "tau_min", "profile", "psi0", "psi1",
+               "analyses", *SOLVER_KEYS)
 
 
 def _fail(code, message):
@@ -58,6 +61,7 @@ def solve_geodesic(config_path, out_dir, no_cache):
     """Solve one epsilon-geodesic scenario; write grid CSV + report JSON."""
     try:
         doc = _load_json(config_path)
+        _check_keys(doc, "config", CONFIG_KEYS)
         scenario_doc = {
             "id": doc.get("id", Path(config_path).stem),
             "geometry": {key: doc[key] for key in ("n", "k", "tau_min")
@@ -67,9 +71,7 @@ def solve_geodesic(config_path, out_dir, no_cache):
                              {"form": doc.get("profile", "lebrun")}),
             "boundary": {key: doc[key] for key in ("psi0", "psi1")
                          if key in doc},
-            "solver": {key: doc[key] for key in
-                       ("epsilon", "upsilon_mode", "grid", "schedule",
-                        "tolerances") if key in doc},
+            "solver": {key: doc[key] for key in SOLVER_KEYS if key in doc},
             "analyses": doc.get("analyses", ["c0_check"]),
             "out_dir": out_dir,
         }

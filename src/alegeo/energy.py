@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesic import PathGrid, reduced_residual, upsilon_field
+from .geodesic import PathGrid, _FixedData, _residual
 from .profiles import _log_volume_derivs, ricci_sign_scan
 
 __all__ = ["EnergyReport", "k_energy_first_variation", "energy_report",
@@ -125,31 +125,28 @@ def _d_rho(arr, h, order=1):
     return arr
 
 
-def _path_fields(grid: PathGrid):
+def _path_fields(grid: PathGrid, fixed: _FixedData):
     """All rho/t derivative fields of the path, shape (n_rho, n_t)."""
-    rho = grid.rho_nodes
     t = grid.t_nodes
     hr, ht = grid.h_rho, grid.h_t
-    p = grid.background
-    u1, u2, u3 = p.u_derivatives(rho, order=3)
-    jets = list(zip(grid.psi0.jet(rho, 3), grid.psi1.jet(rho, 3)))
-    Psi = [(1.0 - t[None, :]) * p0[:, None] + t[None, :] * p1[:, None]
-           for p0, p1 in jets]
-    Psi_t = [(p1 - p0)[:, None] for p0, p1 in jets]
+    psi0, psi1 = fixed.psi0[:, :, None], fixed.psi1[:, :, None]
+    Psi = [(1.0 - t[None, :]) * psi0[:, m] + t[None, :] * psi1[:, m]
+           for m in range(4)]
+    Psi_t = [psi1[:, m] - psi0[:, m] for m in range(4)]
 
     phi = grid.phi
     phi_t = np.gradient(phi, ht, axis=1, edge_order=2)
 
-    fields = {
-        "w1": u1[:, None] + Psi[1] + _d_rho(phi, hr),
-        "w2": u2[:, None] + Psi[2] + _d_rho(phi, hr, 2),
-        "w3": u3[:, None] + Psi[3] + _d_rho(phi, hr, 3),
+    u1, u2, u3 = fixed.u1[:, None], fixed.u2[:, None], fixed.u3[:, None]
+    return {
+        "w1": u1 + Psi[1] + _d_rho(phi, hr),
+        "w2": u2 + Psi[2] + _d_rho(phi, hr, 2),
+        "w3": u3 + Psi[3] + _d_rho(phi, hr, 3),
         "v": Psi_t[0] + phi_t,
         "v1": Psi_t[1] + _d_rho(phi_t, hr),
         "v2": Psi_t[2] + _d_rho(phi_t, hr, 2),
-        "u1": u1[:, None], "u2": u2[:, None],
+        "u1": u1, "u2": u2,
     }
-    return fields
 
 
 def _path_curvature(grid, fields):
@@ -196,13 +193,11 @@ def _first_variation_curve(grid, fields):
     return -_simpson(fields["v1"] * F1 * W, grid.h_rho)
 
 
-def _decomposition_terms(grid, fields, epsilon):
+def _decomposition_terms(grid, fields, ups):
     """Integrands of the three second-variation terms, integrated per t."""
     n = grid.background.n
     h = grid.h_rho
     V = fields["w1"] ** (n - 1) * fields["w2"]
-    ups = upsilon_field(grid.background, grid.rho_nodes, epsilon,
-                        grid.upsilon_mode, psi0=grid.psi0)[:, None]
     f = ups * fields["u1"] ** (n - 1) * fields["u2"] / V
     f1 = _d_rho(f, h)
     W = V / fields["w2"]
@@ -210,16 +205,6 @@ def _decomposition_terms(grid, fields, epsilon):
     ricci = _simpson(-f * _background_ricci_trace(grid, fields) * V, h)
     grad = _simpson(f1 ** 2 / f * W, h)
     return lich, ricci, grad
-
-
-def _require_on_shell(grid, epsilon):
-    res = float(np.max(np.abs(reduced_residual(grid, epsilon=epsilon,
-                                               normalized=True))))
-    if res > ON_SHELL_TOL:
-        raise OffShellError(
-            f"normalized residual {res:.2e} exceeds {ON_SHELL_TOL:.0e}; "
-            "the convexity identity needs the equation to hold")
-    return res
 
 
 def _check_energy_decay(grid):
@@ -239,20 +224,27 @@ def k_energy_first_variation(grid: PathGrid, t_index: int) -> float:
     Evaluated as -int Phi_t' F' W drho; see the module docstring for why
     the two agree and when the parts form is preferable.
     """
-    fields = _path_fields(grid)
+    fields = _path_fields(grid, _FixedData.build(grid))
     return float(_first_variation_curve(grid, fields)[t_index])
 
 
 def energy_report(grid: PathGrid, epsilon: float) -> EnergyReport:
     """K-energy curve, first/second derivatives and decomposition terms."""
     _check_energy_decay(grid)
-    _require_on_shell(grid, epsilon)
-    fields = _path_fields(grid)
+    # one evaluation of the fixed data serves the on-shell check and sums
+    fixed = _FixedData.build(grid)
+    ups = fixed.upsilon(epsilon, grid.upsilon_mode)
+    res = float(np.max(np.abs(_residual(grid, fixed, ups, normalized=True))))
+    if res > ON_SHELL_TOL:
+        raise OffShellError(
+            f"normalized residual {res:.2e} exceeds {ON_SHELL_TOL:.0e}; "
+            "the convexity identity needs the equation to hold")
+    fields = _path_fields(grid, fixed)
     t = grid.t_nodes
     dK = _first_variation_curve(grid, fields)
     K = _cumulative_trapezoid(dK, grid.h_t)
 
-    lich, ricci, grad = _decomposition_terms(grid, fields, epsilon)
+    lich, ricci, grad = _decomposition_terms(grid, fields, ups)
 
     ht = grid.h_t
     d2K_fd = (K[:-2] - 2.0 * K[1:-1] + K[2:]) / ht ** 2

@@ -14,17 +14,19 @@ with phi = 0 at t = 0, 1, a spatially constant Dirichlet value at rho_max
 Newton runs on the concave log form of the equation; the continuity path
 lowers the right-hand side from 1 to the target epsilon geometrically.
 
-What depends only on the grid is built once per solve: u', u'' and the
-first two rho-derivatives of psi0 and psi1 on the residual rows, with the
-background density (_FixedData), and where each of the 12 Jacobian
-stencil terms lands in LAPACK band storage (_StencilBand), so that each
-iterate fills the band with one bincount.  The line search evaluates the
-residual only.  Each stage after the first starts from a secant predictor
-in s through the last two solutions (from one solution, the shift by the
-trivial solution s t(t-1)/2), falling back to the last solution when the
-prediction leaves the ellipticity cone.  Only the last stage, s = epsilon,
-is solved to newton_tol; the stages before it stop at the looser
-_STAGE_TOL, since they only seed the next.
+What depends only on the grid is built once per solve.  _FixedData is the
+one evaluator of u', u'', u''' and the psi0, psi1 jets to third order on
+every rho node: the boundary checks read it there, the residual on the
+rows rho[:-1] and the coarse grid on every other row, and energy_report
+builds one for its on-shell check and quadratures.  _StencilBand holds
+where each of the 12 Jacobian stencil terms lands in LAPACK band storage,
+so each iterate fills the band with one bincount.  The line search
+evaluates the residual only.  Each stage after the first starts from a
+secant predictor in s through the last two solutions (from one solution,
+the shift by the trivial solution s t(t-1)/2), falling back to the last
+solution when the prediction leaves the ellipticity cone.  Only the last
+stage, s = epsilon, is solved to newton_tol; the stages before it stop at
+the looser _STAGE_TOL, since they only seed the next.
 
 Newton steps are chord steps (Kelley, Iterative Methods for Linear and
 Nonlinear Equations, SIAM 1995, ch. 5): a stage factors its Jacobian at
@@ -38,8 +40,8 @@ every step.  With the unknowns numbered ii nj + jj the Jacobian is a band
 matrix of half-bandwidth nj + 1; it is factored in place by LAPACK's banded
 LU with partial pivoting (dgbtrf, back-solves by dgbtrs), and no
 scipy.sparse is loaded.  A zero pivot raises NonConvergence for its stage.
-The reported residual is recomputed from the profile, with fixed data built
-afresh.
+The reported residual and the C^{1,1} probe are recomputed from the
+profile, with fixed data built afresh.
 
 Grid sequencing (nested iteration: Allgower, Bohmer, Potra and Rheinboldt,
 SIAM J. Numer. Anal. 23, 1986).  The Newton counts of each stage do not
@@ -58,20 +60,20 @@ from its own seed.  Only one level is coarsened.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .analysis import fit_decay_exponent
-from .potentials import RadialPotential, zero_potential
+from .potentials import RadialPotential
 from .profiles import RadialProfile
 
 __all__ = ["PathGrid", "SolverConfig", "SolverReport", "BoundCheck",
            "GeodesicError", "NonConvergence", "PositivityLoss",
            "BoundaryInconsistency", "reduced_residual",
            "solve_epsilon_geodesic", "c0_bound_check", "comparison_check",
-           "epsilon_sweep", "upsilon_field", "smoothstep_cutoff"]
+           "epsilon_sweep", "smoothstep_cutoff"]
 
 
 class GeodesicError(RuntimeError):
@@ -114,22 +116,33 @@ class SolverConfig:
     rho_max: float | None = None
     newton_tol: float = 1e-11
     max_iters: int = 60
-    schedule_ratio: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.upsilon_mode not in ("constant", "profile-weighted"):
             raise ValueError(f"unknown upsilon mode {self.upsilon_mode!r}")
-        if not 0.0 < self.schedule_ratio < 1.0:
-            raise ValueError("schedule ratio must be in (0, 1)")
+        if self.n_rho < 3 or self.n_t < 3:
+            raise ValueError(f"the grid needs n_rho >= 3 and n_t >= 3, got "
+                             f"{self.n_rho} x {self.n_t}")
 
     def schedule(self):
         """Continuity values from 1 down to epsilon, geometric in between."""
         vals = [1.0]
         while vals[-1] > self.epsilon:
-            vals.append(max(vals[-1] * self.schedule_ratio, self.epsilon))
+            vals.append(max(vals[-1] * _SCHEDULE_RATIO, self.epsilon))
         return vals
+
+    def rho_nodes(self, profile: RadialProfile):
+        """The rho nodes; by default from rho(2 tau_min) (or 0) to + 6."""
+        rho_min = self.rho_min
+        if rho_min is None:
+            rho_min = (float(profile.rho_of_tau(2.0 * profile.tau_min))
+                       if profile.tau_min > 0 else 0.0)
+        rho_max = self.rho_max if self.rho_max is not None else rho_min + 6.0
+        if not rho_min < rho_max:
+            raise ValueError(f"rho_min < rho_max fails: {rho_min}, {rho_max}")
+        return np.linspace(rho_min, rho_max, self.n_rho)
 
 
 @dataclass
@@ -175,7 +188,8 @@ class SolverReport:
     c0_check: BoundCheck
     positivity_margins: dict     # min of w', w'', M; "worst_nodes": (rho, t)
     wall_time: float
-    upsilon_range: tuple
+    upsilon_range: tuple         # min and max over the residual rows
+    max_second_derivative: float  # the C^{1,1} probe _max_second_derivative
 
 
 def smoothstep_cutoff(s: float) -> float:
@@ -188,74 +202,55 @@ def smoothstep_cutoff(s: float) -> float:
     return x * x * (3.0 - 2.0 * x)
 
 
-def _weighted_upsilon(s, n, u1, u2, psi0_1, psi0_2):
-    """Profile-weighted upsilon from u', u'' and psi0', psi0'' at s."""
-    w1 = u1 + psi0_1
-    w2 = u2 + psi0_2
-    if np.any(w1 <= 0) or np.any(w2 <= 0):
-        raise BoundaryInconsistency("psi0 metric not positive on the grid")
-    f_vol = u1 ** (n - 1) * u2 / (w1 ** (n - 1) * w2)
-    chi = smoothstep_cutoff(s)
-    return s * ((1.0 - chi) * f_vol + chi)
-
-
-def upsilon_field(profile, rho, s, mode, psi0=None):
-    """Right-hand-side weight upsilon(rho) at continuity value s.
-
-    Constant mode returns s everywhere.  Profile-weighted mode blends the
-    volume ratio of the psi0-perturbed metric into the weight at small s,
-    interpolated by the smoothstep cutoff.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if mode == "constant":
-        return s * np.ones_like(rho)
-    u1, u2 = profile.u_derivatives(rho, order=2)
-    _, psi0_1, psi0_2 = (psi0 or zero_potential()).jet(rho, 2)
-    return _weighted_upsilon(s, profile.n, u1, u2, psi0_1, psi0_2)
-
-
 @dataclass(frozen=True)
 class _FixedData:
-    """The background and boundary data on the residual rows rho[:-1].
+    """The background and boundary data of a grid, on every rho node.
 
-    None of it depends on phi, so a solve builds it once and every
-    iterate, backtrack and stage reads it.
+    u1, u2, u3 are u', u'', u'''; row i of psi0 and psi1 is the jet
+    (psi, psi', psi'', psi''') at rho_nodes[i].  None of it depends on
+    phi, so a solve builds it once for every iterate, backtrack and stage.
     """
 
     n: int
     u1: np.ndarray
     u2: np.ndarray
-    psi0_1: np.ndarray
-    psi0_2: np.ndarray
-    psi1_1: np.ndarray
-    psi1_2: np.ndarray
-    density: np.ndarray  # (u')^{n-1} u'' as a column
+    u3: np.ndarray
+    psi0: np.ndarray  # (n_rho, 4)
+    psi1: np.ndarray  # (n_rho, 4)
+    density: np.ndarray  # (u')^{n-1} u'' as an (n_rho, 1) column
 
     @classmethod
     def build(cls, grid: PathGrid) -> "_FixedData":
-        rho = grid.rho_nodes[:-1]
-        u1, u2 = grid.background.u_derivatives(rho, order=2)
-        _, psi0_1, psi0_2 = grid.psi0.jet(rho, 2)
-        _, psi1_1, psi1_2 = grid.psi1.jet(rho, 2)
+        rho = grid.rho_nodes
+        u1, u2, u3 = grid.background.u_derivatives(rho, order=3)
         n = grid.background.n
-        return cls(n=n, u1=u1, u2=u2, psi0_1=psi0_1, psi0_2=psi0_2,
-                   psi1_1=psi1_1, psi1_2=psi1_2,
+        return cls(n=n, u1=u1, u2=u2, u3=u3,
+                   psi0=np.stack(grid.psi0.jet(rho, 3), axis=1),
+                   psi1=np.stack(grid.psi1.jet(rho, 3), axis=1),
                    density=(u1 ** (n - 1) * u2)[:, None])
 
     def every_other_row(self) -> "_FixedData":
         """The fixed data of the grid on every other node of this one."""
-        return replace(self, **{name: getattr(self, name)[::2] for name in
-                                ("u1", "u2", "psi0_1", "psi0_2", "psi1_1",
-                                 "psi1_2", "density")})
+        return replace(self, **{f.name: getattr(self, f.name)[::2]
+                                for f in fields(self) if f.name != "n"})
 
     def upsilon(self, s, mode):
-        """upsilon_field on the residual rows, as a column."""
+        """Right-hand-side weight upsilon at continuity value s, as a column.
+
+        Constant mode gives s everywhere.  Profile-weighted mode blends the
+        volume ratio of the psi0-perturbed metric into the weight at small
+        s, interpolated by the smoothstep cutoff.
+        """
         if mode == "constant":
-            ups = s * np.ones_like(self.u1)
-        else:
-            ups = _weighted_upsilon(s, self.n, self.u1, self.u2,
-                                    self.psi0_1, self.psi0_2)
-        return ups[:, None]
+            return np.full_like(self.density, s)
+        n = self.n
+        w1 = self.u1 + self.psi0[:, 1]
+        w2 = self.u2 + self.psi0[:, 2]
+        if np.any(w1 <= 0) or np.any(w2 <= 0):
+            raise BoundaryInconsistency("psi0 metric not positive on the grid")
+        f_vol = self.u1 ** (n - 1) * self.u2 / (w1 ** (n - 1) * w2)
+        chi = smoothstep_cutoff(s)
+        return (s * ((1.0 - chi) * f_vol + chi))[:, None]
 
 
 def _field_arrays(grid: PathGrid, fixed: _FixedData):
@@ -283,39 +278,37 @@ def _field_arrays(grid: PathGrid, fixed: _FixedData):
     phi_rt = (ext[2:nr + 1, 2:nt] - ext[2:nr + 1, 0:nt - 2]
               - ext[0:nr - 1, 2:nt] + ext[0:nr - 1, 0:nt - 2]) / (4.0 * hr * ht)
 
-    f = fixed
+    psi0, psi1 = fixed.psi0[:-1, :, None], fixed.psi1[:-1, :, None]
     tj = t[sl_t][None, :]
-    w1 = (f.u1[:, None] + (1.0 - tj) * f.psi0_1[:, None]
-          + tj * f.psi1_1[:, None] + phi_r)
-    w2 = (f.u2[:, None] + (1.0 - tj) * f.psi0_2[:, None]
-          + tj * f.psi1_2[:, None] + phi_rr)
-    P = (f.psi1_1 - f.psi0_1)[:, None] + phi_rt
+    w1 = (fixed.u1[:-1, None] + (1.0 - tj) * psi0[:, 1] + tj * psi1[:, 1]
+          + phi_r)
+    w2 = (fixed.u2[:-1, None] + (1.0 - tj) * psi0[:, 2] + tj * psi1[:, 2]
+          + phi_rr)
+    P = psi1[:, 1] - psi0[:, 1] + phi_rt
     return w1, w2, P, phi_tt
 
 
 def _density_residual(M, w1, fixed: _FixedData, ups):
     """G = M (w')^{n-1} - upsilon (u')^{n-1} u'' from the field arrays."""
-    return M * w1 ** (fixed.n - 1) - ups * fixed.density
+    return M * w1 ** (fixed.n - 1) - ups[:-1] * fixed.density[:-1]
 
 
 def _residual(grid: PathGrid, fixed: _FixedData, ups, normalized):
     w1, w2, P, phi_tt = _field_arrays(grid, fixed)
     _check_positive(w1, w2, grid)
     G = _density_residual(phi_tt * w2 - P ** 2, w1, fixed, ups)
-    return G / fixed.density if normalized else G
+    return G / fixed.density[:-1] if normalized else G
 
 
-def reduced_residual(grid: PathGrid, epsilon=None, upsilon_mode=None,
-                     normalized=False):
+def reduced_residual(grid: PathGrid, normalized=False):
     """G[phi] on the interior nodes (i = 0..n_rho-2, j = 1..n_t-2).
 
     normalized=True divides by the background density (u')^{n-1} u'', the
     scale-free form used for convergence certification.
     """
-    eps = grid.epsilon if epsilon is None else epsilon
-    mode = grid.upsilon_mode if upsilon_mode is None else upsilon_mode
     fixed = _FixedData.build(grid)
-    return _residual(grid, fixed, fixed.upsilon(eps, mode), normalized)
+    ups = fixed.upsilon(grid.epsilon, grid.upsilon_mode)
+    return _residual(grid, fixed, ups, normalized)
 
 
 def _check_positive(w1, w2, grid):
@@ -425,8 +418,9 @@ def _newton_system(grid: PathGrid, fixed: _FixedData, ups, band=None):
     M = phi_tt * w2 - P ** 2
     if np.any(w1 <= 0) or np.any(w2 <= 0) or np.any(M <= 0):
         return None, None, None
-    R = np.log(M) + (n - 1) * np.log(w1) - np.log(ups * fixed.density)
-    G = _density_residual(M, w1, fixed, ups) / fixed.density
+    density = fixed.density[:-1]
+    R = np.log(M) + (n - 1) * np.log(w1) - np.log(ups[:-1] * density)
+    G = _density_residual(M, w1, fixed, ups) / density
     if band is None:
         return R, None, G
     coefs = np.stack([w2 / M / ht ** 2,
@@ -439,6 +433,10 @@ def _newton_system(grid: PathGrid, fixed: _FixedData, ups, band=None):
 # A stage keeps its LU only while each step is taken whole and cuts max|R|
 # to at most this fraction; 0 refreshes it after every step (pure Newton).
 _CHORD_CONTRACTION = 0.25
+
+# Each continuity stage takes this fraction of the one before, down to
+# epsilon.
+_SCHEDULE_RATIO = 0.5
 
 # Stages before the last only seed the next one, so they stop at this
 # normalized residual, or at newton_tol if that is looser.
@@ -525,13 +523,15 @@ def _secant_predictor(t, s, solved):
     return phi1 + (s - s1) / (s1 - s0) * (phi1 - phi0)
 
 
-def _check_boundary_data(p, psi, rho, label):
-    if psi.is_zero:
+def _check_boundary_data(grid: PathGrid, fixed: _FixedData, label):
+    """The endpoint label ("psi0" or "psi1"), read from fixed, must be zero
+    or decay at least like r^-_MIN_DECAY and give a positive metric."""
+    if getattr(grid, label).is_zero:
         return
-    r = np.exp(rho / 2.0)
-    vals, psi_1, psi_2 = psi.jet(rho, 2)
+    jet = getattr(fixed, label)
+    r = np.exp(grid.rho_nodes / 2.0)
     try:
-        fit = fit_decay_exponent(r, vals, window=(r[0], r[-1]))
+        fit = fit_decay_exponent(r, jet[:, 0], window=(r[0], r[-1]))
     except ValueError as exc:
         raise BoundaryInconsistency(f"{label}: cannot assess decay: {exc}")
     if not fit.below_floor and (fit.exponent is None
@@ -539,8 +539,7 @@ def _check_boundary_data(p, psi, rho, label):
         raise BoundaryInconsistency(
             f"{label} decays like r^{fit.exponent:.2f}, slower than the "
             f"required r^-{_MIN_DECAY}")
-    u1, u2 = p.u_derivatives(rho, order=2)
-    if np.any(u1 + psi_1 <= 0) or np.any(u2 + psi_2 <= 0):
+    if np.any(fixed.u1 + jet[:, 1] <= 0) or np.any(fixed.u2 + jet[:, 2] <= 0):
         raise BoundaryInconsistency(f"{label} does not give a positive metric")
 
 
@@ -684,24 +683,16 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
                            psi1: RadialPotential, config: SolverConfig):
     """Continuity-path damped Newton solve; returns (PathGrid, SolverReport)."""
     t_start = time.perf_counter()
-    rho_min = config.rho_min
-    if rho_min is None:
-        rho_min = (float(profile.rho_of_tau(2.0 * profile.tau_min))
-                   if profile.tau_min > 0 else 0.0)
-    rho_max = config.rho_max if config.rho_max is not None else rho_min + 6.0
-    rho = np.linspace(rho_min, rho_max, config.n_rho)
     t = np.linspace(0.0, 1.0, config.n_t)
-
-    _check_boundary_data(profile, psi0, rho, "psi0")
-    _check_boundary_data(profile, psi1, rho, "psi1")
-
     # spatially constant seed, exact for trivial data and elliptic everywhere
-    grid = PathGrid(rho_nodes=rho, t_nodes=t,
+    grid = PathGrid(rho_nodes=config.rho_nodes(profile), t_nodes=t,
                     phi=np.tile(_dirichlet_column(t, 1.0), (config.n_rho, 1)),
                     psi0=psi0, psi1=psi1, background=profile,
                     epsilon=config.epsilon, upsilon_mode=config.upsilon_mode)
-
     fixed = _FixedData.build(grid)
+    _check_boundary_data(grid, fixed, "psi0")
+    _check_boundary_data(grid, fixed, "psi1")
+
     log = _StageLog()
     stages, solved = config.schedule(), []
     if all(m % 2 and (m + 1) // 2 >= _MIN_COARSE
@@ -709,13 +700,13 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
         stages, solved = _coarse_start(grid, fixed, config, log)
     _run_stages(grid, fixed, config, stages, solved, log, config.newton_tol)
 
-    # the certificate comes from the profile, through fixed data built
-    # afresh rather than the solve's own
+    # the certificate and the C^{1,1} probe come from the profile, through
+    # fixed data built afresh rather than the solve's own
     final = _FixedData.build(grid)
     ups = final.upsilon(config.epsilon, config.upsilon_mode)
     G = _residual(grid, final, ups, normalized=False)
     res_raw = float(np.max(np.abs(G)))
-    res_norm = float(np.max(np.abs(G / final.density)))
+    res_norm = float(np.max(np.abs(G / final.density[:-1])))
     if res_norm > config.newton_tol:
         raise NonConvergence(config.epsilon, [res_norm], log.factorizations)
 
@@ -733,8 +724,9 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
         stage_shapes=log.shapes,
         c0_check=c0_bound_check(grid),
         positivity_margins=margins,
+        max_second_derivative=_max_second_derivative(grid, final),
+        upsilon_range=(float(ups[:-1].min()), float(ups[:-1].max())),
         wall_time=time.perf_counter() - t_start,
-        upsilon_range=(float(ups.min()), float(ups.max())),
     )
     return grid, report
 
@@ -780,20 +772,20 @@ def epsilon_sweep(profile, psi0, psi1, epsilons, config: SolverConfig):
     uniformity probe data (max discrete second derivative of Phi per run,
     and Cauchy sup-differences between consecutive solutions)."""
     epsilons = sorted(epsilons, reverse=True)
-    grids, reports, second_derivs = [], [], []
+    grids, reports = [], []
     for eps in epsilons:
         cfg = replace(config, epsilon=eps)
         g, rep = solve_epsilon_geodesic(profile, psi0, psi1, cfg)
         grids.append(g)
         reports.append(rep)
-        second_derivs.append(_max_second_derivative(g))
     cauchy = [float(np.max(np.abs(a.phi - b.phi)))
               for a, b in zip(grids, grids[1:])]
     return {"epsilons": epsilons, "grids": grids, "reports": reports,
-            "max_second_derivative": second_derivs, "cauchy": cauchy}
+            "max_second_derivative": [r.max_second_derivative
+                                      for r in reports], "cauchy": cauchy}
 
 
-def _max_second_derivative(grid: PathGrid):
+def _max_second_derivative(grid: PathGrid, fixed: _FixedData):
     """Max discrete second derivative of Phi against the spatial reference.
 
     Covers the spatial (rho-rho) and mixed (rho-t) components.  The pure
@@ -801,16 +793,14 @@ def _max_second_derivative(grid: PathGrid):
     up to lower order, so including it would let the sweep parameter itself
     dominate the probe instead of the quantity whose uniformity is tested.
     """
-    rho = grid.rho_nodes
     t = grid.t_nodes
     hr, ht = grid.h_rho, grid.h_t
-    _, psi0_1, psi0_2 = grid.psi0.jet(rho, 2)
-    _, psi1_1, psi1_2 = grid.psi1.jet(rho, 2)
-    Psi_rr = (1 - t[None, :]) * psi0_2[:, None] + t[None, :] * psi1_2[:, None]
+    psi0, psi1 = fixed.psi0[:, :, None], fixed.psi1[:, :, None]
+    Psi_rr = (1 - t[None, :]) * psi0[:, 2] + t[None, :] * psi1[:, 2]
     phi = grid.phi
     phi_rr = (phi[:-2, :] - 2 * phi[1:-1, :] + phi[2:, :]) / hr ** 2
     phi_rt = (phi[2:, 2:] - phi[2:, :-2] - phi[:-2, 2:]
               + phi[:-2, :-2]) / (4 * hr * ht)
-    P = (psi1_1 - psi0_1)[1:-1, None] + phi_rt
+    P = (psi1[:, 1] - psi0[:, 1])[1:-1] + phi_rt
     return float(max(np.max(np.abs(phi_rr + Psi_rr[1:-1, :])),
                      np.max(np.abs(P))))

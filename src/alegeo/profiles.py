@@ -215,7 +215,7 @@ class RadialProfile:
         """(u', ..., u^(order)) of the background potential at rho.
 
         u' = tau and u'' = D tau = phi(tau); the rest is ``rho_jet`` of tau.
-        Used by the geodesic and energy modules.
+        Only geodesic._FixedData calls it, for both geodesic and energy.
         """
         tau = self.tau_of_rho(rho)
         return tuple(self.rho_jet(tau, [tau, 1.0, 0.0, 0.0], order - 1))

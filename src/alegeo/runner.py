@@ -23,7 +23,7 @@ from . import __version__
 from .analysis import fit_decay_exponent
 from .energy import MixedBackgroundError, energy_report, energy_verdict
 from .geodesic import (GeodesicError, PathGrid, SolverConfig,
-                       _max_second_derivative, solve_epsilon_geodesic)
+                       solve_epsilon_geodesic)
 from .potentials import potential_from_json
 from .profiles import flat_profile, lebrun_profile, profile_from_json
 from .toric import MAX_ORACLE_ERROR, IntersectionReport
@@ -32,6 +32,10 @@ __all__ = ["Scenario", "RunManifest", "ScenarioError", "run_scenario",
            "batch", "canonical_hash"]
 
 KNOWN_ANALYSES = ("c0_check", "decay", "energy", "intersections")
+# a scenario's solver keys, with the subkeys of grid and tolerances
+SOLVER_KEYS = {"epsilon": (), "upsilon_mode": (),
+               "grid": ("n_rho", "n_t", "rho_min", "rho_max"),
+               "tolerances": ("newton_tol", "max_iters")}
 
 
 class ScenarioError(ValueError):
@@ -42,6 +46,16 @@ def canonical_hash(doc) -> str:
     """sha256 of the canonical JSON encoding (stable under key order)."""
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _check_keys(section, name, allowed):
+    """Raise ScenarioError unless section is an object with allowed keys."""
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{name} must be an object")
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ScenarioError(f"{name} has unknown keys {unknown}; expected "
+                            f"some of {list(allowed)}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +96,10 @@ class Scenario:
                 raise ScenarioError(f"analyses entry {a!r} unknown; expected "
                                     f"one of {KNOWN_ANALYSES}")
         solver = doc.get("solver", {})
+        _check_keys(solver, "solver", SOLVER_KEYS)
+        for name in ("grid", "tolerances"):
+            _check_keys(solver.get(name, {}), f"solver.{name}",
+                        SOLVER_KEYS[name])
         needs_solve = bool(set(analyses) & {"c0_check", "decay", "energy"})
         if needs_solve and "epsilon" not in solver:
             raise ScenarioError("solver.epsilon is required for path "
@@ -118,13 +136,10 @@ class Scenario:
         other field keeps the SolverConfig default."""
         s = self.solver
         given = {"upsilon_mode": s.get("upsilon_mode"),
-                 **s.get("grid", {}), **s.get("tolerances", {}),
-                 "schedule_ratio": s.get("schedule", {}).get("ratio")}
-        fields = ("upsilon_mode", "n_rho", "n_t", "rho_min", "rho_max",
-                  "newton_tol", "max_iters", "schedule_ratio")
+                 **s.get("grid", {}), **s.get("tolerances", {})}
         return SolverConfig(epsilon=s["epsilon"],
-                            **{key: given[key] for key in fields
-                               if given.get(key) is not None})
+                            **{key: val for key, val in given.items()
+                               if val is not None})
 
 
 @dataclass
@@ -288,7 +303,7 @@ def _run_analyses(scenario, out, manifest):
                     _grid_meta(grid, profile, psi0, psi1))
         solve_details = {
             "residual_sup": report.residual_sup,
-            "max_second_derivative": _max_second_derivative(grid),
+            "max_second_derivative": report.max_second_derivative,
             "upsilon_range": list(report.upsilon_range),
         }
         if psi0.is_zero and psi1.is_zero:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,21 @@ def test_malformed_config_names_field():
     with pytest.raises(ScenarioError, match="epsilon"):
         Scenario.from_dict({"id": "x", "geometry": {"k": 1},
                             "analyses": ["c0_check"]})
+
+
+@pytest.mark.parametrize("solver,where,key", [
+    ({"schedule": {"ratio": 0.5}}, "solver", "schedule"),
+    ({"grid": {"nrho": 17, "n_t": 17}}, "solver.grid", "nrho"),
+    ({"tolerances": {"newton_tol": 1e-9, "tol": 1.0}}, "solver.tolerances",
+     "tol")])
+def test_unknown_solver_keys_are_named(solver, where, key):
+    with pytest.raises(ScenarioError,
+                       match=re.escape(f"{where} has unknown keys ['{key}']")):
+        Scenario.from_dict({"id": "x", "geometry": {"k": 1},
+                            "solver": {"epsilon": 0.5, **solver}})
+    with pytest.raises(ScenarioError, match="solver.grid must be an object"):
+        Scenario.from_dict({"id": "x", "geometry": {"k": 1},
+                            "solver": {"epsilon": 0.5, "grid": 17}})
 
 
 def test_content_hash_stable_under_key_reordering():
@@ -350,6 +366,29 @@ def test_cli_validation_exit_code(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["solve-geodesic", "--config", str(cfg_path)])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("given", [
+    {"grid": {"nrho": 17, "n_t": 17}},
+    {"schedule": {"ratio": 0.5}},
+    {"grid": {"n_rho": 17, "n_t": 2}},
+    {"grid": {"n_rho": 17, "n_t": 17, "rho_min": 3.0, "rho_max": 1.0}}],
+    ids=["misspelled-grid-key", "schedule", "two-t-nodes",
+         "reversed-interval"])
+def test_cli_solver_input_errors_exit_2(tmp_path, given):
+    # with decaying data the reversed interval used to fail the boundary
+    # check, a numerical failure (exit 3); with a misspelled key the solve
+    # ran on the default grid and exited 0
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({
+        "n": 2, "k": 2, "tau_min": 1.0, "epsilon": 0.5,
+        "psi1": {"kind": "exp", "params": {"amplitude": 0.1, "gamma": 4.0,
+                                           "rho_ref": 0.96}}, **given}))
+    res = CliRunner().invoke(main, ["solve-geodesic", "--config",
+                                    str(cfg_path), "--out",
+                                    str(tmp_path / "run")])
+    assert res.exit_code == 2, res.output
+    assert not (tmp_path / "run" / "grid.csv").exists()
 
 
 def test_cli_intersect(tmp_path):

@@ -17,7 +17,12 @@ from alegeo.energy import (
     energy_verdict,
     k_energy_first_variation,
 )
-from alegeo.geodesic import PathGrid, SolverConfig, solve_epsilon_geodesic
+from alegeo.geodesic import (
+    PathGrid,
+    SolverConfig,
+    _FixedData,
+    solve_epsilon_geodesic,
+)
 from alegeo.potentials import (
     exp_decay_potential,
     tau_power_potential,
@@ -119,7 +124,7 @@ def test_first_variation_matches_curvature_quadrature():
     g = PathGrid(rho_nodes=rho, t_nodes=t, phi=bump[:, None] * t[None, :],
                  psi0=zero_potential(), psi1=zero_potential(),
                  background=EH, epsilon=0.5)
-    fields = _path_fields(g)
+    fields = _path_fields(g, _FixedData.build(g))
     R = _path_curvature(g, fields)
     V = fields["w1"] ** (EH.n - 1) * fields["w2"]
     direct = float(simpson((-fields["v"] * R * V)[:, 8], x=rho))
@@ -313,6 +318,26 @@ def test_tau_power_validation():
         tau_power_potential(flat_profile(), 0.1, 4.0)
 
 
+def test_energy_pass_inverts_the_profile_eight_times(monkeypatch):
+    # the benchmark's energy pass on 65x45: a solve (its fixed data and the
+    # certificate's), then energy_report and convexity_audit, which builds
+    # a second report; each evaluation inverts for u and for psi1
+    calls = []
+    inverse = RadialProfile.tau_of_rho
+
+    def counted(self, rho):
+        calls.append(np.size(rho))
+        return inverse(self, rho)
+
+    monkeypatch.setattr(RadialProfile, "tau_of_rho", counted)
+    cfg = replace(energy_config(0.125), n_rho=65, n_t=45)
+    psi1 = tau_power_potential(EH, 0.1, 4.0)
+    grid, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+    energy_report(grid, 0.125)
+    assert convexity_audit([grid], [0.125])["passed"]
+    assert calls == [65] * 8
+
+
 def test_energy_report_inverts_the_profile_once_per_field(eh_sweep,
                                                           monkeypatch):
     calls = []
@@ -323,8 +348,9 @@ def test_energy_report_inverts_the_profile_once_per_field(eh_sweep,
         return inverse(self, rho)
 
     monkeypatch.setattr(RadialProfile, "tau_of_rho", counted)
-    energy_report(eh_sweep[-1], EPSILONS[-1])
-    # one for the background and one for psi1's jet in each of the
-    # on-shell check (u', u'' and psi1 to order 2) and the path fields
-    # (u' to u''' and psi1 to order 3)
-    assert len(calls) == 4
+    grid = eh_sweep[-1]
+    energy_report(grid, EPSILONS[-1])
+    # one for the background (u' to u''') and one for psi1's jet to order
+    # 3, on every node; the on-shell check, the path fields and upsilon all
+    # read that one evaluation
+    assert calls == [grid.rho_nodes.size] * 2

@@ -16,7 +16,6 @@ from alegeo.geodesic import (
     reduced_residual,
     smoothstep_cutoff,
     solve_epsilon_geodesic,
-    upsilon_field,
     _FixedData,
     _StencilBand,
     _newton_system,
@@ -30,6 +29,7 @@ from alegeo.potentials import (
     zero_potential,
 )
 from alegeo.profiles import RadialProfile, flat_profile, lebrun_profile
+from alegeo.runner import Scenario, run_scenario
 
 
 EH = lebrun_profile(2, 1.0)
@@ -214,18 +214,35 @@ def test_jacobian_structural_nonzeros():
     assert _StencilBand.build(32, 21).nnz == 5734
 
 
+def _upsilon_closed_form(rho, s, mode, psi0):
+    """upsilon = s ((1 - chi) f_vol + chi) with f_vol the volume ratio
+    (u')^{n-1} u'' / ((u' + psi0')^{n-1} (u'' + psi0'')); s in constant
+    mode."""
+    if mode == "constant":
+        return np.full_like(rho, s)
+    u1, u2 = EH.u_derivatives(rho, order=2)
+    _, p1, p2 = psi0.jet(rho, 2)
+    f_vol = u1 ** (EH.n - 1) * u2 / ((u1 + p1) ** (EH.n - 1) * (u2 + p2))
+    chi = smoothstep_cutoff(s)
+    return s * ((1.0 - chi) * f_vol + chi)
+
+
 def test_fixed_data_matches_public_residual():
+    psi0 = exp_decay_potential(0.03, 4.0, rho_ref=RHO_MIN_EH)
     psi1 = exp_decay_potential(0.05, 4.0, rho_ref=RHO_MIN_EH)
-    g = make_grid(EH, n_rho=9, n_t=7, psi1=psi1, epsilon=0.3)
+    g = make_grid(EH, n_rho=9, n_t=7, psi0=psi0, psi1=psi1, epsilon=0.3)
     t = g.t_nodes[None, :]
     g.phi[:] = 0.3 * t * (t - 1.0) / 2.0
     for mode in ("constant", "profile-weighted"):
         fixed, ups = _system_at(g, 0.3, mode)
         assert np.array_equal(
             _residual(g, fixed, ups, normalized=True),
-            reduced_residual(g, upsilon_mode=mode, normalized=True))
-        assert np.array_equal(
-            ups[:, 0], upsilon_field(EH, g.rho_nodes[:-1], 0.3, mode))
+            reduced_residual(replace(g, upsilon_mode=mode), normalized=True))
+        # one upsilon column on every node, the residual rows included
+        assert ups.shape == (g.rho_nodes.size, 1)
+        np.testing.assert_allclose(
+            ups[:, 0], _upsilon_closed_form(g.rho_nodes, 0.3, mode, psi0),
+            rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +314,20 @@ def test_profile_weighted_mode():
 
 
 def test_upsilon_field_modes():
-    rho = np.linspace(1.0, 4.0, 10)
-    assert np.allclose(upsilon_field(EH, rho, 0.3, "constant"), 0.3)
-    w = upsilon_field(EH, rho, 0.9, "profile-weighted")
-    assert np.allclose(w, 0.9)  # cutoff is 1 above 2/3
+    psi0 = exp_decay_potential(0.05, 4.0, rho_ref=RHO_MIN_EH)
+    g = make_grid(EH, n_rho=10, psi0=psi0)
+    fixed = _FixedData.build(g)
+    assert np.array_equal(fixed.upsilon(0.3, "constant"),
+                          np.full((10, 1), 0.3))
+    w = fixed.upsilon(0.9, "profile-weighted")
+    assert np.array_equal(w, np.full((10, 1), 0.9))  # cutoff is 1 above 2/3
+    # below 1/3 the weight is s times the volume ratio, which psi0 moves
+    # off 1
+    w = fixed.upsilon(0.2, "profile-weighted")[:, 0]
+    np.testing.assert_allclose(
+        w, _upsilon_closed_form(g.rho_nodes, 0.2, "profile-weighted", psi0),
+        rtol=1e-14, atol=0.0)
+    assert np.max(np.abs(w / 0.2 - 1.0)) > 1e-3
     assert smoothstep_cutoff(0.2) == 0.0
     assert smoothstep_cutoff(0.9) == 1.0
     assert 0.0 < smoothstep_cutoff(0.5) < 1.0
@@ -326,10 +353,10 @@ def test_profile_inverted_a_fixed_number_of_times(monkeypatch, n_rho, n_t):
     _, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1,
                                     _eh_tau_power_config(n_rho, n_t))
     assert sum(rep.stage_iterations) > len(rep.stage_iterations)
-    # one for the background and one for psi1's jet in each of the
-    # boundary check on the full grid, the solve's fixed data and the
-    # certificate's fixed data, which is built afresh from the profile
-    assert len(calls) == 6
+    # one for the background and one for psi1's jet in each of the solve's
+    # fixed data, which the boundary checks read too, and the
+    # certificate's, which is built afresh from the profile
+    assert calls == [n_rho] * 4
 
 
 def test_zero_data_stages_converge_at_first_iterate():
@@ -515,8 +542,18 @@ def test_coarse_fixed_data_is_every_other_row():
                      phi=np.zeros((33, 23)))
     sliced = _FixedData.build(fine).every_other_row()
     built = _FixedData.build(coarse)
-    for f in fields(_FixedData):
-        assert np.array_equal(getattr(sliced, f.name), getattr(built, f.name))
+    assert sliced.n == built.n == EH.n
+    arrays = [f.name for f in fields(_FixedData) if f.name != "n"]
+    assert arrays == ["u1", "u2", "u3", "psi0", "psi1", "density"]
+    for name in arrays:
+        a, b = getattr(sliced, name), getattr(built, name)
+        assert a.shape == b.shape and a.shape[0] == 33
+        assert np.array_equal(a, b)
+    assert built.psi0.shape == built.psi1.shape == (33, 4)
+    assert built.density.shape == (33, 1)
+    for mode in ("constant", "profile-weighted"):
+        assert np.array_equal(sliced.upsilon(0.3, mode),
+                              built.upsilon(0.3, mode))
 
 
 @pytest.mark.parametrize("n_rho,n_t", [(65, 45), (129, 89)])
@@ -649,6 +686,35 @@ def test_epsilon_sweep_uniformity_and_cauchy():
                                          sweep["cauchy"][1:]))
 
 
+def test_max_second_derivative_is_reported(tmp_path):
+    psi0 = exp_decay_potential(0.05, 4.0, rho_ref=RHO_MIN_EH)
+    psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
+    cfg = SolverConfig(epsilon=0.25, n_rho=17, n_t=17)
+    g, rep = solve_epsilon_geodesic(EH, psi0, psi1, cfg)
+    # Phi_rr = Psi'' + phi_rr and the mixed Phi_rt = psi1' - psi0' + phi_rt
+    # at the nodes where both centered differences reach
+    _, a1, a2 = psi0.jet(g.rho_nodes, 2)
+    _, b1, b2 = psi1.jet(g.rho_nodes, 2)
+    t, phi, hr, ht = g.t_nodes, g.phi, g.h_rho, g.h_t
+    Phi_rr = (np.outer(a2, 1.0 - t) + np.outer(b2, t))[1:-1] + (
+        phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / hr ** 2
+    Phi_rt = (b1 - a1)[1:-1, None] + (
+        phi[2:, 2:] - phi[2:, :-2] - phi[:-2, 2:] + phi[:-2, :-2]) / (
+            4.0 * hr * ht)
+    expected = max(np.max(np.abs(Phi_rr)), np.max(np.abs(Phi_rt)))
+    assert rep.max_second_derivative == pytest.approx(expected, rel=1e-12)
+    sweep = epsilon_sweep(EH, psi0, psi1, [0.25], cfg)
+    assert sweep["max_second_derivative"] == [rep.max_second_derivative]
+    exp = lambda p: {"kind": "exp", "params": p.params}
+    m = run_scenario(Scenario.from_dict({
+        "id": "probe", "geometry": {"k": 2, "tau_min": 1.0},
+        "boundary": {"psi0": exp(psi0), "psi1": exp(psi1)},
+        "solver": {"epsilon": 0.25, "grid": {"n_rho": 17, "n_t": 17}},
+        "out_dir": str(tmp_path)}))
+    details = m.checks["solve"]["details"]
+    assert details["max_second_derivative"] == rep.max_second_derivative
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -662,6 +728,35 @@ def test_config_validation():
     assert sched[0] == 1.0 and sched[-1] == 0.1
     assert all(a > b for a, b in zip(sched, sched[1:]))
     assert SolverConfig(epsilon=1.0).schedule() == [1.0]
+
+
+@pytest.mark.parametrize("n_rho,n_t", [(65, 2), (2, 65), (0, 0)])
+def test_config_rejects_fewer_than_three_nodes(n_rho, n_t):
+    with pytest.raises(ValueError, match="n_rho >= 3 and n_t >= 3"):
+        SolverConfig(epsilon=0.5, n_rho=n_rho, n_t=n_t)
+
+
+def test_three_nodes_each_way_solve():
+    g, rep = solve_epsilon_geodesic(EH, zero_potential(), zero_potential(),
+                                    SolverConfig(epsilon=0.5, n_rho=3, n_t=3))
+    assert g.phi.shape == (3, 3)
+    assert rep.residual_sup <= 1e-11
+
+
+@pytest.mark.parametrize("psi1", [
+    zero_potential(), exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)],
+    ids=["zero", "exp"])
+@pytest.mark.parametrize("interval", [
+    {"rho_min": RHO_MIN_EH + 6.0, "rho_max": RHO_MIN_EH},
+    {"rho_min": RHO_MIN_EH, "rho_max": RHO_MIN_EH},
+    # below the rho_min resolved from the profile, rho(2 tau_min)
+    {"rho_max": RHO_MIN_EH - 1.0}],
+    ids=["reversed", "empty", "below-default-rho-min"])
+def test_reversed_rho_interval_rejected(psi1, interval):
+    # an input error, not BoundaryInconsistency or a zero-data "solve"
+    cfg = SolverConfig(epsilon=0.5, n_rho=17, n_t=17, **interval)
+    with pytest.raises(ValueError, match="rho_min < rho_max"):
+        solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
 
 
 def test_nondecaying_boundary_data_rejected():
