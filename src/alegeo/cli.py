@@ -93,19 +93,19 @@ def solve_geodesic(config_path, out_dir, no_cache):
 @main.command("k-energy")
 @click.option("--path", "grid_path", required=True,
               type=click.Path(exists=True))
-@click.option("--epsilon", type=float, required=True)
 @click.option("--out", "out_dir", default=".", type=click.Path())
-def k_energy(grid_path, epsilon, out_dir):
+def k_energy(grid_path, out_dir):
     """K-energy curve and convexity decomposition along a solved path.
 
-    Writes energy.csv and energy.json as a scenario's energy analysis does,
-    and exits 0 when the energy verdict passes, 3 when it fails.
+    The path's epsilon is read from its grid.meta.json sidecar.  Writes
+    energy.csv and energy.json as a scenario's energy analysis does, and
+    exits 0 when the energy verdict passes, 3 when it fails.
     """
     out = Path(out_dir)
     try:
         grid = load_grid_csv(grid_path)
         out.mkdir(parents=True, exist_ok=True)
-        verdict, _ = energy_check(grid, epsilon, out)
+        verdict, _ = energy_check(grid, out)
     except NUMERICAL_ERRORS as exc:
         _fail(EXIT_NUMERICAL, exc)
     except VALIDATION_ERRORS as exc:

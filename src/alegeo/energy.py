@@ -10,9 +10,13 @@ density, and F' = (n-1) w''/w' + w'''/w'' - n:
     d2K/dt2 = int |D Phi_t|^2 V drho  -  int f tr_{w} Ric(u) V drho
               + int (f')^2 / f W drho,
 
-where f is the on-shell density ratio upsilon (u')^{n-1} u'' / V and D is
-the (2,0) Hessian, whose squared norm for invariant functions reduces to
-the single component computed in _lichnerowicz_density.
+where f = epsilon (u')^{n-1} u'' / V is the on-shell density ratio and D
+is the (2,0) Hessian, whose squared norm for invariant functions reduces
+to the single component computed in _lichnerowicz_density.  The gradient
+term int (f')^2 / f W is exact because the right-hand side epsilon is
+constant: the volume ratio of the slice against the background is
+epsilon / f, and with a weight upsilon(rho) in place of epsilon the term
+would read int f' (log(f / upsilon))' W instead.
 
 The second form of dK/dt comes from R_c V = -(F' W)' and one integration
 by parts.  Both endpoint fluxes [Phi_t F' W] vanish in the limit: at the
@@ -193,12 +197,12 @@ def _first_variation_curve(grid, fields):
     return -_simpson(fields["v1"] * F1 * W, grid.h_rho)
 
 
-def _decomposition_terms(grid, fields, ups):
+def _decomposition_terms(grid, fields, epsilon):
     """Integrands of the three second-variation terms, integrated per t."""
     n = grid.background.n
     h = grid.h_rho
     V = fields["w1"] ** (n - 1) * fields["w2"]
-    f = ups * fields["u1"] ** (n - 1) * fields["u2"] / V
+    f = epsilon * fields["u1"] ** (n - 1) * fields["u2"] / V
     f1 = _d_rho(f, h)
     W = V / fields["w2"]
     lich = _simpson(_lichnerowicz_density(fields) * V, h)
@@ -233,8 +237,8 @@ def energy_report(grid: PathGrid, epsilon: float) -> EnergyReport:
     _check_energy_decay(grid)
     # one evaluation of the fixed data serves the on-shell check and sums
     fixed = _FixedData.build(grid)
-    ups = fixed.upsilon(epsilon, grid.upsilon_mode)
-    res = float(np.max(np.abs(_residual(grid, fixed, ups, normalized=True))))
+    res = float(np.max(np.abs(_residual(grid, fixed, epsilon,
+                                        normalized=True))))
     if res > ON_SHELL_TOL:
         raise OffShellError(
             f"normalized residual {res:.2e} exceeds {ON_SHELL_TOL:.0e}; "
@@ -244,7 +248,7 @@ def energy_report(grid: PathGrid, epsilon: float) -> EnergyReport:
     dK = _first_variation_curve(grid, fields)
     K = _cumulative_trapezoid(dK, grid.h_t)
 
-    lich, ricci, grad = _decomposition_terms(grid, fields, ups)
+    lich, ricci, grad = _decomposition_terms(grid, fields, epsilon)
 
     ht = grid.h_t
     d2K_fd = (K[:-2] - 2.0 * K[1:-1] + K[2:]) / ht ** 2

@@ -7,12 +7,15 @@ w = u + Psi + phi and primes/dots denoting d/drho and d/dt, the interior
 equation is
 
     G[phi] = (phi_tt * w'' - (Psi_t' + phi_t')^2) * (w')^{n-1}
-             - upsilon * (u')^{n-1} u''  =  0,
+             - s (u')^{n-1} u''  =  0,
 
 with phi = 0 at t = 0, 1, a spatially constant Dirichlet value at rho_max
-(the far-field limit) and a homogeneous Neumann condition at rho_min.
-Newton runs on the concave log form of the equation; the continuity path
-lowers the right-hand side from 1 to the target epsilon geometrically.
+(the far-field limit) and a homogeneous Neumann condition at rho_min.  The
+continuity value s is a constant: at s = epsilon this is the
+epsilon-geodesic equation (Phi_tt - |d Phi_t|^2) omega_Phi^n = epsilon
+omega^n (Chen, J. Differential Geom. 56, 2000).  Newton runs on the
+concave log form of the equation; the continuity path lowers s from 1 to
+the target epsilon geometrically.
 
 What depends only on the grid is built once per solve.  _FixedData is the
 one evaluator of u', u'', u''' and the psi0, psi1 jets to third order on
@@ -73,7 +76,7 @@ __all__ = ["PathGrid", "SolverConfig", "SolverReport", "BoundCheck",
            "GeodesicError", "NonConvergence", "PositivityLoss",
            "BoundaryInconsistency", "reduced_residual",
            "solve_epsilon_geodesic", "c0_bound_check", "comparison_check",
-           "epsilon_sweep", "smoothstep_cutoff"]
+           "epsilon_sweep"]
 
 
 class GeodesicError(RuntimeError):
@@ -106,10 +109,17 @@ class BoundaryInconsistency(GeodesicError):
     pass
 
 
+# the types each SolverConfig field takes (bool excepted), numpy's included
+_INTEGER = ((int, np.integer), "an integer")
+_REAL = ((int, float, np.integer, np.floating), "a real number")
+_FIELD_TYPES = {"epsilon": _REAL, "n_rho": _INTEGER, "n_t": _INTEGER,
+                "rho_min": _REAL, "rho_max": _REAL, "newton_tol": _REAL,
+                "max_iters": _INTEGER}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float
-    upsilon_mode: str = "constant"  # or "profile-weighted"
     n_rho: int = 65
     n_t: int = 65
     rho_min: float | None = None
@@ -118,10 +128,15 @@ class SolverConfig:
     max_iters: int = 60
 
     def __post_init__(self):
+        # values may come from JSON, where 17.5, "0.5" and true parse too
+        for name, (kind, noun) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is None and name in ("rho_min", "rho_max"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if self.upsilon_mode not in ("constant", "profile-weighted"):
-            raise ValueError(f"unknown upsilon mode {self.upsilon_mode!r}")
         if self.n_rho < 3 or self.n_t < 3:
             raise ValueError(f"the grid needs n_rho >= 3 and n_t >= 3, got "
                              f"{self.n_rho} x {self.n_t}")
@@ -156,7 +171,6 @@ class PathGrid:
     psi1: RadialPotential
     background: RadialProfile
     epsilon: float
-    upsilon_mode: str = "constant"
 
     def __post_init__(self):
         if self.phi.shape != (self.rho_nodes.size, self.t_nodes.size):
@@ -188,18 +202,7 @@ class SolverReport:
     c0_check: BoundCheck
     positivity_margins: dict     # min of w', w'', M; "worst_nodes": (rho, t)
     wall_time: float
-    upsilon_range: tuple         # min and max over the residual rows
     max_second_derivative: float  # the C^{1,1} probe _max_second_derivative
-
-
-def smoothstep_cutoff(s: float) -> float:
-    """0 on [0, 1/3], 1 on [2/3, 1], C^1 smoothstep in between."""
-    x = (s - 1.0 / 3.0) * 3.0
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    return x * x * (3.0 - 2.0 * x)
 
 
 @dataclass(frozen=True)
@@ -233,24 +236,6 @@ class _FixedData:
         """The fixed data of the grid on every other node of this one."""
         return replace(self, **{f.name: getattr(self, f.name)[::2]
                                 for f in fields(self) if f.name != "n"})
-
-    def upsilon(self, s, mode):
-        """Right-hand-side weight upsilon at continuity value s, as a column.
-
-        Constant mode gives s everywhere.  Profile-weighted mode blends the
-        volume ratio of the psi0-perturbed metric into the weight at small
-        s, interpolated by the smoothstep cutoff.
-        """
-        if mode == "constant":
-            return np.full_like(self.density, s)
-        n = self.n
-        w1 = self.u1 + self.psi0[:, 1]
-        w2 = self.u2 + self.psi0[:, 2]
-        if np.any(w1 <= 0) or np.any(w2 <= 0):
-            raise BoundaryInconsistency("psi0 metric not positive on the grid")
-        f_vol = self.u1 ** (n - 1) * self.u2 / (w1 ** (n - 1) * w2)
-        chi = smoothstep_cutoff(s)
-        return (s * ((1.0 - chi) * f_vol + chi))[:, None]
 
 
 def _field_arrays(grid: PathGrid, fixed: _FixedData):
@@ -288,15 +273,15 @@ def _field_arrays(grid: PathGrid, fixed: _FixedData):
     return w1, w2, P, phi_tt
 
 
-def _density_residual(M, w1, fixed: _FixedData, ups):
-    """G = M (w')^{n-1} - upsilon (u')^{n-1} u'' from the field arrays."""
-    return M * w1 ** (fixed.n - 1) - ups[:-1] * fixed.density[:-1]
+def _density_residual(M, w1, fixed: _FixedData, s):
+    """G = M (w')^{n-1} - s (u')^{n-1} u'' from the field arrays."""
+    return M * w1 ** (fixed.n - 1) - s * fixed.density[:-1]
 
 
-def _residual(grid: PathGrid, fixed: _FixedData, ups, normalized):
+def _residual(grid: PathGrid, fixed: _FixedData, s, normalized):
     w1, w2, P, phi_tt = _field_arrays(grid, fixed)
     _check_positive(w1, w2, grid)
-    G = _density_residual(phi_tt * w2 - P ** 2, w1, fixed, ups)
+    G = _density_residual(phi_tt * w2 - P ** 2, w1, fixed, s)
     return G / fixed.density[:-1] if normalized else G
 
 
@@ -306,9 +291,7 @@ def reduced_residual(grid: PathGrid, normalized=False):
     normalized=True divides by the background density (u')^{n-1} u'', the
     scale-free form used for convergence certification.
     """
-    fixed = _FixedData.build(grid)
-    ups = fixed.upsilon(grid.epsilon, grid.upsilon_mode)
-    return _residual(grid, fixed, ups, normalized)
+    return _residual(grid, _FixedData.build(grid), grid.epsilon, normalized)
 
 
 def _check_positive(w1, w2, grid):
@@ -403,7 +386,7 @@ class _StencilBand:
                            nnz=self.nnz)
 
 
-def _newton_system(grid: PathGrid, fixed: _FixedData, ups, band=None):
+def _newton_system(grid: PathGrid, fixed: _FixedData, s, band=None):
     """Log-form residual R, normalized residual G and, given the stencil
     band, the banded Jacobian of R over the unknown block.
 
@@ -419,8 +402,8 @@ def _newton_system(grid: PathGrid, fixed: _FixedData, ups, band=None):
     if np.any(w1 <= 0) or np.any(w2 <= 0) or np.any(M <= 0):
         return None, None, None
     density = fixed.density[:-1]
-    R = np.log(M) + (n - 1) * np.log(w1) - np.log(ups[:-1] * density)
-    G = _density_residual(M, w1, fixed, ups) / density
+    R = np.log(M) + (n - 1) * np.log(w1) - np.log(s * density)
+    G = _density_residual(M, w1, fixed, s) / density
     if band is None:
         return R, None, G
     coefs = np.stack([w2 / M / ht ** 2,
@@ -480,7 +463,7 @@ def spsolve(J, rhs):
     return lu.solve(rhs), lu
 
 
-def _line_search(grid: PathGrid, fixed: _FixedData, ups, base, delta, r_max):
+def _line_search(grid: PathGrid, fixed: _FixedData, s, base, delta, r_max):
     """Halve alpha from 1 until phi = base + alpha delta cuts max|R|.
 
     Returns (R, G, backtracks) at the accepted step, or None with the
@@ -490,7 +473,7 @@ def _line_search(grid: PathGrid, fixed: _FixedData, ups, base, delta, r_max):
     for k in range(_MAX_BACKTRACKS):
         alpha = 0.5 ** k
         grid.phi[:ni, 1:nj + 1] = base + alpha * delta
-        R, _, G = _newton_system(grid, fixed, ups)
+        R, _, G = _newton_system(grid, fixed, s)
         if R is not None:
             r = np.max(np.abs(R))
             if r < r_max * (1 - 1e-4 * alpha) or r < 1e-13:
@@ -586,7 +569,6 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
     ni, nj = grid.phi.shape[0] - 1, grid.phi.shape[1] - 2
     band = _StencilBand.build(ni, nj)
     for index, s in enumerate(stages):
-        ups = fixed.upsilon(s, config.upsilon_mode)
         tol = (final_tol if s == stages[-1]
                else max(config.newton_tol, _STAGE_TOL))
         log.iterations.append(0)
@@ -596,14 +578,14 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
         if index:
             grid.phi = _secant_predictor(t, s, solved)
             _impose_boundary(grid.phi, t, s)
-            R, _, G = _newton_system(grid, fixed, ups)
+            R, _, G = _newton_system(grid, fixed, s)
             if R is None:
                 # the prediction left the ellipticity cone: restart from
                 # the last solution
                 grid.phi = solved[-1][1].copy()
         if R is None:
             _impose_boundary(grid.phi, t, s)
-            R, _, G = _newton_system(grid, fixed, ups)
+            R, _, G = _newton_system(grid, fixed, s)
             if R is None:
                 raise PositivityLoss(
                     f"iterate left the ellipticity cone at stage s={s:g}")
@@ -624,14 +606,14 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
                     log.factorizations[-1] += 1
                     try:
                         delta, lu = spsolve(
-                            _newton_system(grid, fixed, ups, band)[1],
+                            _newton_system(grid, fixed, s, band)[1],
                             -R.ravel())
                     except np.linalg.LinAlgError as exc:
                         raise NonConvergence(s, history,
                                              log.factorizations) from exc
                 else:
                     delta = lu.solve(-R.ravel())
-                step = _line_search(grid, fixed, ups, base,
+                step = _line_search(grid, fixed, s, base,
                                     delta.reshape(ni, nj), r_max)
                 if step is not None:
                     break
@@ -671,8 +653,7 @@ def _coarse_start(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
         s, phi = solved[k]
         grid.phi = _prolong(phi)
         _impose_boundary(grid.phi, t, s)
-        if _newton_system(grid, fixed,
-                          fixed.upsilon(s, config.upsilon_mode))[0] is not None:
+        if _newton_system(grid, fixed, s)[0] is not None:
             return schedule[k:], [(s0, _prolong(phi0))
                                   for s0, phi0 in solved[max(k - 1, 0):k]]
     grid.phi = seed
@@ -688,7 +669,7 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     grid = PathGrid(rho_nodes=config.rho_nodes(profile), t_nodes=t,
                     phi=np.tile(_dirichlet_column(t, 1.0), (config.n_rho, 1)),
                     psi0=psi0, psi1=psi1, background=profile,
-                    epsilon=config.epsilon, upsilon_mode=config.upsilon_mode)
+                    epsilon=config.epsilon)
     fixed = _FixedData.build(grid)
     _check_boundary_data(grid, fixed, "psi0")
     _check_boundary_data(grid, fixed, "psi1")
@@ -703,8 +684,7 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     # the certificate and the C^{1,1} probe come from the profile, through
     # fixed data built afresh rather than the solve's own
     final = _FixedData.build(grid)
-    ups = final.upsilon(config.epsilon, config.upsilon_mode)
-    G = _residual(grid, final, ups, normalized=False)
+    G = _residual(grid, final, config.epsilon, normalized=False)
     res_raw = float(np.max(np.abs(G)))
     res_norm = float(np.max(np.abs(G / final.density[:-1])))
     if res_norm > config.newton_tol:
@@ -725,7 +705,6 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
         c0_check=c0_bound_check(grid),
         positivity_margins=margins,
         max_second_derivative=_max_second_derivative(grid, final),
-        upsilon_range=(float(ups[:-1].min()), float(ups[:-1].max())),
         wall_time=time.perf_counter() - t_start,
     )
     return grid, report

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,12 @@ __all__ = ["Scenario", "RunManifest", "ScenarioError", "run_scenario",
            "batch", "canonical_hash"]
 
 KNOWN_ANALYSES = ("c0_check", "decay", "energy", "intersections")
+# the keys of a scenario document and of its geometry and boundary sections
+SCENARIO_KEYS = ("id", "geometry", "boundary", "solver", "analyses", "out_dir")
+GEOMETRY_KEYS = ("form", "n", "k", "tau_min", "profile")
+BOUNDARY_KEYS = ("psi0", "psi1")
 # a scenario's solver keys, with the subkeys of grid and tolerances
-SOLVER_KEYS = {"epsilon": (), "upsilon_mode": (),
+SOLVER_KEYS = {"epsilon": (),
                "grid": ("n_rho", "n_t", "rho_min", "rho_max"),
                "tolerances": ("newton_tol", "max_iters")}
 
@@ -69,14 +74,14 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc) -> "Scenario":
-        if not isinstance(doc, dict):
-            raise ScenarioError("scenario must be a JSON object")
+        _check_keys(doc, "scenario", SCENARIO_KEYS)
         sid = doc.get("id")
         if not sid or not isinstance(sid, str):
             raise ScenarioError("id must be a nonempty string")
         geom = doc.get("geometry")
-        if not isinstance(geom, dict):
-            raise ScenarioError("geometry must be an object")
+        _check_keys(geom, "geometry", GEOMETRY_KEYS)
+        boundary = doc.get("boundary", {})
+        _check_keys(boundary, "boundary", BOUNDARY_KEYS)
         form = geom.get("form", "lebrun")
         if form not in ("lebrun", "flat"):
             raise ScenarioError(f"geometry.form must be lebrun or flat, "
@@ -87,7 +92,11 @@ class Scenario:
         k = geom.get("k", 1)
         if not (isinstance(k, int) and k >= 1):
             raise ScenarioError(f"geometry.k must be an integer >= 1, got {k}")
-        if form == "lebrun" and not geom.get("tau_min", 1.0) > 0:
+        tau_min = geom.get("tau_min", 1.0)
+        if isinstance(tau_min, bool) or not isinstance(tau_min, Real):
+            raise ScenarioError(f"geometry.tau_min must be a real number, "
+                                f"got {tau_min!r}")
+        if form == "lebrun" and not tau_min > 0:
             raise ScenarioError("geometry.tau_min must be > 0 for the "
                                 "lebrun form")
         analyses = tuple(doc.get("analyses", ()))
@@ -104,10 +113,15 @@ class Scenario:
         if needs_solve and "epsilon" not in solver:
             raise ScenarioError("solver.epsilon is required for path "
                                 "analyses")
-        return cls(id=sid, geometry=dict(geom),
-                   boundary=dict(doc.get("boundary", {})),
-                   solver=dict(solver), analyses=analyses,
-                   out_dir=doc.get("out_dir", "."))
+        scenario = cls(id=sid, geometry=dict(geom), boundary=dict(boundary),
+                       solver=dict(solver), analyses=analyses,
+                       out_dir=doc.get("out_dir", "."))
+        if needs_solve:
+            try:
+                scenario.build_config()
+            except ValueError as exc:
+                raise ScenarioError(f"solver: {exc}") from exc
+        return scenario
 
     def content_hash(self) -> str:
         doc = {"version": __version__, "id": self.id,
@@ -135,8 +149,7 @@ class Scenario:
         """SolverConfig from the solver keys the scenario gives; every
         other field keeps the SolverConfig default."""
         s = self.solver
-        given = {"upsilon_mode": s.get("upsilon_mode"),
-                 **s.get("grid", {}), **s.get("tolerances", {})}
+        given = {**s.get("grid", {}), **s.get("tolerances", {})}
         return SolverConfig(epsilon=s["epsilon"],
                             **{key: val for key, val in given.items()
                                if val is not None})
@@ -188,12 +201,15 @@ def _write_grid_csv(path: Path, grid: PathGrid):
 def _grid_meta(grid: PathGrid, profile, psi0, psi1):
     return {"profile": profile.to_json_dict(),
             "psi0": psi0.to_json_dict(), "psi1": psi1.to_json_dict(),
-            "epsilon": grid.epsilon, "upsilon_mode": grid.upsilon_mode,
+            "epsilon": grid.epsilon,
             "n_rho": int(grid.rho_nodes.size), "n_t": int(grid.t_nodes.size)}
 
 
 def load_grid_csv(csv_path, meta_path=None) -> PathGrid:
-    """Rebuild a PathGrid from grid.csv plus its .meta.json sidecar."""
+    """Rebuild a PathGrid from grid.csv plus its .meta.json sidecar.
+
+    Keys of the sidecar that the grid does not hold are ignored.
+    """
     csv_path = Path(csv_path)
     if meta_path is None:
         meta_path = csv_path.with_suffix(".meta.json")
@@ -207,18 +223,18 @@ def load_grid_csv(csv_path, meta_path=None) -> PathGrid:
     t = data[:n_t, 1]
     phi = data[:, 2].reshape(n_rho, n_t)
     return PathGrid(rho_nodes=rho, t_nodes=t, phi=phi, psi0=psi0, psi1=psi1,
-                    background=profile, epsilon=meta["epsilon"],
-                    upsilon_mode=meta["upsilon_mode"])
+                    background=profile, epsilon=meta["epsilon"])
 
 
-def energy_check(grid, epsilon, out: Path):
-    """The energy verdict of grid and the paths of its two artifacts.
+def energy_check(grid, out: Path):
+    """The energy verdict of grid, at the grid's own epsilon, and the
+    paths of its two artifacts.
 
     energy.csv holds the per-t arrays, NaN where second derivatives are
     interior-only; energy.json the verdict's details as "checks", "passed"
     and K at both ends.
     """
-    rep = energy_report(grid, epsilon)
+    rep = energy_report(grid, grid.epsilon)
     verdict = energy_verdict(rep, grid.background)
     pad = lambda arr: np.concatenate([[np.nan], arr, [np.nan]])
     rows = np.column_stack([
@@ -304,7 +320,6 @@ def _run_analyses(scenario, out, manifest):
         solve_details = {
             "residual_sup": report.residual_sup,
             "max_second_derivative": report.max_second_derivative,
-            "upsilon_range": list(report.upsilon_range),
         }
         if psi0.is_zero and psi1.is_zero:
             t = grid.t_nodes[None, :]
@@ -334,8 +349,7 @@ def _run_analyses(scenario, out, manifest):
         if "decay" in analyses:
             manifest.checks["decay"] = _decay_check(grid, psi1)
         if "energy" in analyses:
-            manifest.checks["energy"], paths = energy_check(
-                grid, cfg.epsilon, out)
+            manifest.checks["energy"], paths = energy_check(grid, out)
             manifest.artifacts.update(paths)
 
     if "intersections" in analyses:

@@ -81,6 +81,38 @@ def test_unknown_solver_keys_are_named(solver, where, key):
                             "solver": {"epsilon": 0.5, "grid": 17}})
 
 
+@pytest.mark.parametrize("doc,where,key", [
+    ({"outdir": "elsewhere"}, "scenario", "outdir"),
+    ({"geometry": {"k": 2, "taumin": 2.0}}, "geometry", "taumin"),
+    ({"boundary": {"psi2": {"kind": "zero", "params": {}}}}, "boundary",
+     "psi2")], ids=["top-level", "geometry", "boundary"])
+def test_unknown_scenario_keys_are_named(doc, where, key):
+    # each used to be dropped: tau_min 1.0, zero psi1, the default out_dir
+    with pytest.raises(ScenarioError,
+                       match=re.escape(f"{where} has unknown keys ['{key}']")):
+        Scenario.from_dict({"id": "x", "geometry": {"k": 1}, **doc})
+    with pytest.raises(ScenarioError, match="boundary must be an object"):
+        Scenario.from_dict({"id": "x", "geometry": {"k": 1}, "boundary": []})
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"geometry": {"k": 2, "tau_min": "1.0"}}, "geometry.tau_min"),
+    ({"solver": {"epsilon": "0.5"}}, "epsilon"),
+    ({"solver": {"epsilon": 0.5, "grid": {"n_rho": 17.5, "n_t": 17}}},
+     "n_rho"),
+    ({"solver": {"epsilon": 0.5, "tolerances": {"max_iters": True}}},
+     "max_iters"),
+    ({"solver": {"epsilon": 0.5, "upsilon_mode": "constant"}},
+     "upsilon_mode")],
+    ids=["string-tau-min", "string-epsilon", "fractional-n-rho",
+         "bool-max-iters", "upsilon-mode"])
+def test_wrong_scenario_values_are_named(doc, field):
+    # a scenario that solves builds its SolverConfig when it is read
+    with pytest.raises(ScenarioError, match=field):
+        Scenario.from_dict({"id": "x", "geometry": {"k": 2},
+                            "analyses": ["c0_check"], **doc})
+
+
 def test_content_hash_stable_under_key_reordering():
     a = {"id": "s", "geometry": {"k": 2, "n": 2, "tau_min": 1.0},
          "solver": {"epsilon": 0.5, "grid": {"n_rho": 17, "n_t": 17}},
@@ -105,6 +137,36 @@ def test_trivial_scenario_manifest(tmp_path):
     assert m.checks["solve"]["details"]["exact_deviation"] <= 1e-8
     for name in ("grid_csv", "grid_meta", "report_json"):
         assert Path(m.artifacts[name]).exists()
+
+
+def _keys(doc):
+    """Every key of a JSON document, at any depth."""
+    if isinstance(doc, dict):
+        return set(doc).union(*map(_keys, doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(_keys, doc))
+    return set()
+
+
+def test_artifacts_carry_no_upsilon_keys(tmp_path):
+    m = run_scenario(eh_data_scenario(tmp_path / "run", n=17))
+    for path in (tmp_path / "run" / "manifest.json",
+                 m.artifacts["report_json"], m.artifacts["grid_meta"]):
+        keys = _keys(json.loads(Path(path).read_text()))
+        assert "epsilon" in keys or "residual_sup" in keys
+        assert not [key for key in keys if key.startswith("upsilon")], path
+
+
+def test_stale_meta_key_is_ignored(tmp_path):
+    m = run_scenario(eh_data_scenario(tmp_path / "run", n=17))
+    meta_path = Path(m.artifacts["grid_meta"])
+    grid = load_grid_csv(m.artifacts["grid_csv"])
+    # a sidecar written before the solver had one right-hand side
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, "upsilon_mode": "constant"}))
+    old = load_grid_csv(m.artifacts["grid_csv"])
+    assert old.epsilon == grid.epsilon == 0.5
+    assert np.array_equal(old.phi, grid.phi)
 
 
 def test_grid_round_trip(tmp_path):
@@ -333,8 +395,9 @@ def test_cli_solve_and_k_energy(tmp_path):
         res = runner.invoke(main, ["solve-geodesic", "--config",
                                    str(cfg_path), "--out", str(run)])
         assert res.exit_code == 0, res.output
+        # epsilon comes from grid.meta.json
         res = runner.invoke(main, ["k-energy", "--path",
-                                   str(run / "grid.csv"), "--epsilon", "0.5",
+                                   str(run / "grid.csv"),
                                    "--out", str(energy)])
         doc = json.loads((energy / "energy.json").read_text())
         assert set(doc) == {"checks", "passed", "K_endpoints"}
@@ -358,6 +421,13 @@ def test_cli_solve_and_k_energy(tmp_path):
     assert doc["passed"] is True
     assert np.max(np.abs(K)) < 1e-12
 
+    # the option is gone: a grid's epsilon cannot be misstated
+    res = runner.invoke(main, ["k-energy", "--path",
+                               str(tmp_path / "zero" / "run" / "grid.csv"),
+                               "--epsilon", "0.25"])
+    assert res.exit_code == 2
+    assert "--epsilon" in res.output
+
 
 def test_cli_validation_exit_code(tmp_path):
     cfg_path = tmp_path / "bad.json"
@@ -368,17 +438,24 @@ def test_cli_validation_exit_code(tmp_path):
     assert res.exit_code == 2
 
 
-@pytest.mark.parametrize("given", [
-    {"grid": {"nrho": 17, "n_t": 17}},
-    {"schedule": {"ratio": 0.5}},
-    {"grid": {"n_rho": 17, "n_t": 2}},
-    {"grid": {"n_rho": 17, "n_t": 17, "rho_min": 3.0, "rho_max": 1.0}}],
+@pytest.mark.parametrize("given,named", [
+    ({"grid": {"nrho": 17, "n_t": 17}}, "nrho"),
+    ({"schedule": {"ratio": 0.5}}, "schedule"),
+    ({"grid": {"n_rho": 17, "n_t": 2}}, "n_t"),
+    ({"grid": {"n_rho": 17, "n_t": 17, "rho_min": 3.0, "rho_max": 1.0}},
+     "rho_min"),
+    ({"upsilon_mode": "profile-weighted"}, "upsilon_mode"),
+    ({"grid": {"n_rho": 17.5, "n_t": 17}}, "n_rho"),
+    ({"epsilon": "0.5"}, "epsilon"),
+    ({"tau_min": "1.0"}, "tau_min")],
     ids=["misspelled-grid-key", "schedule", "two-t-nodes",
-         "reversed-interval"])
-def test_cli_solver_input_errors_exit_2(tmp_path, given):
+         "reversed-interval", "upsilon-mode", "fractional-n-rho",
+         "string-epsilon", "string-tau-min"])
+def test_cli_solver_input_errors_exit_2(tmp_path, given, named):
     # with decaying data the reversed interval used to fail the boundary
-    # check, a numerical failure (exit 3); with a misspelled key the solve
-    # ran on the default grid and exited 0
+    # check, a numerical failure (exit 3); with a misspelled key or a stale
+    # upsilon_mode the solve ran on the default grid and exited 0, and the
+    # wrong-typed values raised TypeError (exit 1)
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({
         "n": 2, "k": 2, "tau_min": 1.0, "epsilon": 0.5,
@@ -388,6 +465,7 @@ def test_cli_solver_input_errors_exit_2(tmp_path, given):
                                     str(cfg_path), "--out",
                                     str(tmp_path / "run")])
     assert res.exit_code == 2, res.output
+    assert named in res.output
     assert not (tmp_path / "run" / "grid.csv").exists()
 
 
@@ -448,3 +526,24 @@ def test_cli_batch(tmp_path):
     res = runner.invoke(main, ["batch", "--config", str(empty),
                                "--out", str(tmp_path / "out2")])
     assert res.exit_code == 0
+
+
+@pytest.mark.parametrize("entry,named", [
+    ({"geometry": {"k": 2, "taumin": 2.0}}, "taumin"),
+    ({"outdir": "elsewhere"}, "outdir"),
+    ({"solver": {"epsilon": 0.5, "grid": {"n_rho": 17.5, "n_t": 17}}},
+     "n_rho")],
+    ids=["geometry-taumin", "top-level-outdir", "fractional-n-rho"])
+def test_cli_batch_rejects_a_bad_scenario(tmp_path, entry, named):
+    # the first two ran (tau_min 1.0, the default out_dir) and exited 0; the
+    # third failed its solve with a TypeError
+    scenario = {"id": "t1", "geometry": {"k": 2},
+                "solver": {"epsilon": 0.5, "grid": {"n_rho": 17, "n_t": 17}},
+                "analyses": ["c0_check"], **entry}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"scenarios": [scenario]}))
+    res = CliRunner().invoke(main, ["batch", "--config", str(path),
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert named in res.output
+    assert not (tmp_path / "out" / "summary.csv").exists()

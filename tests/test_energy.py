@@ -351,6 +351,6 @@ def test_energy_report_inverts_the_profile_once_per_field(eh_sweep,
     grid = eh_sweep[-1]
     energy_report(grid, EPSILONS[-1])
     # one for the background (u' to u''') and one for psi1's jet to order
-    # 3, on every node; the on-shell check, the path fields and upsilon all
-    # read that one evaluation
+    # 3, on every node; the on-shell check and the path fields both read
+    # that one evaluation
     assert calls == [grid.rho_nodes.size] * 2

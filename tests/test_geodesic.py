@@ -14,7 +14,6 @@ from alegeo.geodesic import (
     comparison_check,
     epsilon_sweep,
     reduced_residual,
-    smoothstep_cutoff,
     solve_epsilon_geodesic,
     _FixedData,
     _StencilBand,
@@ -100,11 +99,6 @@ def test_residual_positivity_guard():
 # Jacobian correctness
 # ---------------------------------------------------------------------------
 
-def _system_at(g, s, mode):
-    fixed = _FixedData.build(g)
-    return fixed, fixed.upsilon(s, mode)
-
-
 def _dense(J):
     """The band matrix J unpacked to a dense array."""
     n, bw = J.shape[0], J.bw
@@ -141,7 +135,7 @@ class _RecordingBand:
         return self.band.matrix(coefs)
 
 
-def _perturbed_system(n_rho, n_t, mode, rng):
+def _perturbed_system(n_rho, n_t, rng):
     """A grid near the s = 0.7 trivial solution, with its Newton system."""
     g = make_grid(EH, n_rho=n_rho, n_t=n_t,
                   psi0=exp_decay_potential(0.03, 4.0, rho_ref=RHO_MIN_EH),
@@ -150,15 +144,14 @@ def _perturbed_system(n_rho, n_t, mode, rng):
     g.phi[:] = 0.7 * t * (t - 1.0) / 2.0
     g.phi[:-1, 1:-1] += 0.001 * rng.standard_normal(g.phi[:-1, 1:-1].shape)
     ni, nj = g.phi.shape[0] - 1, g.phi.shape[1] - 2
-    fixed, ups = _system_at(g, 0.7, mode)
+    fixed = _FixedData.build(g)
     band = _RecordingBand(_StencilBand.build(ni, nj))
-    return g, fixed, ups, band, _newton_system(g, fixed, ups, band)
+    return g, fixed, band, _newton_system(g, fixed, 0.7, band)
 
 
-def _check_jacobian(n_rho, n_t, mode):
+def _check_jacobian(n_rho, n_t):
     rng = np.random.default_rng(7)
-    g, fixed, ups, band, (R0, J, G0) = _perturbed_system(n_rho, n_t, mode,
-                                                         rng)
+    g, fixed, band, (R0, J, G0) = _perturbed_system(n_rho, n_t, rng)
     ni, nj = g.phi.shape[0] - 1, g.phi.shape[1] - 2
     assert R0 is not None
     assert J.shape == (ni * nj, ni * nj)
@@ -166,18 +159,18 @@ def _check_jacobian(n_rho, n_t, mode):
     assert J.nnz == np.unique(band.band.slot).size
     # the residual-only path gives the full system's R and G bit for bit,
     # and G is the normalized residual the certificate uses
-    R1, J1, G1 = _newton_system(g, fixed, ups)
+    R1, J1, G1 = _newton_system(g, fixed, 0.7)
     assert J1 is None
     assert np.array_equal(R0, R1) and np.array_equal(G0, G1)
-    assert np.array_equal(G0, _residual(g, fixed, ups, normalized=True))
+    assert np.array_equal(G0, _residual(g, fixed, 0.7, normalized=True))
     h = 1e-6
     J = _dense(J)
     for col in rng.choice(ni * nj, size=12, replace=False):
         i, j = divmod(col, nj)
         g.phi[i, j + 1] += h
-        Rp, _, _ = _newton_system(g, fixed, ups)
+        Rp, _, _ = _newton_system(g, fixed, 0.7)
         g.phi[i, j + 1] -= 2 * h
-        Rm, _, _ = _newton_system(g, fixed, ups)
+        Rm, _, _ = _newton_system(g, fixed, 0.7)
         g.phi[i, j + 1] += h
         fd = (Rp - Rm).ravel() / (2 * h)
         assert np.allclose(J[:, col], fd, atol=1e-4)
@@ -186,16 +179,14 @@ def _check_jacobian(n_rho, n_t, mode):
 def test_newton_jacobian_matches_finite_differences():
     # non-square grids catch an i/j transposition in the band slots
     for n_rho, n_t in ((9, 9), (9, 7), (7, 11)):
-        for mode in ("constant", "profile-weighted"):
-            _check_jacobian(n_rho, n_t, mode)
+        _check_jacobian(n_rho, n_t)
 
 
-@pytest.mark.parametrize("mode", ["constant", "profile-weighted"])
-def test_banded_solve_matches_dense_solve(mode):
+def test_banded_solve_matches_dense_solve():
     # an i/j swap in the band slots, or a dropped sum of the Neumann
     # mirror onto row 0, leaves a band that differs from the dense matrix
     rng = np.random.default_rng(11)
-    _, _, _, band, (R, J, _) = _perturbed_system(17, 11, mode, rng)
+    _, _, band, (R, J, _) = _perturbed_system(17, 11, rng)
     A = _dense_from_stencil(band.coefs)
     assert np.allclose(_dense(J), A, rtol=1e-14, atol=0.0)
     x, lu = geodesic.spsolve(J, -R.ravel())
@@ -214,35 +205,22 @@ def test_jacobian_structural_nonzeros():
     assert _StencilBand.build(32, 21).nnz == 5734
 
 
-def _upsilon_closed_form(rho, s, mode, psi0):
-    """upsilon = s ((1 - chi) f_vol + chi) with f_vol the volume ratio
-    (u')^{n-1} u'' / ((u' + psi0')^{n-1} (u'' + psi0'')); s in constant
-    mode."""
-    if mode == "constant":
-        return np.full_like(rho, s)
-    u1, u2 = EH.u_derivatives(rho, order=2)
-    _, p1, p2 = psi0.jet(rho, 2)
-    f_vol = u1 ** (EH.n - 1) * u2 / ((u1 + p1) ** (EH.n - 1) * (u2 + p2))
-    chi = smoothstep_cutoff(s)
-    return s * ((1.0 - chi) * f_vol + chi)
-
-
 def test_fixed_data_matches_public_residual():
     psi0 = exp_decay_potential(0.03, 4.0, rho_ref=RHO_MIN_EH)
     psi1 = exp_decay_potential(0.05, 4.0, rho_ref=RHO_MIN_EH)
     g = make_grid(EH, n_rho=9, n_t=7, psi0=psi0, psi1=psi1, epsilon=0.3)
     t = g.t_nodes[None, :]
     g.phi[:] = 0.3 * t * (t - 1.0) / 2.0
-    for mode in ("constant", "profile-weighted"):
-        fixed, ups = _system_at(g, 0.3, mode)
-        assert np.array_equal(
-            _residual(g, fixed, ups, normalized=True),
-            reduced_residual(replace(g, upsilon_mode=mode), normalized=True))
-        # one upsilon column on every node, the residual rows included
-        assert ups.shape == (g.rho_nodes.size, 1)
-        np.testing.assert_allclose(
-            ups[:, 0], _upsilon_closed_form(g.rho_nodes, 0.3, mode, psi0),
-            rtol=1e-14, atol=0.0)
+    fixed = _FixedData.build(g)
+    assert np.array_equal(_residual(g, fixed, 0.3, normalized=True),
+                          reduced_residual(g, normalized=True))
+    # the right-hand side is epsilon times the background density
+    w1, w2, P, phi_tt = geodesic._field_arrays(g, fixed)
+    u1, u2 = EH.u_derivatives(g.rho_nodes[:-1], order=2)
+    expected = ((phi_tt * w2 - P ** 2) * w1 ** (EH.n - 1)
+                - 0.3 * (u1 ** (EH.n - 1) * u2)[:, None])
+    np.testing.assert_allclose(_residual(g, fixed, 0.3, normalized=False),
+                               expected, rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -299,38 +277,6 @@ def test_grid_convergence_second_order():
     e17 = np.max(np.abs(sols[17].phi - ref))
     e33 = np.max(np.abs(sols[33].phi - sols[65].phi[::2, ::2]))
     assert 4.0 * 0.55 <= e17 / e33  # at least near-second-order gain
-
-
-def test_profile_weighted_mode():
-    psi0 = exp_decay_potential(0.05, 4.0, rho_ref=RHO_MIN_EH)
-    psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
-    cfg = SolverConfig(epsilon=0.2, upsilon_mode="profile-weighted")
-    g, rep = solve_epsilon_geodesic(EH, psi0, psi1, cfg)
-    assert rep.residual_sup <= cfg.newton_tol
-    lo, hi = rep.upsilon_range
-    # conupsilon envelope with the recorded constant
-    C = 1.1
-    assert C ** -1 * 0.2 <= lo <= hi <= min(C * 0.2, 1.0)
-
-
-def test_upsilon_field_modes():
-    psi0 = exp_decay_potential(0.05, 4.0, rho_ref=RHO_MIN_EH)
-    g = make_grid(EH, n_rho=10, psi0=psi0)
-    fixed = _FixedData.build(g)
-    assert np.array_equal(fixed.upsilon(0.3, "constant"),
-                          np.full((10, 1), 0.3))
-    w = fixed.upsilon(0.9, "profile-weighted")
-    assert np.array_equal(w, np.full((10, 1), 0.9))  # cutoff is 1 above 2/3
-    # below 1/3 the weight is s times the volume ratio, which psi0 moves
-    # off 1
-    w = fixed.upsilon(0.2, "profile-weighted")[:, 0]
-    np.testing.assert_allclose(
-        w, _upsilon_closed_form(g.rho_nodes, 0.2, "profile-weighted", psi0),
-        rtol=1e-14, atol=0.0)
-    assert np.max(np.abs(w / 0.2 - 1.0)) > 1e-3
-    assert smoothstep_cutoff(0.2) == 0.0
-    assert smoothstep_cutoff(0.9) == 1.0
-    assert 0.0 < smoothstep_cutoff(0.5) < 1.0
 
 
 def _eh_tau_power_config(n_rho, n_t):
@@ -403,8 +349,8 @@ def test_nonconvergence_carries_stage_and_history():
 def test_singular_jacobian_raises_nonconvergence(monkeypatch):
     system = geodesic._newton_system
 
-    def zero_coefficients(grid, fixed, ups, band=None):
-        R, J, G = system(grid, fixed, ups, band)
+    def zero_coefficients(grid, fixed, s, band=None):
+        R, J, G = system(grid, fixed, s, band)
         if J is not None:
             J = band.matrix(np.zeros((4,) + R.shape))
         return R, J, G
@@ -551,9 +497,6 @@ def test_coarse_fixed_data_is_every_other_row():
         assert np.array_equal(a, b)
     assert built.psi0.shape == built.psi1.shape == (33, 4)
     assert built.density.shape == (33, 1)
-    for mode in ("constant", "profile-weighted"):
-        assert np.array_equal(sliced.upsilon(0.3, mode),
-                              built.upsilon(0.3, mode))
 
 
 @pytest.mark.parametrize("n_rho,n_t", [(65, 45), (129, 89)])
@@ -577,11 +520,11 @@ def test_failed_coarse_stage_is_absorbed(monkeypatch):
     second = cfg.schedule()[1]
     line_search = geodesic._line_search
 
-    def failing(grid, fixed, ups, *args):
+    def failing(grid, fixed, s, *args):
         # no step is acceptable at the coarse grid's second stage
-        if grid.phi.shape == (33, 23) and ups[0, 0] == second:
+        if grid.phi.shape == (33, 23) and s == second:
             return None
-        return line_search(grid, fixed, ups, *args)
+        return line_search(grid, fixed, s, *args)
 
     monkeypatch.setattr(geodesic, "_line_search", failing)
     g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
@@ -722,12 +665,22 @@ def test_max_second_derivative_is_reported(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=0.5, upsilon_mode="bogus")
     sched = SolverConfig(epsilon=0.1).schedule()
     assert sched[0] == 1.0 and sched[-1] == 0.1
     assert all(a > b for a, b in zip(sched, sched[1:]))
     assert SolverConfig(epsilon=1.0).schedule() == [1.0]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_rho", 17.5), ("n_t", "17"), ("max_iters", True), ("epsilon", "0.5"),
+    ("newton_tol", None), ("rho_min", "0"), ("rho_max", [1.0])])
+def test_config_rejects_wrong_types(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        SolverConfig(**{"epsilon": 0.5, field: value})
+    # numpy scalars are numbers too
+    cfg = SolverConfig(epsilon=np.float64(0.5), n_rho=np.int64(17), n_t=17,
+                       rho_min=np.float64(0.0), rho_max=4)
+    assert cfg.rho_nodes(EH).shape == (17,)
 
 
 @pytest.mark.parametrize("n_rho,n_t", [(65, 2), (2, 65), (0, 0)])
