@@ -106,6 +106,11 @@ def tau_power_potential(profile, amplitude: float,
         _jet=jet)
 
 
+# the params each potential kind needs (exp also takes rho_ref, default 0)
+POTENTIAL_PARAMS = {"zero": (), "exp": ("amplitude", "gamma"),
+                    "tau_power": ("amplitude", "gamma")}
+
+
 def potential_from_json(doc, profile=None) -> RadialPotential:
     kind = doc.get("kind")
     if kind == "zero":

@@ -25,7 +25,7 @@ from .analysis import fit_decay_exponent
 from .energy import MixedBackgroundError, energy_report, energy_verdict
 from .geodesic import (GeodesicError, PathGrid, SolverConfig,
                        solve_epsilon_geodesic)
-from .potentials import potential_from_json
+from .potentials import POTENTIAL_PARAMS, potential_from_json
 from .profiles import flat_profile, lebrun_profile, profile_from_json
 from .toric import MAX_ORACLE_ERROR, IntersectionReport
 
@@ -63,6 +63,30 @@ def _check_keys(section, name, allowed):
                             f"some of {list(allowed)}")
 
 
+def _is_real(value):
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _check_potential(doc, name):
+    """Raise ScenarioError unless doc is a potential of a known kind whose
+    params give each number that kind needs."""
+    _check_keys(doc, name, ("kind", "params"))
+    kind = doc.get("kind")
+    if kind not in POTENTIAL_PARAMS:
+        raise ScenarioError(f"{name}.kind must be one of "
+                            f"{list(POTENTIAL_PARAMS)}, got {kind!r}")
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ScenarioError(f"{name}.params must be an object")
+    for key in POTENTIAL_PARAMS[kind]:
+        if key not in params:
+            raise ScenarioError(f"{name}.params: missing {key!r}")
+    for key, value in params.items():
+        if not _is_real(value):
+            raise ScenarioError(f"{name}.params.{key} must be a real "
+                                f"number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     id: str
@@ -82,18 +106,22 @@ class Scenario:
         _check_keys(geom, "geometry", GEOMETRY_KEYS)
         boundary = doc.get("boundary", {})
         _check_keys(boundary, "boundary", BOUNDARY_KEYS)
+        for name, potential in boundary.items():
+            _check_potential(potential, f"boundary.{name}")
         form = geom.get("form", "lebrun")
         if form not in ("lebrun", "flat"):
             raise ScenarioError(f"geometry.form must be lebrun or flat, "
                                 f"got {form!r}")
         n = geom.get("n", 2)
-        if not (isinstance(n, int) and n >= 2):
-            raise ScenarioError(f"geometry.n must be an integer >= 2, got {n}")
+        if isinstance(n, bool) or not (isinstance(n, int) and n >= 2):
+            raise ScenarioError(f"geometry.n must be an integer >= 2, "
+                                f"got {n!r}")
         k = geom.get("k", 1)
-        if not (isinstance(k, int) and k >= 1):
-            raise ScenarioError(f"geometry.k must be an integer >= 1, got {k}")
+        if isinstance(k, bool) or not (isinstance(k, int) and k >= 1):
+            raise ScenarioError(f"geometry.k must be an integer >= 1, "
+                                f"got {k!r}")
         tau_min = geom.get("tau_min", 1.0)
-        if isinstance(tau_min, bool) or not isinstance(tau_min, Real):
+        if not _is_real(tau_min):
             raise ScenarioError(f"geometry.tau_min must be a real number, "
                                 f"got {tau_min!r}")
         if form == "lebrun" and not tau_min > 0:
@@ -195,7 +223,10 @@ def _write_grid_csv(path: Path, grid: PathGrid):
     rho = np.repeat(grid.rho_nodes, grid.t_nodes.size)
     t = np.tile(grid.t_nodes, grid.rho_nodes.size)
     data = np.column_stack([rho, t, grid.phi.ravel()])
-    np.savetxt(path, data, delimiter=",", header="rho,t,phi", comments="")
+    # the bytes of np.savetxt(path, data, delimiter=",", header="rho,t,phi",
+    # comments=""), from one format over the whole array, not one per row
+    path.write_text("rho,t,phi\n" + ("%.18e,%.18e,%.18e\n" * len(data))
+                    % tuple(data.ravel().tolist()))
 
 
 def _grid_meta(grid: PathGrid, profile, psi0, psi1):

@@ -13,7 +13,10 @@ representatives over the chart covering the zero section, reduced to a 2D
     h_0   = h_inf - k h_f              (zero section)
 
 with q the base |u|^2 and v the fiber |w|^2.  Forms are (1/2pi) i ddbar h,
-normalized so the hyperplane class integrates to 1.
+normalized so the hyperplane class integrates to 1.  The integrals run on
+tensor Gauss-Legendre rules mapped to the half line, at ORACLE_NODES and
+ORACLE_NODES_COARSE; each rule is built once per process, on first use,
+and is read-only.
 
 At (sqrt(q), 0, ..., 0, sqrt(v)) each Hessian is a 2x2 block [[a, c], [c, b]]
 on the radial and fiber directions plus d on the n - 2 tangent directions:
@@ -26,6 +29,7 @@ arguments give det = d^{n-2} (ab - c^2), is a sum over pairs:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -94,11 +98,19 @@ def mixed_type_certificate(n: int, k: int) -> dict:
 # numeric oracle
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _half_line_rule(nodes):
-    """Gauss-Legendre nodes and weights on (0, inf) through q = x/(1-x)."""
+    """Gauss-Legendre nodes and weights on (0, inf) through q = x/(1-x).
+
+    Built on first use and shared for the life of the process, so both
+    arrays are read-only.
+    """
     x, wx = np.polynomial.legendre.leggauss(nodes)
     x = 0.5 * (x + 1.0)
-    return x / (1.0 - x), 0.5 * wx / (1.0 - x) ** 2
+    q, wq = x / (1.0 - x), 0.5 * wx / (1.0 - x) ** 2
+    q.flags.writeable = False
+    wq.flags.writeable = False
+    return q, wq
 
 
 def _hessian_blocks(label, q, v, k):

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from alegeo import __version__, runner, toric
 from alegeo.cli import main
+from alegeo.geodesic import solve_epsilon_geodesic
 from alegeo.profiles import lebrun_profile
 from alegeo.runner import (
     Scenario,
@@ -85,7 +86,10 @@ def test_unknown_solver_keys_are_named(solver, where, key):
     ({"outdir": "elsewhere"}, "scenario", "outdir"),
     ({"geometry": {"k": 2, "taumin": 2.0}}, "geometry", "taumin"),
     ({"boundary": {"psi2": {"kind": "zero", "params": {}}}}, "boundary",
-     "psi2")], ids=["top-level", "geometry", "boundary"])
+     "psi2"),
+    ({"boundary": {"psi1": {"kind": "zero", "params": {}, "gamma": 4.0}}},
+     "boundary.psi1", "gamma")],
+    ids=["top-level", "geometry", "boundary", "potential"])
 def test_unknown_scenario_keys_are_named(doc, where, key):
     # each used to be dropped: tau_min 1.0, zero psi1, the default out_dir
     with pytest.raises(ScenarioError,
@@ -103,12 +107,26 @@ def test_unknown_scenario_keys_are_named(doc, where, key):
     ({"solver": {"epsilon": 0.5, "tolerances": {"max_iters": True}}},
      "max_iters"),
     ({"solver": {"epsilon": 0.5, "upsilon_mode": "constant"}},
-     "upsilon_mode")],
+     "upsilon_mode"),
+    ({"geometry": {"k": True}}, "geometry.k"),
+    ({"boundary": {"psi1": "zero"}}, "boundary.psi1 must be an object"),
+    ({"boundary": {"psi0": {"kind": "gauss", "params": {}}}},
+     "boundary.psi0.kind"),
+    ({"boundary": {"psi1": {"kind": "exp", "params": {"amplitude": 0.1}}}},
+     "boundary.psi1.params: missing 'gamma'"),
+    ({"boundary": {"psi1": {"kind": "tau_power", "params": []}}},
+     "boundary.psi1.params must be an object"),
+    ({"boundary": {"psi1": {"kind": "tau_power",
+                            "params": {"amplitude": 0.1, "gamma": "4"}}}},
+     "boundary.psi1.params.gamma")],
     ids=["string-tau-min", "string-epsilon", "fractional-n-rho",
-         "bool-max-iters", "upsilon-mode"])
+         "bool-max-iters", "upsilon-mode", "bool-k", "string-psi1",
+         "unknown-kind", "missing-gamma", "list-params", "string-gamma"])
 def test_wrong_scenario_values_are_named(doc, field):
-    # a scenario that solves builds its SolverConfig when it is read
-    with pytest.raises(ScenarioError, match=field):
+    # a scenario that solves builds its SolverConfig when it is read; a
+    # string psi1 and a string gamma used to raise AttributeError and
+    # TypeError, and k = true solved on O(-1)
+    with pytest.raises(ScenarioError, match=re.escape(field)):
         Scenario.from_dict({"id": "x", "geometry": {"k": 2},
                             "analyses": ["c0_check"], **doc})
 
@@ -187,6 +205,27 @@ def test_grid_round_trip(tmp_path):
     margins = report["positivity_margins"]
     assert set(margins["worst_nodes"]) == {"w1", "w2", "M"}
     assert margins["M"] > 0
+
+
+def test_grid_csv_has_the_bytes_of_savetxt(tmp_path):
+    s = eh_data_scenario(tmp_path, n=17)
+    profile = s.build_profile()
+    psi0, psi1 = s.build_potentials(profile)
+    grid, _ = solve_epsilon_geodesic(profile, psi0, psi1, s.build_config())
+    assert grid.phi.min() < 0  # a minus sign in the phi column
+    path = tmp_path / "grid.csv"
+    runner._write_grid_csv(path, grid)
+    data = np.column_stack([np.repeat(grid.rho_nodes, grid.t_nodes.size),
+                            np.tile(grid.t_nodes, grid.rho_nodes.size),
+                            grid.phi.ravel()])
+    np.savetxt(tmp_path / "savetxt.csv", data, delimiter=",",
+               header="rho,t,phi", comments="")
+    assert path.read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+    runner._write_json(path.with_suffix(".meta.json"),
+                       runner._grid_meta(grid, profile, psi0, psi1))
+    loaded = load_grid_csv(path)
+    for name in ("rho_nodes", "t_nodes", "phi"):
+        assert np.array_equal(getattr(loaded, name), getattr(grid, name))
 
 
 def test_cache_and_determinism(tmp_path):
@@ -447,15 +486,22 @@ def test_cli_validation_exit_code(tmp_path):
     ({"upsilon_mode": "profile-weighted"}, "upsilon_mode"),
     ({"grid": {"n_rho": 17.5, "n_t": 17}}, "n_rho"),
     ({"epsilon": "0.5"}, "epsilon"),
-    ({"tau_min": "1.0"}, "tau_min")],
+    ({"tau_min": "1.0"}, "tau_min"),
+    ({"psi1": "zero"}, "boundary.psi1"),
+    ({"psi1": {"kind": "exp", "params": {"amplitude": 0.1}}},
+     "boundary.psi1.params: missing 'gamma'"),
+    ({"k": True}, "geometry.k")],
     ids=["misspelled-grid-key", "schedule", "two-t-nodes",
          "reversed-interval", "upsilon-mode", "fractional-n-rho",
-         "string-epsilon", "string-tau-min"])
+         "string-epsilon", "string-tau-min", "string-psi1", "missing-gamma",
+         "bool-k"])
 def test_cli_solver_input_errors_exit_2(tmp_path, given, named):
     # with decaying data the reversed interval used to fail the boundary
-    # check, a numerical failure (exit 3); with a misspelled key or a stale
-    # upsilon_mode the solve ran on the default grid and exited 0, and the
-    # wrong-typed values raised TypeError (exit 1)
+    # check, a numerical failure (exit 3), and so did k = true, solved on
+    # O(-1); with a misspelled key or a stale upsilon_mode the solve ran on
+    # the default grid and exited 0; the wrong-typed values raised
+    # TypeError or AttributeError (exit 1), and a missing gamma was named
+    # only as 'gamma'
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({
         "n": 2, "k": 2, "tau_min": 1.0, "epsilon": 0.5,

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alegeo import toric
 from alegeo.profiles import lebrun_profile, ricci_eigenvalues
 from alegeo.toric import (
     IntersectionReport,
+    _half_line_rule,
     _mixed_determinant,
     intersection_numbers,
     mixed_type_certificate,
@@ -159,6 +161,56 @@ def test_block_mixed_determinant_matches_polarization(n):
     # equal arguments give the determinant
     same = _mixed_determinant([blocks[0]] * n)
     assert np.allclose(same, np.linalg.det(dense[0]), rtol=1e-12, atol=0.0)
+
+
+ORACLE_TABLE = [(n, k) for n in (2, 3) for k in (1, 2, 3)]
+
+
+def _oracle_table():
+    return {(n, k): IntersectionReport.build(n, k, with_oracle=True).oracle
+            for n, k in ORACLE_TABLE}
+
+
+def test_oracle_table_builds_each_rule_once(monkeypatch):
+    # 54 integrals at two resolutions need only the two rules
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(nodes):
+        calls.append(nodes)
+        return leggauss(nodes)
+
+    _half_line_rule.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    _oracle_table()
+    assert sorted(calls) == sorted([toric.ORACLE_NODES,
+                                    toric.ORACLE_NODES_COARSE])
+
+
+def test_shared_rule_is_read_only():
+    q, wq = _half_line_rule(toric.ORACLE_NODES_COARSE)
+    for array in (q, wq):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert _half_line_rule(toric.ORACLE_NODES_COARSE)[0] is q
+
+
+def _fresh_half_line_rule(nodes):
+    """The rule rebuilt from leggauss on every call: the reference."""
+    x, wx = np.polynomial.legendre.leggauss(nodes)
+    x = 0.5 * (x + 1.0)
+    return x / (1.0 - x), 0.5 * wx / (1.0 - x) ** 2
+
+
+def test_shared_rule_leaves_the_oracle_bit_for_bit(monkeypatch):
+    cached = _oracle_table()
+    monkeypatch.setattr(toric, "_half_line_rule", _fresh_half_line_rule)
+    reference = _oracle_table()
+    for case, oracle in reference.items():
+        for which, ref in oracle.items():
+            got = cached[case][which]
+            assert float.hex(got["value"]) == float.hex(ref["value"]), (case, which)
+            assert float.hex(got["error"]) == float.hex(ref["error"]), (case, which)
 
 
 def test_oracle_rejects_bad_input():
