@@ -17,11 +17,11 @@ import numpy as np
 from .analysis import InsufficientDecayError, fit_decay_exponent
 from .energy import MixedBackgroundError, OffShellError
 from .geodesic import GeodesicError
-from .profiles import (ProfileError, curvature_scan_rows, flat_profile,
-                       lebrun_profile, profile_from_json, ricci_sign_scan)
-from .runner import (SOLVER_KEYS, Scenario, ScenarioError, _check_keys,
-                     _write_json, batch as run_batch, energy_check,
-                     load_grid_csv, run_scenario, write_summary_csv)
+from .profiles import (check_keys, curvature_scan_rows, lebrun_profile,
+                       profile_from_json, ricci_sign_scan)
+from .runner import (SOLVER_KEYS, Scenario, ScenarioError, _write_json,
+                     batch as run_batch, energy_check, load_grid_csv,
+                     run_scenario, write_summary_csv)
 from .toric import IntersectionReport
 
 EXIT_OK = 0
@@ -29,8 +29,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_PARTIAL = 4
 
-VALIDATION_ERRORS = (ScenarioError, ProfileError, ValueError, KeyError,
-                     FileNotFoundError, json.JSONDecodeError)
+# ScenarioError, ProfileError and json.JSONDecodeError are ValueErrors
+VALIDATION_ERRORS = (ValueError, KeyError, FileNotFoundError)
 NUMERICAL_ERRORS = (GeodesicError, OffShellError, MixedBackgroundError,
                     InsufficientDecayError)
 # a solve-geodesic config: geometry, boundary data, solver keys, analyses
@@ -61,27 +61,19 @@ def solve_geodesic(config_path, out_dir, no_cache):
     """Solve one epsilon-geodesic scenario; write grid CSV + report JSON."""
     try:
         doc = _load_json(config_path)
-        _check_keys(doc, "config", CONFIG_KEYS)
-        scenario_doc = {
-            "id": doc.get("id", Path(config_path).stem),
-            "geometry": {key: doc[key] for key in ("n", "k", "tau_min")
-                         if key in doc} | (
-                             {"profile": doc["profile"]}
-                             if isinstance(doc.get("profile"), dict) else
-                             {"form": doc.get("profile", "lebrun")}),
-            "boundary": {key: doc[key] for key in ("psi0", "psi1")
-                         if key in doc},
-            "solver": {key: doc[key] for key in SOLVER_KEYS if key in doc},
-            "analyses": doc.get("analyses", ["c0_check"]),
-            "out_dir": out_dir,
-        }
-        scenario = Scenario.from_dict(scenario_doc)
-    except NUMERICAL_ERRORS as exc:
-        _fail(EXIT_NUMERICAL, exc)
-    except VALIDATION_ERRORS as exc:
-        _fail(EXIT_VALIDATION, exc)
-    try:
-        manifest = run_scenario(scenario, no_cache=no_cache)
+        check_keys(doc, "config", CONFIG_KEYS, error=ScenarioError)
+        given = lambda keys: {key: doc[key] for key in keys if key in doc}
+        # "profile" names the form, or gives a whole profile document
+        geometry = given(("n", "k", "tau_min", "profile"))
+        if isinstance(geometry.get("profile"), str):
+            geometry["form"] = geometry.pop("profile")
+        scenario_doc = {"id": doc.get("id", Path(config_path).stem),
+                        "geometry": geometry,
+                        "boundary": given(("psi0", "psi1")),
+                        "solver": given(SOLVER_KEYS),
+                        "analyses": doc.get("analyses"), "out_dir": out_dir}
+        manifest = run_scenario(Scenario.from_dict(scenario_doc),
+                                no_cache=no_cache)
     except NUMERICAL_ERRORS as exc:
         _fail(EXIT_NUMERICAL, exc)
     except VALIDATION_ERRORS as exc:

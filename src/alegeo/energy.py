@@ -19,15 +19,18 @@ epsilon / f, and with a weight upsilon(rho) in place of epsilon the term
 would read int f' (log(f / upsilon))' W instead.
 
 The second form of dK/dt comes from R_c V = -(F' W)' and one integration
-by parts.  Both endpoint fluxes [Phi_t F' W] vanish in the limit: at the
-zero section every rho-derivative of a smooth invariant function carries a
-factor w'' -> 0, and at infinity F' W decays when the boundary data decay
-faster than r^{-(2n-2)}.  The interior form is used because it stays
-accurate where w'' is small, while F''/w'' in R_c amplifies finite
-difference noise there.  Quadratures therefore assume grids whose inner
-edge sits close to the zero section (w''(rho_min) << 1); the second
-derivative decomposition below holds against the FD oracle only in that
-regime.
+by parts, dropping the endpoint fluxes [Phi_t F' W].  At infinity F' W
+decays when the boundary data decay faster than r^{-(2n-2)}, so that flux
+vanishes.  At the zero section it does not in general: F' -> k - n and
+W -> tau_min^{n-1} there, while Phi_t need not vanish, so the flux is
+Phi_t (k - n) tau_min^{n-1} and drops out only for k = n.  On k != n
+backgrounds the two forms differ by it (0.087 on Burns at 65x45,
+epsilon = 1/8, against a dK/dt scale of 0.083).  The interior form is
+used because it stays accurate where w'' is small, while F''/w'' in R_c
+amplifies finite difference noise there.  Quadratures therefore assume
+grids whose inner edge sits close to the zero section (w''(rho_min) << 1);
+the second derivative decomposition below holds against the FD oracle
+only in that regime.
 
 K_values integrates dK/dt with the trapezoid rule, so the centered second
 difference of K_values telescopes to the centered first difference of

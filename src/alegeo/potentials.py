@@ -16,8 +16,11 @@ from typing import Callable
 
 import numpy as np
 
+from .profiles import check_keys, is_real
+
 __all__ = ["RadialPotential", "zero_potential", "exp_decay_potential",
-           "tau_power_potential", "potential_from_json"]
+           "tau_power_potential", "potential_from_json",
+           "check_potential_json"]
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,7 @@ class RadialPotential:
         return self.params.get("gamma")
 
     def to_json_dict(self):
-        return {"kind": self.kind,
-                "params": {key: val for key, val in self.params.items()}}
+        return {"kind": self.kind, "params": dict(self.params)}
 
 
 def zero_potential() -> RadialPotential:
@@ -101,27 +103,41 @@ def tau_power_potential(profile, amplitude: float,
 
     return RadialPotential(
         kind="tau_power",
-        params={"amplitude": a, "gamma": g, "k": profile.k,
-                "tau_min": profile.tau_min},
-        _jet=jet)
+        params={"amplitude": a, "gamma": g}, _jet=jet)
 
 
-# the params each potential kind needs (exp also takes rho_ref, default 0)
-POTENTIAL_PARAMS = {"zero": (), "exp": ("amplitude", "gamma"),
-                    "tau_power": ("amplitude", "gamma")}
+# the params of each potential kind: required, then optional
+POTENTIAL_PARAMS = {"zero": ((), ()),
+                    "exp": (("amplitude", "gamma"), ("rho_ref",)),
+                    "tau_power": (("amplitude", "gamma"), ())}
 
 
-def potential_from_json(doc, profile=None) -> RadialPotential:
+def check_potential_json(doc, name="potential"):
+    """The kind and params of a potential entry {"kind", "params"}; raises
+    ValueError, naming the field, unless the kind is known and its params
+    are the real numbers it takes."""
+    check_keys(doc, name, ("kind", "params"), error=ValueError)
     kind = doc.get("kind")
+    if kind not in POTENTIAL_PARAMS:
+        raise ValueError(f"{name}.kind must be one of "
+                         f"{list(POTENTIAL_PARAMS)}, got {kind!r}")
+    required, optional = POTENTIAL_PARAMS[kind]
+    params = doc.get("params", {})
+    check_keys(params, f"{name}.params", required + optional, required,
+               error=ValueError)
+    for key, value in params.items():
+        if not is_real(value):
+            raise ValueError(f"{name}.params.{key} must be a real number, "
+                             f"got {value!r}")
+    return kind, params
+
+
+def potential_from_json(doc, profile, name="potential") -> RadialPotential:
+    """The potential an entry describes on profile, checked by
+    check_potential_json first."""
+    kind, params = check_potential_json(doc, name)
     if kind == "zero":
         return zero_potential()
     if kind == "exp":
-        p = doc["params"]
-        return exp_decay_potential(p["amplitude"], p["gamma"],
-                                   rho_ref=p.get("rho_ref", 0.0))
-    if kind == "tau_power":
-        if profile is None:
-            raise ValueError("tau_power potential needs the profile")
-        p = doc["params"]
-        return tau_power_potential(profile, p["amplitude"], p["gamma"])
-    raise ValueError(f"unknown potential kind {kind!r}")
+        return exp_decay_potential(**params)
+    return tau_power_potential(profile, **params)

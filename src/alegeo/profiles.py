@@ -32,9 +32,9 @@ profile, loads numpy alone.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,8 +53,9 @@ __all__ = [
     "scalar_curvature",
     "ricci_sign_scan",
     "curvature_scan_rows",
-    "profile_to_json",
     "profile_from_json",
+    "check_profile_json",
+    "check_bundle",
 ]
 
 # Curvature queries keep away from the zero-section coordinate degeneracy.
@@ -72,6 +73,35 @@ BUMP_RHO_NODES = 32
 
 class ProfileError(ValueError):
     """Invalid profile construction or out-of-domain query."""
+
+
+def is_real(value):
+    """A real number, as JSON gives one: bool excepted."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def check_keys(section, name, allowed, required=(), error=ProfileError):
+    """Raise error unless section is an object whose keys are all allowed
+    and include every required one; the message names the field."""
+    if not isinstance(section, dict):
+        raise error(f"{name} must be an object, got {section!r}")
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise error(f"{name} has unknown keys {unknown}; expected "
+                    f"some of {list(allowed)}")
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise error(f"{name}: missing {missing[0]!r}")
+
+
+def check_bundle(n, k, prefix=""):
+    """Raise ProfileError unless O(-k) over CP^{n-1} is a bundle of the
+    family: n an integer >= 2 and k an integer >= 1, neither a bool."""
+    for name, value, low in (("n", n, 2), ("k", k, 1)):
+        if isinstance(value, bool) or not (isinstance(value, int)
+                                           and value >= low):
+            raise ProfileError(f"{prefix}{name} must be an integer >= {low}, "
+                               f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -105,10 +135,7 @@ class RadialProfile:
     _kernel: _Kernel = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ProfileError(f"complex dimension n must be >= 2, got {self.n}")
-        if self.k < 1:
-            raise ProfileError(f"line-bundle twist k must be >= 1, got {self.k}")
+        check_bundle(self.n, self.k)
         if self.tau_min < 0:
             raise ProfileError(f"tau_min must be >= 0, got {self.tau_min}")
         if self.tau_max <= self.tau_min:
@@ -221,10 +248,7 @@ class RadialProfile:
         return tuple(self.rho_jet(tau, [tau, 1.0, 0.0, 0.0], order - 1))
 
     def to_json_dict(self):
-        if self.form == "lebrun":
-            params = {"A": self.params["A"], "B": self.params["B"],
-                      "tau_max": self.tau_max}
-        elif self.form == "flat":
+        if self.form in ("lebrun", "flat"):
             params = {"tau_max": self.tau_max}
         elif self.form == "samples":
             params = {"tau": list(self.params["tau"]),
@@ -533,21 +557,48 @@ def curvature_scan_rows(p: RadialProfile, tau_grid):
 # serialization
 # ---------------------------------------------------------------------------
 
-def profile_to_json(p: RadialProfile) -> str:
-    return json.dumps(p.to_json_dict(), sort_keys=True)
+# a profile document's keys, all required, and the params of each form:
+# required, then optional
+PROFILE_KEYS = ("form", "n", "k", "tau_min", "params")
+PROFILE_PARAMS = {"lebrun": ((), ("tau_max",)), "flat": ((), ("tau_max",)),
+                  "samples": (("tau", "phi"), ())}
+
+
+def check_profile_json(doc, name="profile"):
+    """Raise ProfileError, naming the field, unless doc is a profile
+    document whose values have the types and ranges its form needs."""
+    check_keys(doc, name, PROFILE_KEYS, PROFILE_KEYS)
+    form, tau_min, params = doc["form"], doc["tau_min"], doc["params"]
+    if form not in PROFILE_PARAMS:
+        raise ProfileError(f"{name}.form must be one of "
+                           f"{list(PROFILE_PARAMS)}, got {form!r}")
+    check_bundle(doc["n"], doc["k"], f"{name}.")
+    if not is_real(tau_min):
+        raise ProfileError(f"{name}.tau_min must be a real number, "
+                           f"got {tau_min!r}")
+    if form == "lebrun" and not tau_min > 0:
+        raise ProfileError(f"{name}.tau_min must be > 0 for the lebrun form")
+    if form == "flat" and tau_min != 0:
+        raise ProfileError(f"{name}.tau_min must be 0 for the flat form")
+    required, optional = PROFILE_PARAMS[form]
+    check_keys(params, f"{name}.params", required + optional, required)
+    for key, value in params.items():
+        if key == "tau_max" and not is_real(value):
+            raise ProfileError(f"{name}.params.tau_max must be a real "
+                               f"number, got {value!r}")
+        if key != "tau_max" and not (isinstance(value, list)
+                                     and all(map(is_real, value))):
+            raise ProfileError(f"{name}.params.{key} must be a list of "
+                               f"real numbers")
 
 
 def profile_from_json(doc) -> RadialProfile:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    form = doc["form"]
+    """The profile a document describes, checked by check_profile_json
+    first."""
+    check_profile_json(doc)
+    form, n, k, tau_min, params = (doc[key] for key in PROFILE_KEYS)
     if form == "lebrun":
-        return lebrun_profile(doc["k"], doc["tau_min"], n=doc["n"],
-                              tau_max=doc["params"].get("tau_max", 1e12))
+        return lebrun_profile(k, tau_min, n=n, **params)
     if form == "flat":
-        return flat_profile(n=doc["n"], k=doc["k"],
-                            tau_max=doc["params"].get("tau_max", 1e12))
-    if form == "samples":
-        return sampled_profile(doc["n"], doc["k"], doc["tau_min"],
-                               doc["params"]["tau"], doc["params"]["phi"])
-    raise ProfileError(f"unknown profile form {form!r}")
+        return flat_profile(n=n, k=k, **params)
+    return sampled_profile(n, k, tau_min, **params)

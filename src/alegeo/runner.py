@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
-from numbers import Real
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +24,8 @@ from .analysis import fit_decay_exponent
 from .energy import MixedBackgroundError, energy_report, energy_verdict
 from .geodesic import (GeodesicError, PathGrid, SolverConfig,
                        solve_epsilon_geodesic)
-from .potentials import POTENTIAL_PARAMS, potential_from_json
-from .profiles import flat_profile, lebrun_profile, profile_from_json
+from .potentials import check_potential_json, potential_from_json
+from .profiles import check_keys, check_profile_json, profile_from_json
 from .toric import MAX_ORACLE_ERROR, IntersectionReport
 
 __all__ = ["Scenario", "RunManifest", "ScenarioError", "run_scenario",
@@ -53,42 +52,25 @@ def canonical_hash(doc) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _check_keys(section, name, allowed):
-    """Raise ScenarioError unless section is an object with allowed keys."""
-    if not isinstance(section, dict):
-        raise ScenarioError(f"{name} must be an object")
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ScenarioError(f"{name} has unknown keys {unknown}; expected "
-                            f"some of {list(allowed)}")
-
-
-def _is_real(value):
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
-def _check_potential(doc, name):
-    """Raise ScenarioError unless doc is a potential of a known kind whose
-    params give each number that kind needs."""
-    _check_keys(doc, name, ("kind", "params"))
-    kind = doc.get("kind")
-    if kind not in POTENTIAL_PARAMS:
-        raise ScenarioError(f"{name}.kind must be one of "
-                            f"{list(POTENTIAL_PARAMS)}, got {kind!r}")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ScenarioError(f"{name}.params must be an object")
-    for key in POTENTIAL_PARAMS[kind]:
-        if key not in params:
-            raise ScenarioError(f"{name}.params: missing {key!r}")
-    for key, value in params.items():
-        if not _is_real(value):
-            raise ScenarioError(f"{name}.params.{key} must be a real "
-                                f"number, got {value!r}")
+def _profile_doc(geom):
+    """A geometry's profile document, and the name its errors carry: the
+    "profile" entry, or else form, n, k and tau_min, which default to
+    lebrun, 2, 1 and 1.0 (0 for the flat cone)."""
+    if "profile" in geom:
+        if len(geom) > 1:
+            raise ScenarioError(f"geometry.profile excludes the keys "
+                                f"{sorted(set(geom) - {'profile'})}")
+        return geom["profile"], "geometry.profile"
+    form = geom.get("form", "lebrun")
+    return {"form": form, "n": geom.get("n", 2), "k": geom.get("k", 1),
+            "tau_min": geom.get("tau_min", 0.0 if form == "flat" else 1.0),
+            "params": {}}, "geometry"
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A checked scenario; its geometry is always {"profile": document}."""
+
     id: str
     geometry: dict
     boundary: dict = field(default_factory=dict)
@@ -98,58 +80,47 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc) -> "Scenario":
-        _check_keys(doc, "scenario", SCENARIO_KEYS)
+        check_keys(doc, "scenario", SCENARIO_KEYS, error=ScenarioError)
         sid = doc.get("id")
         if not sid or not isinstance(sid, str):
             raise ScenarioError("id must be a nonempty string")
         geom = doc.get("geometry")
-        _check_keys(geom, "geometry", GEOMETRY_KEYS)
+        check_keys(geom, "geometry", GEOMETRY_KEYS, error=ScenarioError)
+        profile, name = _profile_doc(geom)
         boundary = doc.get("boundary", {})
-        _check_keys(boundary, "boundary", BOUNDARY_KEYS)
-        for name, potential in boundary.items():
-            _check_potential(potential, f"boundary.{name}")
-        form = geom.get("form", "lebrun")
-        if form not in ("lebrun", "flat"):
-            raise ScenarioError(f"geometry.form must be lebrun or flat, "
-                                f"got {form!r}")
-        n = geom.get("n", 2)
-        if isinstance(n, bool) or not (isinstance(n, int) and n >= 2):
-            raise ScenarioError(f"geometry.n must be an integer >= 2, "
-                                f"got {n!r}")
-        k = geom.get("k", 1)
-        if isinstance(k, bool) or not (isinstance(k, int) and k >= 1):
-            raise ScenarioError(f"geometry.k must be an integer >= 1, "
-                                f"got {k!r}")
-        tau_min = geom.get("tau_min", 1.0)
-        if not _is_real(tau_min):
-            raise ScenarioError(f"geometry.tau_min must be a real number, "
-                                f"got {tau_min!r}")
-        if form == "lebrun" and not tau_min > 0:
-            raise ScenarioError("geometry.tau_min must be > 0 for the "
-                                "lebrun form")
-        analyses = tuple(doc.get("analyses", ()))
+        check_keys(boundary, "boundary", BOUNDARY_KEYS, error=ScenarioError)
+        analyses = tuple(doc.get("analyses") or ("c0_check",))
         for a in analyses:
             if a not in KNOWN_ANALYSES:
                 raise ScenarioError(f"analyses entry {a!r} unknown; expected "
                                     f"one of {KNOWN_ANALYSES}")
         solver = doc.get("solver", {})
-        _check_keys(solver, "solver", SOLVER_KEYS)
-        for name in ("grid", "tolerances"):
-            _check_keys(solver.get(name, {}), f"solver.{name}",
-                        SOLVER_KEYS[name])
-        needs_solve = bool(set(analyses) & {"c0_check", "decay", "energy"})
-        if needs_solve and "epsilon" not in solver:
-            raise ScenarioError("solver.epsilon is required for path "
-                                "analyses")
-        scenario = cls(id=sid, geometry=dict(geom), boundary=dict(boundary),
-                       solver=dict(solver), analyses=analyses,
-                       out_dir=doc.get("out_dir", "."))
-        if needs_solve:
-            try:
+        check_keys(solver, "solver", SOLVER_KEYS, error=ScenarioError)
+        for key in ("grid", "tolerances"):
+            check_keys(solver.get(key, {}), f"solver.{key}", SOLVER_KEYS[key],
+                       error=ScenarioError)
+        scenario = cls(id=sid, geometry={"profile": profile},
+                       boundary=dict(boundary), solver=dict(solver),
+                       analyses=analyses, out_dir=doc.get("out_dir", "."))
+        try:
+            check_profile_json(profile, name)
+            for key, potential in boundary.items():
+                check_potential_json(potential, f"boundary.{key}")
+            if scenario.needs_solve:
+                # the constructors check what the formats cannot, such as
+                # lebrun at n = 2 only, gamma > 0 and 3 nodes each way
+                scenario.build_potentials(scenario.build_profile())
+                if "epsilon" not in solver:
+                    raise ScenarioError("solver.epsilon is required for "
+                                        "path analyses")
                 scenario.build_config()
-            except ValueError as exc:
-                raise ScenarioError(f"solver: {exc}") from exc
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
         return scenario
+
+    @property
+    def needs_solve(self):
+        return bool(set(self.analyses) & {"c0_check", "decay", "energy"})
 
     def content_hash(self) -> str:
         doc = {"version": __version__, "id": self.id,
@@ -159,19 +130,12 @@ class Scenario:
         return canonical_hash(doc)
 
     def build_profile(self):
-        geom = self.geometry
-        if geom.get("form", "lebrun") == "flat":
-            return flat_profile(n=geom.get("n", 2), k=geom.get("k", 1))
-        if "profile" in geom:
-            return profile_from_json(geom["profile"])
-        return lebrun_profile(geom.get("k", 1), geom.get("tau_min", 1.0),
-                              n=geom.get("n", 2))
+        return profile_from_json(self.geometry["profile"])
 
     def build_potentials(self, profile):
         zero = {"kind": "zero", "params": {}}
-        psi0 = potential_from_json(self.boundary.get("psi0", zero), profile)
-        psi1 = potential_from_json(self.boundary.get("psi1", zero), profile)
-        return psi0, psi1
+        return tuple(potential_from_json(self.boundary.get(key, zero), profile)
+                     for key in BOUNDARY_KEYS)
 
     def build_config(self) -> SolverConfig:
         """SolverConfig from the solver keys the scenario gives; every
@@ -209,10 +173,7 @@ class RunManifest:
 
     @classmethod
     def from_json_dict(cls, doc):
-        doc = {key: doc[key] for key in
-               ("version", "scenario_id", "scenario_hash", "inputs",
-                "artifacts", "checks", "status", "error", "timings")}
-        return cls(**doc)
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
 
 def _write_json(path: Path, doc):
@@ -239,22 +200,25 @@ def _grid_meta(grid: PathGrid, profile, psi0, psi1):
 def load_grid_csv(csv_path, meta_path=None) -> PathGrid:
     """Rebuild a PathGrid from grid.csv plus its .meta.json sidecar.
 
-    Keys of the sidecar that the grid does not hold are ignored.
+    The sidecar's profile and potentials go through their JSON readers,
+    and epsilon, n_rho and n_t through SolverConfig's checks.  Keys of the
+    sidecar that the grid does not hold are ignored.
     """
     csv_path = Path(csv_path)
     if meta_path is None:
         meta_path = csv_path.with_suffix(".meta.json")
     meta = json.loads(Path(meta_path).read_text())
     profile = profile_from_json(meta["profile"])
-    psi0 = potential_from_json(meta["psi0"], profile)
-    psi1 = potential_from_json(meta["psi1"], profile)
+    psi0 = potential_from_json(meta["psi0"], profile, "psi0")
+    psi1 = potential_from_json(meta["psi1"], profile, "psi1")
+    cfg = SolverConfig(epsilon=meta["epsilon"], n_rho=meta["n_rho"],
+                       n_t=meta["n_t"])
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    n_rho, n_t = meta["n_rho"], meta["n_t"]
-    rho = data[::n_t, 0]
-    t = data[:n_t, 1]
-    phi = data[:, 2].reshape(n_rho, n_t)
+    rho = data[::cfg.n_t, 0]
+    t = data[:cfg.n_t, 1]
+    phi = data[:, 2].reshape(cfg.n_rho, cfg.n_t)
     return PathGrid(rho_nodes=rho, t_nodes=t, phi=phi, psi0=psi0, psi1=psi1,
-                    background=profile, epsilon=meta["epsilon"])
+                    background=profile, epsilon=cfg.epsilon)
 
 
 def energy_check(grid, out: Path):
@@ -336,10 +300,8 @@ def run_scenario(scenario: Scenario, no_cache: bool = False) -> RunManifest:
 
 
 def _run_analyses(scenario, out, manifest):
-    analyses = scenario.analyses or ("c0_check",)
-    needs_solve = bool(set(analyses) & {"c0_check", "decay", "energy"})
-
-    if needs_solve:
+    analyses = scenario.analyses
+    if scenario.needs_solve:
         profile = scenario.build_profile()
         psi0, psi1 = scenario.build_potentials(profile)
         cfg = scenario.build_config()
@@ -384,14 +346,13 @@ def _run_analyses(scenario, out, manifest):
             manifest.artifacts.update(paths)
 
     if "intersections" in analyses:
-        geom = scenario.geometry
-        rep = IntersectionReport.build(geom.get("n", 2), geom.get("k", 1),
-                                       with_oracle=True)
+        geom = scenario.geometry["profile"]
+        rep = IntersectionReport.build(geom["n"], geom["k"], with_oracle=True)
         doc = rep.to_json_dict()
         _write_json(out / "intersect.json", doc)
         manifest.artifacts["intersect_json"] = str(out / "intersect.json")
         cert_ok = (doc["certificate"]["opposite_signs"]
-                   == (geom.get("k", 1) != geom.get("n", 2)))
+                   == (geom["k"] != geom["n"]))
         # the oracle bounds its own error estimate, so only the exact table
         # can tell a wrong value; rho0^{n-1} over the zero section is D0^n
         exact = dict(rep.table, restricted_d0=rep.table["d0_power"])

@@ -37,6 +37,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .profiles import check_bundle
+
 __all__ = ["IntersectionReport", "intersection_numbers",
            "mixed_type_certificate", "representative_integral_oracle",
            "wedge_integral_oracle"]
@@ -47,13 +49,6 @@ ORACLE_NODES_COARSE = 80
 MAX_ORACLE_ERROR = 0.005
 
 
-def _validate(n, k):
-    if not (isinstance(n, int) and n >= 2):
-        raise ValueError(f"complex dimension n must be an integer >= 2, got {n}")
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"twist k must be an integer >= 1, got {k}")
-
-
 def intersection_numbers(n: int, k: int) -> dict:
     """Exact intersection table as rationals.
 
@@ -61,7 +56,7 @@ def intersection_numbers(n: int, k: int) -> dict:
     int_{D0} rho0^{n-1} and int rho0^{n-1} ^ rho_f, all derived from
     D0.D0 = -k on the base curve class and Dinf = D0 + k Df.
     """
-    _validate(n, k)
+    check_bundle(n, k)
     kq = Fraction(k)
     table = {
         "d0.d0": -kq,
@@ -82,7 +77,7 @@ def mixed_type_certificate(n: int, k: int) -> dict:
     opposite signs exactly when k != n; for k = n both vanish and no sign
     obstruction exists.
     """
-    _validate(n, k)
+    check_bundle(n, k)
     d0_pairing = Fraction(n - k) ** (n - 1)
     df_pairing = -d0_pairing / k
     ratio = None if d0_pairing == 0 else df_pairing / d0_pairing
@@ -156,7 +151,7 @@ def wedge_integral_oracle(n, k, labels, nodes=ORACLE_NODES) -> float:
     The U(n-1) x U(1) symmetry collapses the integral to (q, v), a tensor
     grid of _half_line_rule.
     """
-    _validate(n, k)
+    check_bundle(n, k)
     if len(labels) != n:
         raise ValueError(f"need exactly n = {n} representative labels")
     q, wq = _half_line_rule(nodes)
@@ -193,7 +188,7 @@ def representative_integral_oracle(n, k, which) -> dict:
     which: "d0_power" (rho0^n), "d0_power_df" (rho0^{n-1} ^ rho_f) or
     "restricted_d0" (rho0^{n-1} over the zero section).
     """
-    _validate(n, k)
+    check_bundle(n, k)
     if n > 3:
         raise ValueError("oracle integration capped at n <= 3")
     if which == "d0_power":

@@ -22,6 +22,8 @@ from alegeo.runner import (
 
 
 EH = lebrun_profile(2, 1.0)
+BURNS_DOC = {"form": "lebrun", "n": 2, "k": 1, "tau_min": 1.0,
+             "params": {"tau_max": 1e12}}
 
 
 def trivial_scenario(out_dir, epsilon=0.5, n=17, extra=None):
@@ -118,17 +120,56 @@ def test_unknown_scenario_keys_are_named(doc, where, key):
      "boundary.psi1.params must be an object"),
     ({"boundary": {"psi1": {"kind": "tau_power",
                             "params": {"amplitude": 0.1, "gamma": "4"}}}},
-     "boundary.psi1.params.gamma")],
+     "boundary.psi1.params.gamma"),
+    ({"geometry": {"profile": "lebrun"}},
+     "geometry.profile must be an object"),
+    ({"geometry": {"k": 2, "profile": {**BURNS_DOC}}},
+     "geometry.profile excludes the keys ['k']"),
+    ({"geometry": {"profile": {**BURNS_DOC, "k": 1.5}}},
+     "geometry.profile.k must be an integer"),
+    ({"geometry": {"profile": {**BURNS_DOC, "params": {"tau_mx": 1e3}}}},
+     "geometry.profile.params has unknown keys ['tau_mx']"),
+    ({"geometry": {"form": "flat", "tau_min": 2.0}},
+     "geometry.tau_min must be 0 for the flat form"),
+    ({"boundary": {"psi1": {"kind": "exp", "params": {
+        "amplitude": 0.1, "gamma": 4.0, "rho_rf": 1.0}}}},
+     "boundary.psi1.params has unknown keys ['rho_rf']"),
+    ({"geometry": {"n": 3, "k": 2}}, "specific to n=2"),
+    ({"boundary": {"psi1": {"kind": "exp", "params": {
+        "amplitude": 0.1, "gamma": 0.0}}}}, "gamma must be > 0")],
     ids=["string-tau-min", "string-epsilon", "fractional-n-rho",
          "bool-max-iters", "upsilon-mode", "bool-k", "string-psi1",
-         "unknown-kind", "missing-gamma", "list-params", "string-gamma"])
+         "unknown-kind", "missing-gamma", "list-params", "string-gamma",
+         "string-profile", "two-bundles", "profile-fractional-k",
+         "profile-params-typo", "flat-tau-min", "exp-params-typo",
+         "lebrun-n3-solve", "zero-gamma"])
 def test_wrong_scenario_values_are_named(doc, field):
     # a scenario that solves builds its SolverConfig when it is read; a
     # string psi1 and a string gamma used to raise AttributeError and
-    # TypeError, and k = true solved on O(-1)
+    # TypeError, and k = true solved on O(-1); a string profile failed
+    # only when it ran, a shorthand k next to a profile named a second
+    # bundle, and the profile and params typos and the flat tau_min were
+    # dropped; a solve on the n = 3 lebrun form and gamma = 0 data failed
+    # only when they ran
     with pytest.raises(ScenarioError, match=re.escape(field)):
         Scenario.from_dict({"id": "x", "geometry": {"k": 2},
                             "analyses": ["c0_check"], **doc})
+
+
+def test_geometry_has_one_bundle(tmp_path):
+    # the shorthand and the document it stands for are one scenario, and
+    # the intersections analysis reads its (n, k) from that document
+    short = Scenario.from_dict({"id": "b", "geometry": {"k": 1},
+                                "analyses": ["intersections"],
+                                "out_dir": str(tmp_path)})
+    whole = Scenario.from_dict({"id": "b", "geometry": {"profile": {
+        **BURNS_DOC, "params": {}}}, "analyses": ["intersections"]})
+    assert short.geometry == whole.geometry == {"profile": {
+        **BURNS_DOC, "params": {}}}
+    assert short.content_hash() == whole.content_hash()
+    m = run_scenario(short)
+    doc = json.loads(Path(m.artifacts["intersect_json"]).read_text())
+    assert (doc["n"], doc["k"]) == (2, 1)
 
 
 def test_content_hash_stable_under_key_reordering():
@@ -468,6 +509,60 @@ def test_cli_solve_and_k_energy(tmp_path):
     assert "--epsilon" in res.output
 
 
+@pytest.fixture(scope="module")
+def burns_run(tmp_path_factory):
+    """A solved Burns path with tau_power data: grid.csv and its sidecar."""
+    out = tmp_path_factory.mktemp("burns")
+    run_scenario(Scenario.from_dict({
+        "id": "burns", "geometry": {"k": 1},
+        "boundary": {"psi1": {"kind": "tau_power", "params": {
+            "amplitude": 0.05, "gamma": 4.0}}},
+        "solver": {"epsilon": 0.5, "grid": {"n_rho": 17, "n_t": 17}},
+        "analyses": ["c0_check"], "out_dir": str(out)}))
+    return out
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda m: m.update(psi1="zero"), "psi1 must be an object"),
+    (lambda m: m.update(epsilon="0.5"), "epsilon must be a real number"),
+    (lambda m: m["profile"].update(k=1.5), "profile.k must be an integer"),
+    (lambda m: m["psi1"]["params"].update(k=1, tau_min=1.0),
+     "psi1.params has unknown keys ['k', 'tau_min']")],
+    ids=["string-psi1", "string-epsilon", "fractional-k", "sidecar-0.11"])
+def test_k_energy_names_a_bad_sidecar_field(tmp_path, burns_run, edit, named):
+    # the string psi1 and epsilon used to end in AttributeError and numpy
+    # tracebacks (exit 1); k = 1.5 and the keys a 0.11 sidecar wrote for
+    # tau_power data were read and the energy judged
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "grid.csv").write_bytes((burns_run / "grid.csv").read_bytes())
+    meta = json.loads((burns_run / "grid.meta.json").read_text())
+    edit(meta)
+    (run / "grid.meta.json").write_text(json.dumps(meta))
+    res = CliRunner().invoke(main, ["k-energy", "--path",
+                                    str(run / "grid.csv"),
+                                    "--out", str(tmp_path / "energy")])
+    assert res.exit_code == 2, res.output
+    assert named in res.output
+    assert not (tmp_path / "energy" / "energy.json").exists()
+
+
+def test_cli_ricci_scan_reads_a_checked_profile(tmp_path):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(BURNS_DOC))
+    res = CliRunner().invoke(main, ["ricci-scan", "--config", str(path),
+                                    "--out", str(tmp_path / "ok")])
+    assert res.exit_code == 0, res.output
+    assert "mixed" in res.output
+    # k = 1.5 used to scan a profile on no bundle and print mixed
+    path.write_text(json.dumps({**BURNS_DOC, "k": 1.5}))
+    res = CliRunner().invoke(main, ["ricci-scan", "--config", str(path),
+                                    "--out", str(tmp_path / "bad")])
+    assert res.exit_code == 2, res.output
+    assert "profile.k must be an integer >= 1, got 1.5" in res.output
+    assert not (tmp_path / "bad").exists()
+
+
 def test_cli_validation_exit_code(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"n": 2, "k": 0, "tau_min": 1.0,
@@ -490,18 +585,20 @@ def test_cli_validation_exit_code(tmp_path):
     ({"psi1": "zero"}, "boundary.psi1"),
     ({"psi1": {"kind": "exp", "params": {"amplitude": 0.1}}},
      "boundary.psi1.params: missing 'gamma'"),
-    ({"k": True}, "geometry.k")],
+    ({"k": True}, "geometry.k"),
+    ({"profile": {"kind": "lebrun"}}, "geometry.profile")],
     ids=["misspelled-grid-key", "schedule", "two-t-nodes",
          "reversed-interval", "upsilon-mode", "fractional-n-rho",
          "string-epsilon", "string-tau-min", "string-psi1", "missing-gamma",
-         "bool-k"])
+         "bool-k", "profile-document-with-shorthand"])
 def test_cli_solver_input_errors_exit_2(tmp_path, given, named):
     # with decaying data the reversed interval used to fail the boundary
     # check, a numerical failure (exit 3), and so did k = true, solved on
     # O(-1); with a misspelled key or a stale upsilon_mode the solve ran on
     # the default grid and exited 0; the wrong-typed values raised
     # TypeError or AttributeError (exit 1), and a missing gamma was named
-    # only as 'gamma'
+    # only as 'gamma'; a profile document next to n, k and tau_min was
+    # named only as 'form'
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({
         "n": 2, "k": 2, "tau_min": 1.0, "epsilon": 0.5,
@@ -578,11 +675,19 @@ def test_cli_batch(tmp_path):
     ({"geometry": {"k": 2, "taumin": 2.0}}, "taumin"),
     ({"outdir": "elsewhere"}, "outdir"),
     ({"solver": {"epsilon": 0.5, "grid": {"n_rho": 17.5, "n_t": 17}}},
-     "n_rho")],
-    ids=["geometry-taumin", "top-level-outdir", "fractional-n-rho"])
+     "n_rho"),
+    ({"geometry": {"profile": "lebrun"}}, "geometry.profile"),
+    ({"geometry": {"k": 2, "profile": {
+        "form": "lebrun", "n": 2, "k": 1, "tau_min": 1.0, "params": {}}},
+      "analyses": ["c0_check", "intersections"]}, "geometry.profile"),
+    ({"geometry": {"n": 3, "k": 2}}, "specific to n=2")],
+    ids=["geometry-taumin", "top-level-outdir", "fractional-n-rho",
+         "string-profile", "two-bundles", "lebrun-n3-solve"])
 def test_cli_batch_rejects_a_bad_scenario(tmp_path, entry, named):
     # the first two ran (tau_min 1.0, the default out_dir) and exited 0; the
-    # third failed its solve with a TypeError
+    # third failed its solve with a TypeError; the string profile failed
+    # when it ran (exit 3), as did a solve on the n = 3 lebrun form, and
+    # the two-bundle scenario solved on O(-1) and certified O(-2) (exit 0)
     scenario = {"id": "t1", "geometry": {"k": 2},
                 "solver": {"epsilon": 0.5, "grid": {"n_rho": 17, "n_t": 17}},
                 "analyses": ["c0_check"], **entry}

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from alegeo.geodesic import (
 )
 from alegeo.potentials import (
     exp_decay_potential,
+    potential_from_json,
     tau_power_potential,
     zero_potential,
 )
@@ -299,6 +301,41 @@ def test_potential_jet_matches_each_order(make):
         assert np.array_equal(jet[m], psi(rho, m))
     with pytest.raises(ValueError, match="0..4"):
         psi.jet(rho, 5)
+
+
+@pytest.mark.parametrize("make,params", [
+    (zero_potential, {}),
+    (lambda: exp_decay_potential(0.1, 4.0, rho_ref=0.5),
+     {"amplitude": 0.1, "gamma": 4.0, "rho_ref": 0.5}),
+    (lambda: tau_power_potential(EH, 0.1, 4.0),
+     {"amplitude": 0.1, "gamma": 4.0})], ids=["zero", "exp", "tau_power"])
+def test_potential_json_round_trip(make, params):
+    # tau_power writes no copy of the profile's k and tau_min
+    psi = make()
+    doc = psi.to_json_dict()
+    assert doc == {"kind": psi.kind, "params": params}
+    back = potential_from_json(doc, EH)
+    assert back.to_json_dict() == doc
+    rho = np.linspace(0.5, 3.0, 5)
+    assert np.array_equal(back.jet(rho, 2), psi.jet(rho, 2))
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"kind": "exp", "params": {"amplitude": 0.1, "gamma": 4.0,
+                                "rho_rf": 1.0}},
+     "psi1.params has unknown keys ['rho_rf']"),
+    ({"kind": "tau_power", "params": {"amplitude": 0.1, "gamma": 4.0,
+                                      "rho_ref": 1.0}},
+     "psi1.params has unknown keys ['rho_ref']"),
+    ({"kind": "tau_power", "params": {"amplitude": 0.1, "gamma": 4.0,
+                                      "k": 2, "tau_min": 1.0}},
+     "psi1.params has unknown keys ['k', 'tau_min']")],
+    ids=["exp-typo", "tau-power-rho-ref", "tau-power-0.11"])
+def test_potential_json_rejects_unknown_params(doc, field):
+    # each used to run: the exp typo with rho_ref 0, the tau_power keys
+    # ignored
+    with pytest.raises(ValueError, match=re.escape(field)):
+        potential_from_json(doc, EH, "psi1")
 
 
 def test_tau_power_smooth_at_zero_section():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from alegeo.profiles import (
     ProfileError,
     RadialProfile,
     bump_perturbed_profile,
+    check_profile_json,
     curvature_sample,
     curvature_scan_rows,
     custom_profile,
@@ -17,7 +19,6 @@ from alegeo.profiles import (
     lebrun_profile,
     metric_eigenvalues,
     profile_from_json,
-    profile_to_json,
     ricci_eigenvalues,
     ricci_sign_scan,
     sampled_profile,
@@ -63,6 +64,10 @@ def test_lebrun_rejects_bad_input():
         lebrun_profile(2, 1.0, n=3)
     with pytest.raises(ProfileError):
         RadialProfile(n=2, k=0, tau_min=0.0, tau_max=1.0, form="flat")
+    # n and k are integers, and a bool is not one
+    for n, k in ((2, True), (2.0, 1), (2, 1.5)):
+        with pytest.raises(ProfileError, match="must be an integer"):
+            RadialProfile(n=n, k=k, tau_min=0.0, tau_max=1.0, form="flat")
 
 
 def test_degenerate_limit_is_flat():
@@ -332,7 +337,7 @@ def test_curvature_scan_rows_columns():
 
 def test_serialization_round_trip():
     for p in (lebrun_profile(3, 0.5), flat_profile(n=3, k=2)):
-        doc = profile_to_json(p)
+        doc = json.loads(json.dumps(p.to_json_dict()))
         q = profile_from_json(doc)
         assert q.n == p.n and q.k == p.k
         taus = np.geomspace(max(p.tau_min * 1.1, 0.5), 100.0, 10)
@@ -340,8 +345,39 @@ def test_serialization_round_trip():
     ref = lebrun_profile(2, 1.0, tau_max=1e3)
     taus = np.geomspace(1.0, 1e3, 50)
     sp = sampled_profile(2, 2, 1.0, taus, ref.phi(taus))
-    q = profile_from_json(json.loads(profile_to_json(sp)))
+    q = profile_from_json(json.loads(json.dumps(sp.to_json_dict())))
     assert np.allclose(q.phi(taus[5:-5]), sp.phi(taus[5:-5]), rtol=1e-12)
+
+
+LEBRUN_DOC = {"form": "lebrun", "n": 2, "k": 1, "tau_min": 1.0,
+              "params": {"tau_max": 1e12}}
+
+
+@pytest.mark.parametrize("change,field", [
+    ({"k": 1.5}, "profile.k must be an integer >= 1, got 1.5"),
+    ({"n": True}, "profile.n must be an integer >= 2, got True"),
+    ({"kind": "lebrun"}, "profile has unknown keys ['kind']"),
+    ({"params": {"tau_mx": 1e12}}, "profile.params has unknown keys "
+                                   "['tau_mx']"),
+    ({"params": {"A": -1.0, "B": 0.0, "tau_max": 1e12}},
+     "profile.params has unknown keys ['A', 'B']"),
+    ({"params": {"tau_max": "1e12"}}, "profile.params.tau_max"),
+    ({"tau_min": "1.0"}, "profile.tau_min must be a real number"),
+    ({"form": "flat", "tau_min": 1.0}, "profile.tau_min must be 0"),
+    ({"form": "samples", "params": {"tau": "1,2,3,4", "phi": [1.0] * 4}},
+     "profile.params.tau must be a list of real numbers"),
+    ({"params": None}, "profile.params must be an object")],
+    ids=["fractional-k", "bool-n", "unknown-key", "params-typo",
+         "derived-params", "string-tau-max", "string-tau-min",
+         "flat-tau-min", "string-samples", "null-params"])
+def test_profile_document_errors_name_the_field(change, field):
+    # each used to build a profile, or to fail with a KeyError or TypeError
+    doc = {**LEBRUN_DOC, **change}
+    with pytest.raises(ProfileError, match=re.escape(field)):
+        profile_from_json(doc)
+    missing = {key: val for key, val in LEBRUN_DOC.items() if key != "n"}
+    with pytest.raises(ProfileError, match=re.escape("profile: missing 'n'")):
+        check_profile_json(missing)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,10 @@ def test_table_validation():
         intersection_numbers(1, 1)
     with pytest.raises(ValueError):
         intersection_numbers(2, 0)
+    # a bool is not a bundle: True used to give the k = 1 table
+    for n, k in ((2, True), (True, 1), (2, 1.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            IntersectionReport.build(n, k)
 
 
 # ---------------------------------------------------------------------------
