@@ -19,13 +19,13 @@ epsilon / f, and with a weight upsilon(rho) in place of epsilon the term
 would read int f' (log(f / upsilon))' W instead.
 
 The second form of dK/dt comes from R_c V = -(F' W)' and one integration
-by parts, dropping the endpoint fluxes [Phi_t F' W].  At infinity F' W
-decays when the boundary data decay faster than r^{-(2n-2)}, so that flux
-vanishes.  At the zero section it does not in general: F' -> k - n and
-W -> tau_min^{n-1} there, while Phi_t need not vanish, so the flux is
-Phi_t (k - n) tau_min^{n-1} and drops out only for k = n.  On k != n
-backgrounds the two forms differ by it (0.087 on Burns at 65x45,
-epsilon = 1/8, against a dK/dt scale of 0.083).  The interior form is
+by parts, dropping the endpoint fluxes [Phi_t F' W], which vanish only
+for k = n: on a scalar-flat background F' W is the constant
+(k - n) tau_min^{n-1}, Phi_t need not vanish at the zero section, and at
+infinity it tends to epsilon (t - 1/2), the rate of the trivial path,
+however fast the data decay.  On Burns at 65x45, epsilon = 1/8, the flux
+at the zero section is 0.087 against a dK/dt scale of 0.083, and the one
+at infinity 0.062 at t = 0, where dK/dt reads -0.076.  The interior form is
 used because it stays accurate where w'' is small, while F''/w'' in R_c
 amplifies finite difference noise there.  Quadratures therefore assume
 grids whose inner edge sits close to the zero section (w''(rho_min) << 1);

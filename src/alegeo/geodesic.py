@@ -41,8 +41,9 @@ no acceptable step length; only a freshly factored step that fails raises
 NonConvergence.  Pure Newton is the case where the refresh fires after
 every step.  With the unknowns numbered ii nj + jj the Jacobian is a band
 matrix of half-bandwidth nj + 1; it is factored in place by LAPACK's banded
-LU with partial pivoting (dgbtrf, back-solves by dgbtrs), and no
-scipy.sparse is loaded.  A zero pivot raises NonConvergence for its stage.
+LU with partial pivoting (dgbtrf, back-solves by dgbtrs) on one OpenBLAS
+thread, from scipy's _flapack file (no scipy.linalg import; else from
+scipy.linalg.lapack).  A zero pivot raises NonConvergence for its stage.
 The reported residual and the C^{1,1} probe are recomputed from the
 profile, with fixed data built afresh.
 
@@ -62,11 +63,16 @@ from its own seed.  Only one level is coarsened.
 
 from __future__ import annotations
 
+import ctypes
+import sys
+import threading
 import time
 from dataclasses import dataclass, field, fields, replace
+from importlib import machinery, util
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+import scipy
 
 from .analysis import fit_decay_exponent
 from .potentials import RadialPotential
@@ -435,16 +441,65 @@ _MAX_BACKTRACKS = 40
 _MIN_DECAY = 0.5
 
 
+def _load_lapack():
+    """dgbtrf and dgbtrs from scipy's _flapack extension file, registered
+    under its name (a later scipy.linalg.lapack returns the same functions)
+    without importing scipy.linalg; from scipy.linalg.lapack on failure."""
+    name = "scipy.linalg._flapack"
+    try:
+        module = sys.modules.get(name)
+        if module is None:
+            path = next(path for suffix in machinery.EXTENSION_SUFFIXES if (
+                path := _SCIPY / "linalg" / f"_flapack{suffix}").is_file())
+            spec = util.spec_from_file_location(name, path)
+            module = util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+        return module.dgbtrf, module.dgbtrs
+    except (StopIteration, ImportError, AttributeError):
+        from scipy.linalg.lapack import dgbtrf, dgbtrs
+        return dgbtrf, dgbtrs
+
+
+def _blas_pool():
+    """Thread-count getter and setter of scipy's bundled OpenBLAS (loaded
+    with _flapack), or a pair that does nothing without it."""
+    try:
+        lib = ctypes.CDLL(str(next(_SCIPY.parent.glob(
+            "scipy.libs/libscipy_openblas*.so"))))
+        get = lib.scipy_openblas_get_num_threads
+        put = lib.scipy_openblas_set_num_threads
+    except (StopIteration, OSError, AttributeError):
+        return (lambda: 1), (lambda threads: None)
+    get.argtypes, get.restype = (), ctypes.c_int
+    put.argtypes, put.restype = (ctypes.c_int,), None
+    return get, put
+
+
+_SCIPY = Path(scipy.__file__).parent
+dgbtrf, dgbtrs = _load_lapack()
+_get_blas_threads, _set_blas_threads = _blas_pool()
+_BLAS_POOL_LOCK = threading.Lock()
+
+
 class _BandLU:
     """LU factors, with partial pivoting, of a _BandMatrix (LAPACK dgbtrf).
 
     The factors overwrite the matrix's band.  Raises
-    numpy.linalg.LinAlgError on an exactly zero pivot.
+    numpy.linalg.LinAlgError on an exactly zero pivot.  dgbtrf runs on one
+    OpenBLAS thread: on more, a wide band's first factorization sometimes
+    stalled for a second.  The lock keeps the pool's restore exact.
     """
 
     def __init__(self, J: _BandMatrix):
-        self.bw = J.bw
-        self.lu, self.piv, info = dgbtrf(J.ab, J.bw, J.bw, overwrite_ab=1)
+        bw = self.bw = J.bw
+        with _BLAS_POOL_LOCK:
+            threads = _get_blas_threads()
+            _set_blas_threads(1)
+            try:
+                self.lu, self.piv, info = dgbtrf(J.ab, bw, bw, overwrite_ab=1)
+            finally:
+                _set_blas_threads(threads)
         if info > 0:
             raise np.linalg.LinAlgError(
                 f"singular Jacobian: zero pivot U[{info - 1}, {info - 1}]")

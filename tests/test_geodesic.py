@@ -1,3 +1,6 @@
+import hashlib
+import importlib.util
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -197,6 +200,101 @@ def test_banded_solve_matches_dense_solve():
     again = np.linalg.solve(A, rhs)
     assert np.max(np.abs(lu.solve(rhs) - again)) <= 1e-12 * np.max(
         np.abs(again))
+
+
+def _pivoting_band(rng, n=40, bw=3):
+    """A nonsymmetric band matrix A, and A in dgbtrf's band storage; its
+    small diagonal makes the LU interchange rows."""
+    i, j = np.indices((n, n))
+    inside = np.abs(i - j) <= bw
+    A = np.where(inside, rng.standard_normal((n, n)), 0.0)
+    A[np.diag_indices(n)] *= 1e-3
+    ab = np.zeros((3 * bw + 1, n), order="F")
+    ab[2 * bw + i[inside] - j[inside], j[inside]] = A[inside]
+    return A, ab
+
+
+def test_lapack_fallback_factors_bit_identically(monkeypatch):
+    # the _flapack file loaded directly, and scipy.linalg.lapack when that
+    # load fails, factor and solve alike; a later import hands back the
+    # functions geodesic holds
+    rng = np.random.default_rng(5)
+    A, ab = _pivoting_band(rng)
+    bw, rhs = 3, rng.standard_normal(A.shape[0])
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    direct = geodesic._load_lapack()
+    assert sys.modules["scipy.linalg._flapack"].dgbtrf is direct[0]
+    looked_up = []
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.util, "spec_from_file_location",
+                        lambda name, path: looked_up.append(path))
+    fallback = geodesic._load_lapack()
+    assert looked_up and "scipy.linalg.lapack" in sys.modules
+    results = []
+    for dgbtrf, dgbtrs in (direct, fallback):
+        lu, piv, info = dgbtrf(ab.copy(order="F"), bw, bw)
+        assert info == 0
+        results.append((lu, piv, dgbtrs(lu, bw, bw, rhs, piv)[0]))
+    (_, piv, x), again = results
+    assert np.any(piv != np.arange(piv.size))
+    assert np.max(np.abs(A @ x - rhs)) < 1e-10
+    assert all(np.array_equal(a, b) for a, b in zip(results[0], again))
+    import scipy.linalg.lapack as lapack
+    assert lapack.dgbtrf is geodesic.dgbtrf
+    assert lapack.dgbtrs is geodesic.dgbtrs
+
+
+def test_band_lu_runs_on_one_blas_thread(monkeypatch):
+    # the pool's own thread count is back after every factorization, also
+    # after one that raises
+    seen = []
+    factor = geodesic.dgbtrf
+
+    def dgbtrf(*args, **kwargs):
+        seen.append(geodesic._get_blas_threads())
+        return factor(*args, **kwargs)
+
+    threads = geodesic._get_blas_threads()
+    geodesic._set_blas_threads(2)
+    try:
+        before = geodesic._get_blas_threads()
+        monkeypatch.setattr(geodesic, "dgbtrf", dgbtrf)
+        psi1 = tau_power_potential(EH, 0.1, 4.0)
+        solve_epsilon_geodesic(EH, zero_potential(), psi1,
+                               _eh_tau_power_config(33, 33))
+        assert seen and set(seen) == {1}
+        assert geodesic._get_blas_threads() == before
+        monkeypatch.setattr(geodesic, "dgbtrf", None)
+        _, ab = _pivoting_band(np.random.default_rng(5))
+        with pytest.raises(TypeError):
+            geodesic._BandLU(geodesic._BandMatrix(ab=ab, bw=3, nnz=0))
+        assert geodesic._get_blas_threads() == before
+    finally:
+        geodesic._set_blas_threads(threads)
+
+
+# the eh_energy solve's phi (EH 65x45, tau_power 0.1/4, eps = 1/8), recorded
+# with scipy.linalg.lapack's dgbtrf (numpy 2.4.6, scipy 1.17.1, x86-64):
+# rows 8::16 by columns 5::11, and the sha256 of the whole array
+EH_ENERGY_PHI = [
+    "-0x1.de06e1277b763p-8", "-0x1.1be68666b5ef2p-6", "-0x1.2e106e2ba9a25p-6",
+    "-0x1.39ea7f3fd757ap-7", "-0x1.a50d9cb04a208p-8", "-0x1.e44a7e4f3fca8p-7",
+    "-0x1.f0d226c8acbb0p-7", "-0x1.ee31833687852p-8", "-0x1.9c8f674c64be7p-8",
+    "-0x1.d9ea3073bb2c9p-7", "-0x1.e58cf58974d21p-7", "-0x1.e2606995939e7p-8",
+    "-0x1.9c8fde2249f53p-8", "-0x1.d9ead7c7e30d2p-7", "-0x1.e58dc080ef7c5p-7",
+    "-0x1.e261527bc0346p-8"]
+EH_ENERGY_SHA256 = (
+    "60873e9bd30f4f08e059e9146141aaf24d21f6267a892b3de19191ced6e7d603")
+
+
+def test_eh_energy_solve_is_pinned_bit_for_bit():
+    psi1 = tau_power_potential(EH, 0.1, 4.0)
+    g, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1,
+                                  _eh_tau_power_config(65, 45))
+    recorded = np.array([float.fromhex(h) for h in EH_ENERGY_PHI])
+    assert np.array_equal(g.phi[8::16, 5::11].ravel(), recorded)
+    whole = np.ascontiguousarray(g.phi, dtype="<f8").tobytes()
+    assert hashlib.sha256(whole).hexdigest() == EH_ENERGY_SHA256
 
 
 def test_jacobian_structural_nonzeros():
