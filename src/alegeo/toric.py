@@ -6,17 +6,14 @@ section D0, a fiber Df over a hyperplane of the base, and the infinity
 section Dinf = D0 + k*Df in cohomology.  The exact table lives in the
 rational numbers; the oracle integrates wedge powers of closed (1,1)-form
 representatives over the chart covering the zero section, reduced to a 2D
-(q, v) integral by the U(n-1) x U(1) symmetry:
+integral by the U(n-1) x U(1) symmetry:
 
     h_f   = log(1 + q)                 (pullback of the base hyperplane class)
     h_inf = log((1 + q)^k v + 1)       (infinity section)
     h_0   = h_inf - k h_f              (zero section)
 
 with q the base |u|^2 and v the fiber |w|^2.  Forms are (1/2pi) i ddbar h,
-normalized so the hyperplane class integrates to 1.  The integrals run on
-tensor Gauss-Legendre rules mapped to the half line, at ORACLE_NODES and
-ORACLE_NODES_COARSE; each rule is built once per process, on first use,
-and is read-only.
+normalized so the hyperplane class integrates to 1.
 
 At (sqrt(q), 0, ..., 0, sqrt(v)) each Hessian is a 2x2 block [[a, c], [c, b]]
 on the radial and fiber directions plus d on the n - 2 tangent directions:
@@ -25,6 +22,22 @@ shape the mixed discriminant of n Hessians, normalized so that equal
 arguments give det = d^{n-2} (ab - c^2), is a sum over pairs:
 
     D = sum_{i<j} [(a_i b_j + a_j b_i)/2 - c_i c_j] prod_{l!=i,j} d_l / C(n,2)
+
+The fiber integrand lives at the scale v ~ (1+q)^-k, so the oracle works in
+the chart (q, s) with v = s/(1+q)^k, dv = ds/(1+q)^k, where (1+q)^k v + 1 is
+1 + s.  With p = 1 + q and sigma = s/(1+s), each entry is a q-column times
+an s-row, or a sum of a few such products, built from one column of q
+nodes and one row of s nodes:
+
+    df:    a = 1/p^2, b = c = 0, d = 1/p
+    dinf:  a = k sigma/p + q k(k-1) sigma/p^2 - q k^2 sigma^2/p^2,
+           b = p^k/(1+s)^2, c = k p^(k/2-1) sqrt(qs)/(1+s)^2, d = k sigma/p
+    d0:    dinf - k df: a - k/p^2, the same b and c, d = -k/(p(1+s))
+
+The integrals run on tensor Gauss-Legendre rules mapped to the half line, at
+ORACLE_NODES and ORACLE_NODES_COARSE, for any n >= 2; their difference is
+the error estimate, bounded by MAX_ORACLE_ERROR.  Each rule is built once
+per process, on first use, and is read-only.
 """
 
 from __future__ import annotations
@@ -108,28 +121,22 @@ def _half_line_rule(nodes):
     return q, wq
 
 
-def _hessian_blocks(label, q, v, k):
-    """Hessian entries (a, b, c, d) of the labeled potential at (q, v)."""
+def _hessian_blocks(label, q, s, k):
+    """Hessian entries (a, b, c, d) of the labeled potential at (q, s): on
+    the tensor grid for a column q and a row s, pointwise for equal shapes."""
+    p = 1.0 + q
     if label == "df":
-        h_q = 1.0 / (1.0 + q)
-        zero = 0.0 * q
-        return h_q ** 2, zero, zero, h_q  # a = h_q + q h_qq = h_q^2
+        return 1.0 / p ** 2, 0.0, 0.0, 1.0 / p  # a = h_q + q h_qq = h_q^2
+    if label not in ("dinf", "d0"):
+        raise ValueError(f"unknown representative {label!r}")
+    t = 1.0 / (1.0 + s)
+    sigma = s * t
+    b = p ** k * t ** 2
+    c = k * p ** (0.5 * k - 1.0) * np.sqrt(q) * (np.sqrt(s) * t ** 2)
+    a = k / p * sigma + k * q / p ** 2 * ((k - 1) * sigma - k * sigma ** 2)
     if label == "dinf":
-        w = (1.0 + q) ** k * v + 1.0
-        w_q = k * (1.0 + q) ** (k - 1) * v
-        w_v = (1.0 + q) ** k
-        w_qq = k * (k - 1) * (1.0 + q) ** (k - 2) * v
-        w_qv = k * (1.0 + q) ** (k - 1)
-        h_q = w_q / w
-        h_v = w_v / w
-        h_qv = w_qv / w - w_q * w_v / w ** 2
-        return (h_q + q * (w_qq / w - h_q ** 2), h_v - v * h_v ** 2,
-                h_qv * np.sqrt(q * v), h_q)
-    if label == "d0":
-        inf = _hessian_blocks("dinf", q, v, k)
-        f = _hessian_blocks("df", q, v, k)
-        return tuple(x - k * y for x, y in zip(inf, f))
-    raise ValueError(f"unknown representative {label!r}")
+        return a, b, c, k / p * sigma
+    return a - k / p ** 2, b, c, -k / p * t  # d0 = dinf - k df
 
 
 def _mixed_determinant(blocks):
@@ -148,22 +155,19 @@ def _mixed_determinant(blocks):
 def wedge_integral_oracle(n, k, labels, nodes=ORACLE_NODES) -> float:
     """int over the chart of the wedge of the n labeled representatives.
 
-    The U(n-1) x U(1) symmetry collapses the integral to (q, v), a tensor
+    The U(n-1) x U(1) symmetry collapses the integral to (q, s), a tensor
     grid of _half_line_rule.
     """
     check_bundle(n, k)
     if len(labels) != n:
         raise ValueError(f"need exactly n = {n} representative labels")
     q, wq = _half_line_rule(nodes)
-    Q, S = np.meshgrid(q, q, indexing="ij")
-    # the fiber integrand lives at scale v ~ (1+q)^-k; substitute
-    # v = s / (1+q)^k so one grid resolves it at every q
-    V = S / (1.0 + Q) ** k
-    W = np.outer(wq, wq) / (1.0 + Q) ** k
-    entries = {lab: _hessian_blocks(lab, Q, V, k) for lab in set(labels)}
+    entries = {lab: _hessian_blocks(lab, q[:, None], q, k)
+               for lab in set(labels)}
     md = _mixed_determinant([entries[lab] for lab in labels])
-    measure = math.pi ** (n - 1) / math.factorial(n - 2) * Q ** (n - 2) * math.pi
-    integral = float(np.sum(md * measure * W))
+    measure = math.pi ** n / math.factorial(n - 2) * q ** (n - 2)
+    weight = (measure * wq / (1.0 + q) ** k)[:, None] * wq
+    integral = float(np.sum(md * weight))
     return (FORM_NORMALIZATION ** n * math.factorial(n) * 2 ** n * integral)
 
 
@@ -189,16 +193,12 @@ def representative_integral_oracle(n, k, which) -> dict:
     "restricted_d0" (rho0^{n-1} over the zero section).
     """
     check_bundle(n, k)
-    if n > 3:
-        raise ValueError("oracle integration capped at n <= 3")
-    if which == "d0_power":
-        labels = ("d0",) * n
-        run = lambda nodes: wedge_integral_oracle(n, k, labels, nodes=nodes)
-    elif which == "d0_power_df":
-        labels = ("d0",) * (n - 1) + ("df",)
-        run = lambda nodes: wedge_integral_oracle(n, k, labels, nodes=nodes)
-    elif which == "restricted_d0":
-        run = lambda nodes: _restricted_d0_oracle(n, k, nodes=nodes)
+    wedges = {"d0_power": ("d0",) * n,
+              "d0_power_df": ("d0",) * (n - 1) + ("df",)}
+    if which == "restricted_d0":
+        run = functools.partial(_restricted_d0_oracle, n, k)
+    elif which in wedges:
+        run = functools.partial(wedge_integral_oracle, n, k, wedges[which])
     else:
         raise ValueError(f"unknown integral selector {which!r}")
     fine = run(ORACLE_NODES)

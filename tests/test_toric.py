@@ -11,6 +11,7 @@ from alegeo.profiles import lebrun_profile, ricci_eigenvalues
 from alegeo.toric import (
     IntersectionReport,
     _half_line_rule,
+    _hessian_blocks,
     _mixed_determinant,
     intersection_numbers,
     mixed_type_certificate,
@@ -99,15 +100,77 @@ def test_certificate_soundness(n, k):
 # numeric oracle
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_oracle_reproduces_table(n, k):
+def _oracle_and_table(n, k):
+    """(oracle result, exact value) for each selector; rho0^{n-1} over D0
+    is D0^n."""
     t = intersection_numbers(n, k)
     for which, target in (("d0_power", t["d0_power"]),
                           ("d0_power_df", t["d0_power_df"]),
                           ("restricted_d0", t["d0_power"])):
-        res = representative_integral_oracle(n, k, which)
-        assert res["value"] == pytest.approx(float(target), rel=0.01)
+        yield representative_integral_oracle(n, k, which), float(target)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_oracle_reproduces_table(n, k):
+    for res, target in _oracle_and_table(n, k):
+        assert res["value"] == pytest.approx(target, rel=0.01)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_oracle_reproduces_table_to_roundoff(n, k):
+    # the quadrature converges far past the 1% bound above, which could
+    # hide an algebra slip
+    for res, target in _oracle_and_table(n, k):
+        assert res["value"] == pytest.approx(target, rel=1e-10)
+        assert res["error"] <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_oracle_reproduces_table_past_n_3(n, k):
+    for res, target in _oracle_and_table(n, k):
+        assert res["value"] == pytest.approx(target, rel=1e-12)
+        assert res["error"] <= 1e-12 * abs(target)
+
+
+def _reference_hessian_blocks(label, q, v, k):
+    """Entries (a, b, c, d) at (q, v) from the derivatives of h itself,
+    with w = (1+q)^k v + 1 kept whole: the reference for the (q, s) forms."""
+    if label == "df":
+        h_q = 1.0 / (1.0 + q)
+        zero = 0.0 * q
+        return h_q ** 2, zero, zero, h_q  # a = h_q + q h_qq = h_q^2
+    if label == "dinf":
+        w = (1.0 + q) ** k * v + 1.0
+        w_q = k * (1.0 + q) ** (k - 1) * v
+        w_v = (1.0 + q) ** k
+        w_qq = k * (k - 1) * (1.0 + q) ** (k - 2) * v
+        w_qv = k * (1.0 + q) ** (k - 1)
+        h_q = w_q / w
+        h_v = w_v / w
+        h_qv = w_qv / w - w_q * w_v / w ** 2
+        return (h_q + q * (w_qq / w - h_q ** 2), h_v - v * h_v ** 2,
+                h_qv * np.sqrt(q * v), h_q)
+    inf = _reference_hessian_blocks("dinf", q, v, k)
+    f = _reference_hessian_blocks("df", q, v, k)
+    return tuple(x - k * y for x, y in zip(inf, f))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("label", ["df", "dinf", "d0"])
+def test_hessian_entries_match_the_q_v_reference(label, k):
+    q, _ = _half_line_rule(toric.ORACLE_NODES_COARSE)
+    Q, S = np.meshgrid(q, q, indexing="ij")
+    ref = _reference_hessian_blocks(label, Q, S / (1.0 + Q) ** k, k)
+    got = _hessian_blocks(label, q[:, None], q, k)
+    for name, r, g in zip("abcd", ref, got):
+        # relative to the entry's size at each q: the reference loses
+        # digits to cancellation where an entry decays in s (b = h_v - v h_v^2)
+        scale = np.max(np.abs(r), axis=1, keepdims=True)
+        gap = np.abs(np.broadcast_to(g, r.shape) - r)
+        assert np.all(gap <= 1e-12 * scale), (name, np.max(gap / scale))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -219,11 +282,26 @@ def test_shared_rule_leaves_the_oracle_bit_for_bit(monkeypatch):
 
 def test_oracle_rejects_bad_input():
     with pytest.raises(ValueError):
-        representative_integral_oracle(4, 1, "d0_power")
-    with pytest.raises(ValueError):
         representative_integral_oracle(2, 1, "nonsense")
     with pytest.raises(ValueError):
         wedge_integral_oracle(2, 1, ("d0",))
+
+
+def test_report_build_makes_three_oracle_and_four_wedge_calls(monkeypatch):
+    # IntersectionReport.build reaches the wedge integrals only through
+    # these two module attributes, looked up at call time
+    calls = {"representative_integral_oracle": 0, "wedge_integral_oracle": 0}
+    for name in calls:
+        inner = getattr(toric, name)
+
+        def counting(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(toric, name, counting)
+    IntersectionReport.build(3, 2, with_oracle=True)
+    assert calls == {"representative_integral_oracle": 3,
+                     "wedge_integral_oracle": 4}
 
 
 # ---------------------------------------------------------------------------
