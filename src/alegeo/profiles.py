@@ -18,7 +18,8 @@ by its constructor: closed forms for the LeBrun family (partial fractions
 of 1/phi) and the flat cone (log tau), the base rho plus a compact
 Gauss-Legendre correction for a bump perturbation, and a log-grid
 quadrature only for custom and sampled profiles.  The inverse tau(rho) is
-one vectorised safeguarded Newton iteration shared by every profile.
+exact for Eguchi-Hanson, Burns, the flat cone and a bump past its support,
+and one vectorised safeguarded Newton, _newton_tau, elsewhere.
 
 Every rho-derivative of a radial field comes from d/drho = phi d/dtau,
 written once as ``RadialProfile.rho_jet``; the background potential and
@@ -60,10 +61,10 @@ __all__ = [
 
 # Curvature queries keep away from the zero-section coordinate degeneracy.
 DEFAULT_ZERO_SECTION_MARGIN = 1e-6
-# tau_of_rho stops once a Newton step moves x = log(tau), or rho misses its
-# target, by less than this relative to the size of x and rho: where rho is
-# flat in x (tau << phi) rho pins x only to its own roundoff, and the step
-# test alone can cycle.  Bisection alone would need ~60 halvings.
+# _newton_tau stops once a Newton step moves x = log(tau), or rho misses
+# its target, by less than this relative to the size of x and rho: where rho
+# is flat in x (tau << phi) rho pins x only to its own roundoff, and the
+# step test alone can cycle.  Bisection alone would need ~60 halvings.
 INVERSE_RTOL = 4.0 * np.finfo(float).eps
 INVERSE_MAX_ITERS = 100
 # Gauss-Legendre nodes for the bump correction to rho; its integrand is a
@@ -106,13 +107,14 @@ def check_bundle(n, k, prefix=""):
 
 @dataclass(frozen=True)
 class _Kernel:
-    """Profile function, its derivatives in tau, and the anchored rho(tau)."""
+    """Profile function, its tau-derivatives, rho(tau) and any exact inverse."""
 
     phi: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
     d3: Callable[[np.ndarray], np.ndarray]
     rho: Callable[[np.ndarray], np.ndarray]
+    tau: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -174,48 +176,23 @@ class RadialProfile:
         return self._kernel.rho(tau)
 
     def tau_of_rho(self, rho):
-        """Inverse of rho_of_tau, vectorised over any array shape.
-
-        Safeguarded Newton in x = log(tau): d rho/dx = tau/phi > 0, so the
-        domain ends bracket every root, each iterate shrinks its point's
-        bracket, and a step that leaves the bracket becomes a bisection.
-        """
+        """Inverse of rho_of_tau, vectorised over any array shape."""
         rho = np.asarray(rho, dtype=float)
+        lo, hi = self._kernel.rho(np.array([self._tau_lo, self.tau_max]))
+        if not np.all((rho >= lo) & (rho <= hi)):
+            raise ProfileError(f"rho out of profile range [{lo}, {hi}]")
+        return self._invert(rho.ravel()).reshape(rho.shape)[()]
+
+    @property
+    def _tau_lo(self):
+        return self.tau_min * (1.0 + DEFAULT_ZERO_SECTION_MARGIN) or 1e-8
+
+    def _invert(self, target):
+        """tau at the in-range 1-D target: exact inverse, clipped, or Newton."""
         kern = self._kernel
-        lo_tau = (self.tau_min * (1.0 + DEFAULT_ZERO_SECTION_MARGIN)
-                  if self.tau_min > 0 else 1e-8)
-        x_lo, x_hi = math.log(lo_tau), math.log(self.tau_max)
-        rho_lo, rho_hi = kern.rho(np.array([lo_tau, self.tau_max]))
-        target = rho.ravel()
-        if not np.all((target >= rho_lo) & (target <= rho_hi)):
-            raise ProfileError(
-                f"rho out of profile range [{rho_lo}, {rho_hi}]")
-        out = np.empty_like(target)
-        idx = np.arange(target.size)
-        x = np.clip(target, x_lo, x_hi)  # rho - log(tau) -> 0 at infinity
-        lo = np.full_like(x, x_lo)
-        hi = np.full_like(x, x_hi)
-        for _ in range(INVERSE_MAX_ITERS):
-            tau = np.exp(x)
-            f = kern.rho(tau) - target
-            lo = np.where(f <= 0.0, x, lo)
-            hi = np.where(f >= 0.0, x, hi)
-            x_new = x - f * kern.phi(tau) / tau
-            # a step below roundoff lands on the bracket end it started from
-            x_new = np.where((x_new >= lo) & (x_new <= hi), x_new,
-                             0.5 * (lo + hi))
-            scale = np.maximum(1.0, np.abs(x))
-            done = ((np.abs(x_new - x) <= INVERSE_RTOL * scale)
-                    | (np.abs(f) <= INVERSE_RTOL * (scale + np.abs(target))))
-            out[idx[done]] = np.exp(x_new[done])
-            keep = ~done
-            idx, x, lo, hi = idx[keep], x_new[keep], lo[keep], hi[keep]
-            target = target[keep]
-            if idx.size == 0:
-                return out.reshape(rho.shape)[()]
-        raise ProfileError(
-            f"tau_of_rho: {idx.size} points unconverged after "
-            f"{INVERSE_MAX_ITERS} iterations")
+        if kern.tau is None:
+            return _newton_tau(kern, target, self._tau_lo, self.tau_max)
+        return np.clip(kern.tau(target), self._tau_lo, self.tau_max)
 
     # -- rho-derivatives of radial fields ---------------------------------
 
@@ -275,6 +252,39 @@ class CurvatureSample:
 # constructors
 # ---------------------------------------------------------------------------
 
+def _newton_tau(kern, target, tau_lo, tau_hi):
+    """tau in [tau_lo, tau_hi] with kern.rho(tau) = target (1-D), by Newton
+    in x = log(tau) safeguarded: d rho/dx = tau/phi > 0, so each iterate
+    shrinks its point's bracket and a step that leaves it is a bisection."""
+    out = np.empty_like(target)
+    idx = np.arange(target.size)
+    x_lo, x_hi = math.log(tau_lo), math.log(tau_hi)
+    x = np.clip(target, x_lo, x_hi)  # rho - log(tau) -> 0 at infinity
+    lo = np.full_like(x, x_lo)
+    hi = np.full_like(x, x_hi)
+    for _ in range(INVERSE_MAX_ITERS):
+        tau = np.exp(x)
+        f = kern.rho(tau) - target
+        lo = np.where(f <= 0.0, x, lo)
+        hi = np.where(f >= 0.0, x, hi)
+        x_new = x - f * kern.phi(tau) / tau
+        # a step below roundoff lands on the bracket end it started from
+        x_new = np.where((x_new >= lo) & (x_new <= hi), x_new,
+                         0.5 * (lo + hi))
+        scale = np.maximum(1.0, np.abs(x))
+        done = ((np.abs(x_new - x) <= INVERSE_RTOL * scale)
+                | (np.abs(f) <= INVERSE_RTOL * (scale + np.abs(target))))
+        out[idx[done]] = np.exp(x_new[done])
+        keep = ~done
+        idx, x, lo, hi = idx[keep], x_new[keep], lo[keep], hi[keep]
+        target = target[keep]
+        if idx.size == 0:
+            return out
+    raise ProfileError(
+        f"tau_of_rho: {idx.size} points unconverged after "
+        f"{INVERSE_MAX_ITERS} iterations")
+
+
 def _quadrature_rho(phi, tau_min, tau_max, anchor):
     """rho(tau) for a profile without a closed form.
 
@@ -327,7 +337,7 @@ def lebrun_profile(k: int, tau_min: float, n: int = 2,
     # phi = (tau - a)(tau - b)/tau, so 1/phi splits into partial fractions
     # and rho = [a log(tau - a) - b log(tau - b)]/(a - b), whose constant
     # is 0 under the "infinity" anchor: 1/2 log(tau^2 - a^2) at k = 2
-    # (Eguchi-Hanson), log(tau - a) at k = 1 (Burns)
+    # (Eguchi-Hanson), log(tau - a) at k = 1 (Burns), each inverted exactly
     a, b = float(tau_min), (1.0 - k) * tau_min
     kern = _Kernel(
         phi=lambda t: t + A + B / t,
@@ -335,6 +345,8 @@ def lebrun_profile(k: int, tau_min: float, n: int = 2,
         d2=lambda t: 2.0 * B / t ** 3,
         d3=lambda t: -6.0 * B / t ** 4,
         rho=lambda t: (a * np.log(t - a) - b * np.log(t - b)) / (a - b),
+        tau={1: lambda r: a + np.exp(r),
+             2: lambda r: np.hypot(a, np.exp(r))}.get(k),
     )
     return RadialProfile(n=n, k=k, tau_min=tau_min, tau_max=tau_max,
                          form="lebrun", params={"A": A, "B": B},
@@ -349,6 +361,7 @@ def flat_profile(n: int = 2, k: int = 1, tau_max: float = 1e12) -> RadialProfile
         d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         d3=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         rho=np.log,
+        tau=np.exp,
     )
     return RadialProfile(n=n, k=k, tau_min=0.0, tau_max=tau_max,
                          form="flat", params={}, anchor="infinity",
@@ -425,12 +438,20 @@ def bump_perturbed_profile(base: RadialProfile, center: float, width: float,
         corr = np.sum(weights * half * s(q) / (pb * (pb + s(q))), axis=-1)
         return base_rho(t) + corr
 
+    def tau(r):
+        # past the support rho is the base rho, and so is its inverse
+        out, inside = np.empty_like(r), r < base_rho(c + w)
+        out[~inside] = base._invert(r[~inside])
+        out[inside] = _newton_tau(kern, r[inside], base._tau_lo, base.tau_max)
+        return out
+
     kern = _Kernel(
         phi=lambda t: base_phi(np.asarray(t, dtype=float)) + s(t),
         d1=lambda t: base.phi_d1(t) + s(t, 1),
         d2=lambda t: base.phi_d2(t) + s(t, 2),
         d3=lambda t: base.phi_d3(t) + s(t, 3),
         rho=rho,
+        tau=tau,
     )
     return RadialProfile(n=base.n, k=base.k, tau_min=base.tau_min,
                          tau_max=base.tau_max, form="perturbed",

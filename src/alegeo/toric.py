@@ -42,6 +42,7 @@ per process, on first use, and is read-only.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -139,17 +140,20 @@ def _hessian_blocks(label, q, s, k):
     return a - k / p ** 2, b, c, -k / p * t  # d0 = dinf - k df
 
 
-def _mixed_determinant(blocks):
-    """Mixed discriminant of n Hessians from their (a, b, c, d) entries."""
-    n = len(blocks)
+def _mixed_determinant(entries, labels):
+    """Mixed discriminant of the Hessians entries[x] (a, b, c, d), x in labels:
+    with m_x copies of x, the pairs are C(m_x, 2) within x, m_x m_y across."""
+    counts = collections.Counter(labels)
     total = 0.0
-    for i, j in itertools.combinations(range(n), 2):
-        a_i, b_i, c_i, _ = blocks[i]
-        a_j, b_j, c_j, _ = blocks[j]
-        pair = 0.5 * (a_i * b_j + a_j * b_i) - c_i * c_j
-        total = total + math.prod(
-            (blocks[l][3] for l in range(n) if l not in (i, j)), start=pair)
-    return total / math.comb(n, 2)
+    for x, y in itertools.combinations_with_replacement(counts, 2):
+        pairs = math.comb(counts[x], 2) if x == y else counts[x] * counts[y]
+        if pairs:
+            (a_x, b_x, c_x, _), (a_y, b_y, c_y, _) = entries[x], entries[y]
+            rest = counts - collections.Counter((x, y))
+            total = total + pairs * math.prod(
+                (entries[l][3] ** m for l, m in rest.items()),
+                start=0.5 * (a_x * b_y + a_y * b_x) - c_x * c_y)
+    return total / math.comb(len(labels), 2)
 
 
 def wedge_integral_oracle(n, k, labels, nodes=ORACLE_NODES) -> float:
@@ -164,7 +168,7 @@ def wedge_integral_oracle(n, k, labels, nodes=ORACLE_NODES) -> float:
     q, wq = _half_line_rule(nodes)
     entries = {lab: _hessian_blocks(lab, q[:, None], q, k)
                for lab in set(labels)}
-    md = _mixed_determinant([entries[lab] for lab in labels])
+    md = _mixed_determinant(entries, labels)
     measure = math.pi ** n / math.factorial(n - 2) * q ** (n - 2)
     weight = (measure * wq / (1.0 + q) ** k)[:, None] * wq
     integral = float(np.sum(md * weight))

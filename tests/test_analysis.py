@@ -105,6 +105,13 @@ def test_burns_mass_positive_frozen():
     assert m > 0
 
 
+def test_burns_mass_is_four():
+    # the flux differences the metric, which amplifies the roundoff of
+    # tau(rho): this holds with the exact tau = tau_min + e^rho, and not
+    # with the Newton's iterate, which gave 4.0000016632
+    assert adm_mass(lebrun_profile(1, 1.0)) == pytest.approx(4.0, abs=1e-6)
+
+
 def test_eh_and_burns_masses_differ():
     m_burns = adm_mass(lebrun_profile(1, 1.0))
     m_eh = adm_mass(lebrun_profile(2, 1.0))

@@ -277,24 +277,55 @@ def test_band_lu_runs_on_one_blas_thread(monkeypatch):
 # with scipy.linalg.lapack's dgbtrf (numpy 2.4.6, scipy 1.17.1, x86-64):
 # rows 8::16 by columns 5::11, and the sha256 of the whole array
 EH_ENERGY_PHI = [
+    "-0x1.de06e1277b764p-8", "-0x1.1be68666b5ef4p-6", "-0x1.2e106e2ba9a27p-6",
+    "-0x1.39ea7f3fd757cp-7", "-0x1.a50d9cb04a205p-8", "-0x1.e44a7e4f3fca5p-7",
+    "-0x1.f0d226c8acbaep-7", "-0x1.ee31833687850p-8", "-0x1.9c8f674c64bf4p-8",
+    "-0x1.d9ea3073bb2dbp-7", "-0x1.e58cf58974d32p-7", "-0x1.e2606995939f3p-8",
+    "-0x1.9c8fde2249f5ep-8", "-0x1.d9ead7c7e30e2p-7", "-0x1.e58dc080ef7d5p-7",
+    "-0x1.e261527bc0353p-8"]
+EH_ENERGY_SHA256 = (
+    "aac1c2a36ff07912f91e8e746486bb46c64913e22cdf9accb71359ca07385c36")
+# the same pin with EH inverted by the safeguarded Newton (its kernel's
+# closed-form tau removed), whose tau differs by 1 ulp at 31 of 65 nodes
+EH_ENERGY_PHI_NEWTON = [
     "-0x1.de06e1277b763p-8", "-0x1.1be68666b5ef2p-6", "-0x1.2e106e2ba9a25p-6",
     "-0x1.39ea7f3fd757ap-7", "-0x1.a50d9cb04a208p-8", "-0x1.e44a7e4f3fca8p-7",
     "-0x1.f0d226c8acbb0p-7", "-0x1.ee31833687852p-8", "-0x1.9c8f674c64be7p-8",
     "-0x1.d9ea3073bb2c9p-7", "-0x1.e58cf58974d21p-7", "-0x1.e2606995939e7p-8",
     "-0x1.9c8fde2249f53p-8", "-0x1.d9ead7c7e30d2p-7", "-0x1.e58dc080ef7c5p-7",
     "-0x1.e261527bc0346p-8"]
-EH_ENERGY_SHA256 = (
+EH_ENERGY_SHA256_NEWTON = (
     "60873e9bd30f4f08e059e9146141aaf24d21f6267a892b3de19191ced6e7d603")
 
 
-def test_eh_energy_solve_is_pinned_bit_for_bit():
-    psi1 = tau_power_potential(EH, 0.1, 4.0)
-    g, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1,
-                                  _eh_tau_power_config(65, 45))
-    recorded = np.array([float.fromhex(h) for h in EH_ENERGY_PHI])
+def _eh_energy_solve(profile, phi_hex, sha256):
+    psi1 = tau_power_potential(profile, 0.1, 4.0)
+    g, rep = solve_epsilon_geodesic(profile, zero_potential(), psi1,
+                                    _eh_tau_power_config(65, 45))
+    recorded = np.array([float.fromhex(h) for h in phi_hex])
     assert np.array_equal(g.phi[8::16, 5::11].ravel(), recorded)
     whole = np.ascontiguousarray(g.phi, dtype="<f8").tobytes()
-    assert hashlib.sha256(whole).hexdigest() == EH_ENERGY_SHA256
+    assert hashlib.sha256(whole).hexdigest() == sha256
+    return g, rep
+
+
+def test_eh_energy_solve_is_pinned_bit_for_bit():
+    _eh_energy_solve(EH, EH_ENERGY_PHI, EH_ENERGY_SHA256)
+
+
+def test_eh_energy_solve_within_roundoff_of_the_newton_inverse():
+    # EH without its closed-form inverse takes the Newton, and reproduces
+    # the older pin bit for bit; the closed form moves no node of phi by
+    # more than 1e-15 (max |phi| is 0.019), and no stage's iterations or
+    # factorizations
+    newton = replace(EH, _kernel=replace(EH._kernel, tau=None))
+    g_old, rep_old = _eh_energy_solve(newton, EH_ENERGY_PHI_NEWTON,
+                                      EH_ENERGY_SHA256_NEWTON)
+    g, rep = _eh_energy_solve(EH, EH_ENERGY_PHI, EH_ENERGY_SHA256)
+    assert np.max(np.abs(g.phi - g_old.phi)) <= 1e-15
+    assert rep.stage_iterations == rep_old.stage_iterations == [6, 5, 4, 4, 5]
+    assert (rep.stage_factorizations == rep_old.stage_factorizations
+            == [2, 2, 1, 1, 1])
 
 
 def test_jacobian_structural_nonzeros():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from alegeo.profiles import (
+    INVERSE_RTOL,
     ProfileError,
     RadialProfile,
     bump_perturbed_profile,
@@ -23,6 +24,7 @@ from alegeo.profiles import (
     ricci_sign_scan,
     sampled_profile,
     scalar_curvature,
+    _newton_tau,
 )
 
 
@@ -430,6 +432,9 @@ def _round_trip_profiles():
     )
     return {
         "lebrun": lebrun_profile(3, 1.0),
+        "burns": base,
+        "eh": lebrun_profile(2, 1.0),
+        "flat": flat_profile(),
         "custom": custom,
         "sampled": sampled_profile(2, 2, 1.0, samples,
                                    lebrun_profile(2, 1.0).phi(samples)),
@@ -438,10 +443,11 @@ def _round_trip_profiles():
     }
 
 
-@pytest.mark.parametrize("name", ["lebrun", "custom", "sampled", "bump"])
+@pytest.mark.parametrize("name", ["lebrun", "burns", "eh", "flat", "custom",
+                                  "sampled", "bump"])
 def test_tau_of_rho_vectorised_round_trip(name):
     p = _round_trip_profiles()[name]
-    taus = np.geomspace(p.tau_min * (1.0 + 1e-5), 1e11, 400)
+    taus = np.geomspace(p.tau_min * (1.0 + 1e-5) or 1e-6, 1e11, 400)
     back = p.tau_of_rho(p.rho_of_tau(taus))
     assert np.allclose(back, taus, rtol=1e-12, atol=0)
     grid = taus.reshape(20, 20)
@@ -449,6 +455,66 @@ def test_tau_of_rho_vectorised_round_trip(name):
     one = p.tau_of_rho(p.rho_of_tau(taus[123]))
     assert np.ndim(one) == 0
     assert one == pytest.approx(taus[123], rel=1e-12)
+
+
+@pytest.mark.parametrize("k,tau_min", [(1, 0.5), (1, 1.0), (1, 2.0), (1, 1e3),
+                                       (2, 0.5), (2, 1.0), (2, 2.0), (2, 1e3),
+                                       (1, 0.0)])
+def test_closed_form_inverse_matches_newton(k, tau_min):
+    # (1, 0.0) is the flat cone.  The Newton stops once a step in
+    # x = log(tau), or its miss in rho, is within INVERSE_RTOL of the sizes
+    # of x and rho, so it pins tau only that closely; on these nodes the
+    # closed forms are within 1 ulp of a 40-digit reference and the Newton
+    # within 1.5e-14 relative
+    p = lebrun_profile(k, tau_min) if tau_min else flat_profile()
+    rho = np.linspace(*p._kernel.rho(np.array([p._tau_lo, p.tau_max])), 400)
+    closed = p.tau_of_rho(rho)
+    newton = _newton_tau(p._kernel, rho, p._tau_lo, p.tau_max)
+    bound = INVERSE_RTOL * (np.maximum(1.0, np.abs(np.log(newton)))
+                            + np.abs(rho))
+    assert np.all(np.abs(closed / newton - 1.0) <= bound)
+    # unclipped, e^rho_hi lands up to 0.0017 past tau_max at (1, 0.5)
+    assert np.all((closed >= p._tau_lo) & (closed <= p.tau_max))
+
+
+@pytest.mark.parametrize("base", [lebrun_profile(1, 1.0),
+                                  lebrun_profile(2, 1.0),
+                                  lebrun_profile(3, 1.0)],
+                         ids=["burns", "eh", "lebrun3"])
+def test_bump_inverse_is_base_inverse_past_support(base):
+    p = bump_perturbed_profile(base, center=10.0, width=3.0, amplitude=0.05)
+    rho = base.rho_of_tau(np.geomspace(13.0, 1e11, 60))
+    assert np.array_equal(p.tau_of_rho(rho), base.tau_of_rho(rho))
+
+
+# tau_of_rho at these rho, recorded when every profile inverted by the
+# Newton (numpy 2.4.6, scipy 1.17.1); these still do, inside the bump's
+# support for "bump"
+NEWTON_TAU = {
+    "lebrun": ([-3.5, -1.5, 0.0, 2.5, 9.0, 25.0],
+               ["0x1.00003354e0f18p+0", "0x1.0050d3a770b13p+0",
+                "0x1.1a92dc1bf6700p+0", "0x1.689bf5253159ep+3",
+                "0x1.fa615845db434p+12", "0x1.0c3d3920862cap+36"]),
+    "custom": ([-3.5, -1.5, 0.0, 2.5, 9.0, 25.0],
+               ["0x1.000cbed8f0881p+0", "0x1.0404b3a6ca047p+0",
+                "0x1.5aa7de014e2f7p+0", "0x1.83f723e3fa8a9p+3",
+                "0x1.fa6fbe6b8b97fp+12", "0x1.0c3d392094a9ep+36"]),
+    "sampled": ([-3.5, -1.5, 0.0, 2.5, 9.0, 25.0],
+                ["0x1.001e4373336b8p+0", "0x1.064ca725e0489p+0",
+                 "0x1.6a09dffafef5ap+0", "0x1.8726a541865d4p+3",
+                 "0x1.fa71580524833p+12", "0x1.0c3d3920962c8p+36"]),
+    "bump": ([1.85, 1.95, 2.05, 2.15, 2.25, 2.4],
+             ["0x1.d6664e7a1f747p+2", "0x1.00937f555dbbfp+3",
+              "0x1.183d1e87ca86ep+3", "0x1.327724ff49fe9p+3",
+              "0x1.4f7e92bec333fp+3", "0x1.80bd26d7acb8fp+3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_TAU))
+def test_newton_inverse_unchanged_bit_for_bit(name):
+    rho, recorded = NEWTON_TAU[name]
+    tau = _round_trip_profiles()[name].tau_of_rho(np.array(rho))
+    assert [t.hex() for t in tau] == recorded
 
 
 def test_tau_of_rho_rejects_out_of_range():

@@ -224,10 +224,37 @@ def test_block_mixed_determinant_matches_polarization(n):
     blocks = [tuple(rng.normal(size=7) for _ in range(4)) for _ in range(n)]
     dense = [_dense_block_matrix(*entries, n) for entries in blocks]
     ref = _polarized_determinant(dense)
-    assert np.allclose(_mixed_determinant(blocks), ref, rtol=1e-12, atol=0.0)
+    md = _mixed_determinant(dict(enumerate(blocks)), range(n))
+    assert np.allclose(md, ref, rtol=1e-12, atol=0.0)
     # equal arguments give the determinant
-    same = _mixed_determinant([blocks[0]] * n)
+    same = _mixed_determinant({"x": blocks[0]}, ["x"] * n)
     assert np.allclose(same, np.linalg.det(dense[0]), rtol=1e-12, atol=0.0)
+
+
+def _pairwise_mixed_determinant(blocks):
+    """The pair sum term by term: C(n, 2) pairs, each times n - 2 d's."""
+    n = len(blocks)
+    total = 0.0
+    for i, j in itertools.combinations(range(n), 2):
+        a_i, b_i, c_i, _ = blocks[i]
+        a_j, b_j, c_j, _ = blocks[j]
+        pair = 0.5 * (a_i * b_j + a_j * b_i) - c_i * c_j
+        total = total + math.prod(
+            (blocks[l][3] for l in range(n) if l not in (i, j)), start=pair)
+    return total / math.comb(n, 2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mixed_determinant_by_multiplicity_matches_pair_sum(n):
+    # every multiset of n labels drawn from three, in a shuffled order
+    rng = np.random.default_rng(n)
+    entries = {x: tuple(rng.normal(size=50) for _ in range(4)) for x in "xyz"}
+    for multiset in itertools.combinations_with_replacement("xyz", n):
+        labels = list(rng.permutation(multiset))
+        ref = _pairwise_mixed_determinant([entries[x] for x in labels])
+        md = _mixed_determinant(entries, labels)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(md - ref)) <= 1e-14 * scale
 
 
 ORACLE_TABLE = [(n, k) for n in (2, 3) for k in (1, 2, 3)]
