@@ -63,9 +63,8 @@ import numpy as np
 from .geodesic import PathGrid, _FixedData, _residual
 from .profiles import _log_volume_derivs, ricci_sign_scan
 
-__all__ = ["EnergyReport", "k_energy_first_variation", "energy_report",
-           "energy_verdict", "convexity_audit", "OffShellError",
-           "MixedBackgroundError"]
+__all__ = ["EnergyReport", "energy_report", "energy_verdict",
+           "convexity_audit", "OffShellError", "MixedBackgroundError"]
 
 ON_SHELL_TOL = 1e-8
 # energy_verdict's thresholds, and the Ricci classes where convexity applies
@@ -126,10 +125,8 @@ def _cumulative_trapezoid(y, h):
     return np.concatenate([np.zeros_like(y[:1]), np.cumsum(steps, axis=0)])
 
 
-def _d_rho(arr, h, order=1):
-    for _ in range(order):
-        arr = np.gradient(arr, h, axis=0, edge_order=2)
-    return arr
+def _d_rho(arr, h):
+    return np.gradient(arr, h, axis=0, edge_order=2)
 
 
 def _path_fields(grid: PathGrid, fixed: _FixedData):
@@ -143,15 +140,18 @@ def _path_fields(grid: PathGrid, fixed: _FixedData):
 
     phi = grid.phi
     phi_t = np.gradient(phi, ht, axis=1, edge_order=2)
+    p1 = _d_rho(phi, hr)
+    p2 = _d_rho(p1, hr)
+    q1 = _d_rho(phi_t, hr)
 
     u1, u2, u3 = fixed.u1[:, None], fixed.u2[:, None], fixed.u3[:, None]
     return {
-        "w1": u1 + Psi[1] + _d_rho(phi, hr),
-        "w2": u2 + Psi[2] + _d_rho(phi, hr, 2),
-        "w3": u3 + Psi[3] + _d_rho(phi, hr, 3),
+        "w1": u1 + Psi[1] + p1,
+        "w2": u2 + Psi[2] + p2,
+        "w3": u3 + Psi[3] + _d_rho(p2, hr),
         "v": Psi_t[0] + phi_t,
-        "v1": Psi_t[1] + _d_rho(phi_t, hr),
-        "v2": Psi_t[2] + _d_rho(phi_t, hr, 2),
+        "v1": Psi_t[1] + q1,
+        "v2": Psi_t[2] + _d_rho(q1, hr),
         "u1": u1, "u2": u2,
     }
 
@@ -223,16 +223,6 @@ def _check_energy_decay(grid):
             raise ValueError(
                 f"{label} decays like r^-{gamma}, but the second variation "
                 f"needs decay faster than r^-{floor}")
-
-
-def k_energy_first_variation(grid: PathGrid, t_index: int) -> float:
-    """dK/dt at the t node: -int Phi_t R_c(w) V drho (link volume dropped).
-
-    Evaluated as -int Phi_t' F' W drho; see the module docstring for why
-    the two agree and when the parts form is preferable.
-    """
-    fields = _path_fields(grid, _FixedData.build(grid))
-    return float(_first_variation_curve(grid, fields)[t_index])
 
 
 def energy_report(grid: PathGrid, epsilon: float) -> EnergyReport:

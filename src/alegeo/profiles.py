@@ -368,13 +368,13 @@ def flat_profile(n: int = 2, k: int = 1, tau_max: float = 1e12) -> RadialProfile
                          _kernel=kern)
 
 
-def custom_profile(n, k, tau_min, phi, d1, d2, d3, tau_max=1e12,
-                   form="custom", anchor="infinity") -> RadialProfile:
+def custom_profile(n, k, tau_min, phi, d1, d2, d3,
+                   tau_max=1e12) -> RadialProfile:
     """Profile from explicit callables phi(tau) and its first three derivatives."""
     kern = _Kernel(phi=phi, d1=d1, d2=d2, d3=d3,
-                   rho=_quadrature_rho(phi, tau_min, tau_max, anchor))
+                   rho=_quadrature_rho(phi, tau_min, tau_max, "infinity"))
     return RadialProfile(n=n, k=k, tau_min=tau_min, tau_max=tau_max,
-                         form=form, params={}, anchor=anchor, _kernel=kern)
+                         form="custom", params={}, _kernel=kern)
 
 
 def sampled_profile(n, k, tau_min, tau: Sequence[float],

@@ -162,8 +162,7 @@ def test_criterion_8_decay_exponents():
         taus = np.geomspace(2.0, 1e8, 200)
         r = np.exp(p.rho_of_tau(taus) / 2.0)
         lam_base, _ = metric_eigenvalues(p, taus)
-        fit = fit_decay_exponent(r, lam_base - 1.0, window=window,
-                                 predicted=rate)
+        fit = fit_decay_exponent(r, lam_base - 1.0, window=window)
         assert fit.exponent == pytest.approx(rate, abs=0.1)
         assert fit.reliable
     # solved geodesic inherits the decay rate of its boundary data

@@ -10,13 +10,13 @@ from alegeo.energy import (
     MixedBackgroundError,
     OffShellError,
     _cumulative_trapezoid,
+    _first_variation_curve,
     _simpson,
     _path_curvature,
     _path_fields,
     convexity_audit,
     energy_report,
     energy_verdict,
-    k_energy_first_variation,
 )
 from alegeo.geodesic import (
     PathGrid,
@@ -77,6 +77,12 @@ def eh_sweep():
 # first variation
 # ---------------------------------------------------------------------------
 
+def first_variation(g, j):
+    """energy_report's dK/dt at the t node j."""
+    fields = _path_fields(g, _FixedData.build(g))
+    return float(_first_variation_curve(g, fields)[j])
+
+
 def test_first_variation_constant_path_scalar_flat():
     p = lebrun_profile(1, 1.0)  # Burns, scalar-flat
     rho = np.linspace(float(p.rho_of_tau(2.0)), float(p.rho_of_tau(2.0)) + 6,
@@ -86,7 +92,7 @@ def test_first_variation_constant_path_scalar_flat():
                  phi=np.ones((65, 1)) * (0.3 * t * (t - 1.0))[None, :],
                  psi0=zero_potential(), psi1=zero_potential(),
                  background=p, epsilon=0.5)
-    assert k_energy_first_variation(g, 8) == pytest.approx(0.0, abs=1e-12)
+    assert first_variation(g, 8) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_first_variation_flat_constant_path():
@@ -97,7 +103,7 @@ def test_first_variation_flat_constant_path():
                  phi=np.ones((65, 1)) * (0.1 * t)[None, :],
                  psi0=zero_potential(), psi1=zero_potential(),
                  background=flat, epsilon=0.5)
-    assert k_energy_first_variation(g, 8) == pytest.approx(0.0, abs=1e-12)
+    assert first_variation(g, 8) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_first_variation_refined_grid_oracle():
@@ -110,7 +116,7 @@ def test_first_variation_refined_grid_oracle():
                      psi0=zero_potential(),
                      psi1=exp_decay_potential(0.1, 4.0),
                      background=flat, epsilon=0.5)
-        return k_energy_first_variation(g, 4)
+        return first_variation(g, 4)
 
     coarse, fine = value(257), value(2561)
     assert coarse == pytest.approx(fine, rel=1e-6)
@@ -130,7 +136,7 @@ def test_first_variation_matches_curvature_quadrature():
     R = _path_curvature(g, fields)
     V = fields["w1"] ** (EH.n - 1) * fields["w2"]
     direct = float(simpson((-fields["v"] * R * V)[:, 8], x=rho))
-    assert k_energy_first_variation(g, 8) == pytest.approx(direct, rel=2e-4)
+    assert first_variation(g, 8) == pytest.approx(direct, rel=2e-4)
 
 
 # ---------------------------------------------------------------------------
