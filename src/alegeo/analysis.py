@@ -126,7 +126,9 @@ def adm_mass(p: RadialProfile) -> float:
     the module docstring), taken at r_eval and 2 r_eval.  The flat
     profile gives 0 and the scalar-flat family 2 (n - k) tau_min^{n-1}.
     Refuses when the metric deviation decays slower than r^{-(n-1)}, the
-    threshold for coordinate invariance.
+    threshold for coordinate invariance, or when too few of its samples
+    are fitted to tell; a deviation below VALUE_FLOOR over most of the fit
+    window counts as fast decay.
     """
     # far enough out for the expansion, close enough that phi - tau stays
     # above the roundoff of phi
@@ -141,7 +143,12 @@ def adm_mass(p: RadialProfile) -> float:
     fit = fit_decay_exponent(r, dev, window=(r.max() / 8, r.max()))
     if fit.below_floor:
         return 0.0
-    if not fit.reliable or fit.exponent > -(p.n - 1) + 0.2:
+    # below VALUE_FLOOR over most of the window, the deviation decays past
+    # what the window resolves: its few samples make an unreliable fit, but
+    # its slope still has to be steep enough
+    mostly_below_floor = 2 * fit.n_samples < np.count_nonzero(r >= r.max() / 8)
+    if (not (fit.reliable or mostly_below_floor)
+            or fit.exponent > -(p.n - 1) + 0.2):
         raise InsufficientDecayError(
             f"deviation decay fit {fit.exponent} too slow for invariant mass "
             f"(need <= -(n-1) = {-(p.n - 1)})")

@@ -181,13 +181,13 @@ def _write_json(path: Path, doc):
 
 
 def _write_grid_csv(path: Path, grid: PathGrid):
-    rho = np.repeat(grid.rho_nodes, grid.t_nodes.size)
-    t = np.tile(grid.t_nodes, grid.rho_nodes.size)
-    data = np.column_stack([rho, t, grid.phi.ravel()])
     # the bytes of np.savetxt(path, data, delimiter=",", header="rho,t,phi",
-    # comments=""), from one format over the whole array, not one per row
-    path.write_text("rho,t,phi\n" + ("%.18e,%.18e,%.18e\n" * len(data))
-                    % tuple(data.ravel().tolist()))
+    # comments="") for the rows (rho_i, t_j, phi_ij): each node value is
+    # formatted once, into the one format that the phi column fills
+    rho = ["%.18e" % x for x in grid.rho_nodes.tolist()]
+    t = ["%.18e" % x for x in grid.t_nodes.tolist()]
+    rows = "".join([f"{r},{s},%.18e\n" for r in rho for s in t])
+    path.write_text("rho,t,phi\n" + rows % tuple(grid.phi.ravel().tolist()))
 
 
 def _grid_meta(grid: PathGrid, profile, psi0, psi1):

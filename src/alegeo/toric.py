@@ -25,14 +25,25 @@ arguments give det = d^{n-2} (ab - c^2), is a sum over pairs:
 
 The fiber integrand lives at the scale v ~ (1+q)^-k, so the oracle works in
 the chart (q, s) with v = s/(1+q)^k, dv = ds/(1+q)^k, where (1+q)^k v + 1 is
-1 + s.  With p = 1 + q and sigma = s/(1+s), each entry is a q-column times
-an s-row, or a sum of a few such products, built from one column of q
-nodes and one row of s nodes:
+1 + s.  With p = 1 + q, t = 1/(1+s) and sigma = s t, each entry is a
+q-column times an s-row, or a sum of two such products:
 
     df:    a = 1/p^2, b = c = 0, d = 1/p
-    dinf:  a = k sigma/p + q k(k-1) sigma/p^2 - q k^2 sigma^2/p^2,
-           b = p^k/(1+s)^2, c = k p^(k/2-1) sqrt(qs)/(1+s)^2, d = k sigma/p
-    d0:    dinf - k df: a - k/p^2, the same b and c, d = -k/(p(1+s))
+    dinf:  a = k(1 + kq)/p^2 sigma t + k/p^2 sigma^2,
+           b = p^k t^2, c = k p^(k/2-1) sqrt(q) sqrt(s) t^2, d = k/p sigma
+    d0:    dinf - k df: a = k^2 q/p^2 sigma t - k/p^2 t,
+           the same b and c, d = -k/p t
+
+(dinf's a is k sigma/p + q k(k-1) sigma/p^2 - q k^2 sigma^2/p^2 regrouped
+with sigma + t = 1, which leaves two positive terms.)  The weight is one
+such product too: the measure over p^k times the q rule, times the s rule,
+and the d powers of a pair term fold into it.  So for f = sum_i F_i S_i and
+g = sum_j G_j T_j, with F, G over q and S, T over s,
+
+    int f g w = sum_ij (sum_q F_i G_j w_q) (sum_s S_i T_j w_s),
+
+two rank-by-rank matrix products.  A wedge integral costs O(rank^2 N) per
+pair type for N nodes and builds no (q, s) array.
 
 The integrals run on tensor Gauss-Legendre rules mapped to the half line, at
 ORACLE_NODES and ORACLE_NODES_COARSE, for any n >= 2; their difference is
@@ -123,36 +134,54 @@ def _half_line_rule(nodes):
 
 
 def _hessian_blocks(label, q, s, k):
-    """Hessian entries (a, b, c, d) of the labeled potential at (q, s): on
-    the tensor grid for a column q and a row s, pointwise for equal shapes."""
+    """Hessian entries (a, b, c, d) of the labeled potential in the chart
+    (q, s), each as factors (Q, S) of shapes (r, q.size) and (r, s.size):
+    the entry at (q_i, s_j) is sum_l Q[l, i] S[l, j], so Q.T @ S on the
+    tensor grid.  The rank r is at most 2."""
     p = 1.0 + q
     if label == "df":
-        return 1.0 / p ** 2, 0.0, 0.0, 1.0 / p  # a = h_q + q h_qq = h_q^2
+        one = np.ones((1, s.size))
+        zero = np.empty((0, q.size)), np.empty((0, s.size))
+        return (p[None] ** -2.0, one), zero, zero, (1.0 / p[None], one)
     if label not in ("dinf", "d0"):
         raise ValueError(f"unknown representative {label!r}")
     t = 1.0 / (1.0 + s)
     sigma = s * t
-    b = p ** k * t ** 2
-    c = k * p ** (0.5 * k - 1.0) * np.sqrt(q) * (np.sqrt(s) * t ** 2)
-    a = k / p * sigma + k * q / p ** 2 * ((k - 1) * sigma - k * sigma ** 2)
+    p2 = p ** 2
+    b = (p ** k)[None], (t ** 2)[None]
+    c = ((k * np.sqrt(q) * p ** (0.5 * k - 1.0))[None],
+         (np.sqrt(s) * t ** 2)[None])
     if label == "dinf":
-        return a, b, c, k / p * sigma
-    return a - k / p ** 2, b, c, -k / p * t  # d0 = dinf - k df
+        a = [k * (1.0 + k * q) / p2, k / p2], [sigma * t, sigma ** 2]
+        d = (k / p)[None], sigma[None]
+    else:  # d0 = dinf - k df
+        a = [k * k * q / p2, -k / p2], [sigma * t, t]
+        d = (-k / p)[None], t[None]
+    return (np.array(a[0]), np.array(a[1])), b, c, d
 
 
-def _mixed_determinant(entries, labels):
-    """Mixed discriminant of the Hessians entries[x] (a, b, c, d), x in labels:
-    with m_x copies of x, the pairs are C(m_x, 2) within x, m_x m_y across."""
+def _mixed_determinant(entries, labels, product=None):
+    """Mixed discriminant of the Hessians entries[x] = (a, b, c, d), x in
+    labels: with m_x copies of x, the pairs are C(m_x, 2) within x and
+    m_x m_y across, and each pair term is (a_x b_y + a_y b_x)/2 - c_x c_y
+    times the d powers of the other labels, rest.
+
+    product(rest) is the bilinear map (f, g) -> f g prod_l d_l^{rest[l]};
+    by default pointwise on arrays, and the oracle passes its integral.
+    """
+    if product is None:
+        def product(rest):
+            d = math.prod(entries[l][3] ** m for l, m in rest.items())
+            return lambda f, g: f * g * d
     counts = collections.Counter(labels)
     total = 0.0
     for x, y in itertools.combinations_with_replacement(counts, 2):
         pairs = math.comb(counts[x], 2) if x == y else counts[x] * counts[y]
         if pairs:
             (a_x, b_x, c_x, _), (a_y, b_y, c_y, _) = entries[x], entries[y]
-            rest = counts - collections.Counter((x, y))
-            total = total + pairs * math.prod(
-                (entries[l][3] ** m for l, m in rest.items()),
-                start=0.5 * (a_x * b_y + a_y * b_x) - c_x * c_y)
+            fg = product(counts - collections.Counter((x, y)))
+            total = total + pairs * (
+                0.5 * (fg(a_x, b_y) + fg(a_y, b_x)) - fg(c_x, c_y))
     return total / math.comb(len(labels), 2)
 
 
@@ -160,19 +189,29 @@ def wedge_integral_oracle(n, k, labels, nodes=ORACLE_NODES) -> float:
     """int over the chart of the wedge of the n labeled representatives.
 
     The U(n-1) x U(1) symmetry collapses the integral to (q, s), a tensor
-    grid of _half_line_rule.
+    grid of _half_line_rule.  Entries and weight are sums of q-columns
+    times s-rows, so each pair term integrates to q-sums times s-sums and
+    no (q, s) array is built.
     """
     check_bundle(n, k)
     if len(labels) != n:
         raise ValueError(f"need exactly n = {n} representative labels")
     q, wq = _half_line_rule(nodes)
-    entries = {lab: _hessian_blocks(lab, q[:, None], q, k)
-               for lab in set(labels)}
-    md = _mixed_determinant(entries, labels)
-    measure = math.pi ** n / math.factorial(n - 2) * q ** (n - 2)
-    weight = (measure * wq / (1.0 + q) ** k)[:, None] * wq
-    integral = float(np.sum(md * weight))
-    return (FORM_NORMALIZATION ** n * math.factorial(n) * 2 ** n * integral)
+    entries = {lab: _hessian_blocks(lab, q, q, k) for lab in set(labels)}
+    # the measure and dv = ds/(1+q)^k on the q side; the s side is wq
+    weight_q = (math.pi ** n / math.factorial(n - 2) * q ** (n - 2)
+                * wq / (1.0 + q) ** k)
+
+    def integral(rest):
+        w_q, w_s = weight_q, wq
+        for lab, m in rest.items():
+            (d_q,), (d_s,) = entries[lab][3]
+            w_q, w_s = w_q * d_q ** m, w_s * d_s ** m
+        return lambda f, g: np.vdot((f[0] * w_q) @ g[0].T,
+                                    (f[1] * w_s) @ g[1].T)
+
+    total = float(_mixed_determinant(entries, labels, integral))
+    return (FORM_NORMALIZATION ** n * math.factorial(n) * 2 ** n * total)
 
 
 def _restricted_d0_oracle(n, k, nodes=ORACLE_NODES) -> float:
@@ -183,8 +222,9 @@ def _restricted_d0_oracle(n, k, nodes=ORACLE_NODES) -> float:
     """
     m = n - 1
     q, wq = _half_line_rule(nodes)
-    a, _, _, d = _hessian_blocks("d0", q, 0.0 * q, k)
-    det = d ** (m - 1) * a
+    a, _, _, d = (Q.T @ S
+                  for Q, S in _hessian_blocks("d0", q, np.zeros(1), k))
+    det = (d ** (m - 1) * a)[:, 0]
     measure = math.pi ** m / math.factorial(m - 1) * q ** (m - 1)
     integral = float(np.sum(det * measure * wq))
     return FORM_NORMALIZATION ** m * math.factorial(m) * 2 ** m * integral

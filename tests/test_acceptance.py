@@ -126,7 +126,7 @@ def test_criterion_5_mixed_type_ricci():
 def test_criterion_6_intersection_table():
     from fractions import Fraction
     start = time.perf_counter()
-    for n, k in itertools.product((2, 3), (1, 2, 3)):
+    for n, k in itertools.product((2, 3, 4, 5), (1, 2, 3)):
         rep = IntersectionReport.build(n, k, with_oracle=True)
         assert rep.certificate["d0_ricci"] == Fraction(n - k) ** (n - 1)
         assert rep.certificate["df_ricci"] == -Fraction(n - k) ** (n - 1) / k

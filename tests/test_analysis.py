@@ -239,6 +239,13 @@ def test_mass_invariant_under_compact_bump():
     assert adm_mass(base) == adm_mass(bumped)
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0])
+def test_calabi_mass_at_n_4_is_zero(a):
+    # the deviation falls like r^-8 and drops below VALUE_FLOOR inside the
+    # fit window, leaving 2 or 6 samples: fast decay, not slow
+    assert abs(adm_mass(all_n_profile(4, 4, a))) <= 1e-3
+
+
 def test_mass_refuses_slow_decay():
     # phi = tau + tau^0.8: eigenvalue deviation ~ r^-0.4, too slow for n=2
     p = custom_profile(

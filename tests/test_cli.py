@@ -40,13 +40,15 @@ def trivial_scenario(out_dir, epsilon=0.5, n=17, extra=None):
     return Scenario.from_dict(doc)
 
 
-def eh_data_scenario(out_dir, epsilon=0.5, n=33, analyses=("c0_check",)):
+def eh_data_scenario(out_dir, epsilon=0.5, n=33, analyses=("c0_check",),
+                     n_t=None):
     return Scenario.from_dict({
         "id": f"eh-{epsilon}",
         "geometry": {"form": "lebrun", "n": 2, "k": 2, "tau_min": 1.0},
         "boundary": {"psi1": {"kind": "exp", "params": {
             "amplitude": 0.1, "gamma": 4.0, "rho_ref": 0.96}}},
-        "solver": {"epsilon": epsilon, "grid": {"n_rho": n, "n_t": n}},
+        "solver": {"epsilon": epsilon,
+                   "grid": {"n_rho": n, "n_t": n if n_t is None else n_t}},
         "analyses": list(analyses),
         "out_dir": str(out_dir),
     })
@@ -249,24 +251,28 @@ def test_grid_round_trip(tmp_path):
 
 
 def test_grid_csv_has_the_bytes_of_savetxt(tmp_path):
-    s = eh_data_scenario(tmp_path, n=17)
-    profile = s.build_profile()
-    psi0, psi1 = s.build_potentials(profile)
-    grid, _ = solve_epsilon_geodesic(profile, psi0, psi1, s.build_config())
-    assert grid.phi.min() < 0  # a minus sign in the phi column
-    path = tmp_path / "grid.csv"
-    runner._write_grid_csv(path, grid)
-    data = np.column_stack([np.repeat(grid.rho_nodes, grid.t_nodes.size),
-                            np.tile(grid.t_nodes, grid.rho_nodes.size),
-                            grid.phi.ravel()])
-    np.savetxt(tmp_path / "savetxt.csv", data, delimiter=",",
-               header="rho,t,phi", comments="")
-    assert path.read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
-    runner._write_json(path.with_suffix(".meta.json"),
-                       runner._grid_meta(grid, profile, psi0, psi1))
-    loaded = load_grid_csv(path)
-    for name in ("rho_nodes", "t_nodes", "phi"):
-        assert np.array_equal(getattr(loaded, name), getattr(grid, name))
+    # a non-square grid tells the rho column from the t column
+    for n_rho, n_t in ((17, 17), (17, 9)):
+        s = eh_data_scenario(tmp_path, n=n_rho, n_t=n_t)
+        profile = s.build_profile()
+        psi0, psi1 = s.build_potentials(profile)
+        grid, _ = solve_epsilon_geodesic(profile, psi0, psi1,
+                                         s.build_config())
+        assert grid.phi.shape == (n_rho, n_t)
+        assert grid.phi.min() < 0  # a minus sign in the phi column
+        path = tmp_path / "grid.csv"
+        runner._write_grid_csv(path, grid)
+        data = np.column_stack([
+            np.repeat(grid.rho_nodes, grid.t_nodes.size),
+            np.tile(grid.t_nodes, grid.rho_nodes.size), grid.phi.ravel()])
+        np.savetxt(tmp_path / "savetxt.csv", data, delimiter=",",
+                   header="rho,t,phi", comments="")
+        assert path.read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+        runner._write_json(path.with_suffix(".meta.json"),
+                           runner._grid_meta(grid, profile, psi0, psi1))
+        loaded = load_grid_csv(path)
+        for name in ("rho_nodes", "t_nodes", "phi"):
+            assert np.array_equal(getattr(loaded, name), getattr(grid, name))
 
 
 def test_cache_and_determinism(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -164,13 +165,52 @@ def test_hessian_entries_match_the_q_v_reference(label, k):
     q, _ = _half_line_rule(toric.ORACLE_NODES_COARSE)
     Q, S = np.meshgrid(q, q, indexing="ij")
     ref = _reference_hessian_blocks(label, Q, S / (1.0 + Q) ** k, k)
-    got = _hessian_blocks(label, q[:, None], q, k)
+    got = [Q.T @ S for Q, S in _hessian_blocks(label, q, q, k)]
     for name, r, g in zip("abcd", ref, got):
         # relative to the entry's size at each q: the reference loses
         # digits to cancellation where an entry decays in s (b = h_v - v h_v^2)
         scale = np.max(np.abs(r), axis=1, keepdims=True)
-        gap = np.abs(np.broadcast_to(g, r.shape) - r)
+        gap = np.abs(g - r)
         assert np.all(gap <= 1e-12 * scale), (name, np.max(gap / scale))
+
+
+def _tensor_grid_oracle(n, k, labels, nodes):
+    """The wedge integral summed over the (q, s) tensor grid: every entry
+    as an N x N array, the pointwise mixed discriminant, np.sum(md * weight).
+    The reference for the oracle's q-sums times s-sums."""
+    q, wq = _half_line_rule(nodes)
+    entries = {lab: tuple(Q.T @ S for Q, S in _hessian_blocks(lab, q, q, k))
+               for lab in set(labels)}
+    md = _mixed_determinant(entries, labels)
+    measure = math.pi ** n / math.factorial(n - 2) * q ** (n - 2)
+    weight = (measure * wq / (1.0 + q) ** k)[:, None] * wq
+    integral = float(np.sum(md * weight))
+    return (toric.FORM_NORMALIZATION ** n * math.factorial(n) * 2 ** n
+            * integral)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_oracle_matches_the_tensor_grid_sum(n, k):
+    for labels in (("d0",) * n, ("d0",) * (n - 1) + ("df",), ("dinf",) * n):
+        for nodes in (toric.ORACLE_NODES, toric.ORACLE_NODES_COARSE):
+            ref = _tensor_grid_oracle(n, k, labels, nodes)
+            got = wedge_integral_oracle(n, k, labels, nodes)
+            assert abs(got - ref) <= 1e-13 * abs(ref), (labels, nodes, got, ref)
+
+
+def test_wedge_integral_builds_no_grid_array():
+    labels = ("d0", "d0", "df")
+    wedge_integral_oracle(3, 2, labels)  # the shared rule is built here
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        wedge_integral_oracle(3, 2, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a quarter of one N x N float array
+    assert peak < toric.ORACLE_NODES ** 2 * 8 / 4, peak
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
