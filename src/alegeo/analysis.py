@@ -19,7 +19,10 @@ phi = tau + (k-n) tau_min^{n-1} tau^{2-n} + (n-k-1) tau_min^n tau^{1-n}
 (-2A for LeBrun's n = 2 form, so Burns gives 2 tau_min).  For n >= 3 the
 factor e^{(n-2) rho} amplifies the roundoff of phi - tau, which is
 ulp(tau) against a difference of order tau^{2-n}: at n = 4 and r = 200
-about two digits are left.
+about two digits are left, and at n = 5 none.  adm_mass therefore moves
+the flux radius in until phi - tau keeps about six digits; on the
+scalar-flat family the flux is constant up to a relative O(tau^{1-n}),
+so the smaller radius costs little.
 """
 
 from __future__ import annotations
@@ -37,10 +40,13 @@ __all__ = ["DecayFit", "fit_decay_exponent", "default_window", "weighted_norm",
 VALUE_FLOOR = 1e-13
 MIN_FIT_SAMPLES = 8
 MAX_FIT_RMS = 0.1
+RESOLVE_ULPS = 2.0 ** 20  # phi - tau in ulp(tau) at the flux radius: ~6 digits
+FLUX_TAU_FLOOR = 8.0  # innermost flux tau, in units of max(tau_min, 1)
 
 
 class InsufficientDecayError(ValueError):
-    """Profile decays too slowly for a coordinate-invariant mass."""
+    """Profile decays too slowly for a coordinate-invariant mass, or its
+    flux cannot be resolved in double precision."""
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,17 @@ def weighted_norm(r, values, s: float) -> float:
 # ADM mass
 # ---------------------------------------------------------------------------
 
+def _unresolved(p: RadialProfile, r: float) -> bool:
+    """Whether phi - tau at radius r is within RESOLVE_ULPS ulp of tau.
+
+    A profile that reads exactly flat there (phi = tau and phi'' = 0, as
+    past a compact bump on flat space) has nothing to resolve.
+    """
+    tau = p.tau_of_rho(2.0 * math.log(r))
+    return (abs(float(p.phi(tau)) - tau) < RESOLVE_ULPS * np.spacing(tau)
+            and float(p.phi_d2(tau)) != 0.0)
+
+
 def _scaled_flux(p: RadialProfile, r: float) -> float:
     """r^{2n-1} times the ADM integrand on the r-sphere, in closed form."""
     rho = 2.0 * math.log(r)
@@ -126,14 +143,20 @@ def adm_mass(p: RadialProfile) -> float:
     the module docstring), taken at r_eval and 2 r_eval.  The flat
     profile gives 0 and the scalar-flat family 2 (n - k) tau_min^{n-1}.
     Refuses when the metric deviation decays slower than r^{-(n-1)}, the
-    threshold for coordinate invariance, or when too few of its samples
-    are fitted to tell; a deviation below VALUE_FLOOR over most of the fit
-    window counts as fast decay.
+    threshold for coordinate invariance, and when phi - tau cannot be
+    resolved at radii where the expansion holds.
     """
     # far enough out for the expansion, close enough that phi - tau stays
     # above the roundoff of phi
     r_outer = math.exp(0.5 * p.rho_of_tau(p.tau_max * 0.01))
     r_eval = min(100.0, r_outer / 4.0)
+    # for n >= 3 the flux's e^{(n-2) rho} amplifies the roundoff of
+    # phi - tau: move in by halves until it is resolved at 2 r_eval, as
+    # long as tau(r_eval) stays above FLUX_TAU_FLOOR max(tau_min, 1)
+    tau_floor = FLUX_TAU_FLOOR * max(p.tau_min, 1.0)
+    while (_unresolved(p, 2.0 * r_eval)
+           and p.tau_of_rho(2.0 * math.log(r_eval / 2.0)) >= tau_floor):
+        r_eval /= 2.0
     # decay precondition on the eigenvalue deviation
     taus = np.geomspace(max(1.5 * p.tau_min, 1.0),
                         min(p.tau_max, (r_eval ** 2) * 4), 64)
@@ -143,15 +166,19 @@ def adm_mass(p: RadialProfile) -> float:
     fit = fit_decay_exponent(r, dev, window=(r.max() / 8, r.max()))
     if fit.below_floor:
         return 0.0
-    # below VALUE_FLOOR over most of the window, the deviation decays past
-    # what the window resolves: its few samples make an unreliable fit, but
-    # its slope still has to be steep enough
-    mostly_below_floor = 2 * fit.n_samples < np.count_nonzero(r >= r.max() / 8)
-    if (not (fit.reliable or mostly_below_floor)
-            or fit.exponent > -(p.n - 1) + 0.2):
+    if not fit.reliable:
+        raise InsufficientDecayError(
+            f"deviation decay fit unreliable: {fit.n_samples} samples above "
+            f"{VALUE_FLOOR:g}, RMS {fit.residual:.3g}")
+    if fit.exponent > -(p.n - 1) + 0.2:
         raise InsufficientDecayError(
             f"deviation decay fit {fit.exponent} too slow for invariant mass "
             f"(need <= -(n-1) = {-(p.n - 1)})")
+    if _unresolved(p, 2.0 * r_eval):
+        raise InsufficientDecayError(
+            f"flux not resolved: phi - tau at r = {2.0 * r_eval:g} is within "
+            f"{RESOLVE_ULPS:g} ulp of tau, and tau(r_eval) cannot go below "
+            f"{tau_floor:g}")
 
     m1, m2 = _scaled_flux(p, r_eval), _scaled_flux(p, 2.0 * r_eval)
     # leading flux error is O(r^-2) relative to the r^{2n-1} scaling

@@ -239,11 +239,31 @@ def test_mass_invariant_under_compact_bump():
     assert adm_mass(base) == adm_mass(bumped)
 
 
-@pytest.mark.parametrize("a", [0.5, 1.0])
-def test_calabi_mass_at_n_4_is_zero(a):
-    # the deviation falls like r^-8 and drops below VALUE_FLOOR inside the
-    # fit window, leaving 2 or 6 samples: fast decay, not slow
-    assert abs(adm_mass(all_n_profile(4, 4, a))) <= 1e-3
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_all_n_mass_at_n_4_and_5(n, k, a):
+    # at r = 200 phi - tau keeps at most ~2000 ulp of tau at n = 4 and
+    # none at n = 5, and e^{(n-2) rho} amplifies the roundoff; k = n is
+    # Calabi's metric, of mass 0
+    m = adm_mass(all_n_profile(n, k, a))
+    expected = 2.0 * (n - k) * a ** (n - 1)
+    assert abs(m - expected) <= 1e-4 * a ** (n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_flat_mass_stays_zero_under_compact_bump(n):
+    # past the bump phi reads exactly tau: the flux radius stays out there
+    bumped = bump_perturbed_profile(flat_profile(n), center=10.0, width=3.0,
+                                    amplitude=0.05)
+    assert adm_mass(bumped) == 0.0
+
+
+def test_mass_refuses_an_unresolved_flux():
+    # Calabi at n = 7: phi - tau = -tau^-6 is ~4e4 ulp of tau at r = 6.25,
+    # as far in as the flux radius goes, so the flux would be roundoff
+    with pytest.raises(InsufficientDecayError, match="not resolved"):
+        adm_mass(all_n_profile(7, 7, 1.0))
 
 
 def test_mass_refuses_slow_decay():
