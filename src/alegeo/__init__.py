@@ -7,7 +7,6 @@ __version__ = "0.12.0"
 
 from .profiles import (  # noqa: F401
     RadialProfile,
-    CurvatureSample,
     SignScanResult,
     lebrun_profile,
     flat_profile,

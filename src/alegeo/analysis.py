@@ -1,4 +1,4 @@
-"""Decay-rate fitting, weighted sup-norms and ADM boundary flux.
+"""Decay-rate fitting and ADM boundary flux.
 
 Radii are always the asymptotic-chart radius r = exp(rho/2).  Decay fits are
 least-squares slopes of log|value| against log r over a window; the window
@@ -34,8 +34,8 @@ import numpy as np
 
 from .profiles import RadialProfile, metric_eigenvalues
 
-__all__ = ["DecayFit", "fit_decay_exponent", "default_window", "weighted_norm",
-           "adm_mass", "InsufficientDecayError"]
+__all__ = ["DecayFit", "fit_decay_exponent", "default_window", "adm_mass",
+           "InsufficientDecayError"]
 
 VALUE_FLOOR = 1e-13
 MIN_FIT_SAMPLES = 8
@@ -102,13 +102,6 @@ def fit_decay_exponent(r, values, window=None) -> DecayFit:
     rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return DecayFit(window=(lo, hi), exponent=float(slope), residual=rms,
                     n_samples=fitted)
-
-
-def weighted_norm(r, values, s: float) -> float:
-    """sup over samples of |value| * r^{-s}, the discrete C^0_s seminorm."""
-    r = np.asarray(r, dtype=float)
-    values = np.asarray(values, dtype=float)
-    return float(np.max(np.abs(values) * r ** (-s)))
 
 
 # ---------------------------------------------------------------------------

@@ -156,21 +156,6 @@ def _path_fields(grid: PathGrid, fixed: _FixedData):
     }
 
 
-def _path_curvature(grid, fields):
-    """Complex-trace scalar curvature R_c(w) on the grid.
-
-    R_c = -(n-1) F'/w' - F''/w'' with F = (n-1) log w' + log w'' - n rho.
-    F' is closed-form in (w', w'', w'''); F'' would need w'''' and is taken
-    by rho-differentiation of F' instead.  Noise-amplified where w'' is
-    small; use the parts form of the first variation on solved grids.
-    """
-    n = grid.background.n
-    w1, w2, w3 = fields["w1"], fields["w2"], fields["w3"]
-    F1 = (n - 1) * w2 / w1 + w3 / w2 - n
-    F2 = _d_rho(F1, grid.h_rho)
-    return -(n - 1) * F1 / w1 - F2 / w2
-
-
 def _background_ricci_trace(grid, fields):
     """tr_{omega_phi} Ric(omega) of the fixed background against the path."""
     n = grid.background.n

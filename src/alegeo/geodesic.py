@@ -21,9 +21,10 @@ What depends only on the grid is built once per solve.  _FixedData is the
 one evaluator of u', u'', u''' and the psi0, psi1 jets to third order on
 every rho node: the boundary checks read it there, the residual on the
 rows rho[:-1] and the coarse grid on every other row, and energy_report
-builds one for its on-shell check and quadratures.  _StencilBand holds
-where each of the 12 Jacobian stencil terms lands in LAPACK band storage,
-so each iterate fills the band with one bincount.  The line search
+builds one for its on-shell check and quadratures.  The Jacobian needs no
+index tables: with the unknowns numbered ii nj + jj, the stencil term at
+offset (di, dj) lies on band diagonal di nj + dj, so _jacobian_band adds
+each coefficient array straight into its diagonals.  The line search
 evaluates the residual only.  Each stage after the first starts from a
 secant predictor in s through the last two solutions (from one solution,
 the shift by the trivial solution s t(t-1)/2), falling back to the last
@@ -313,16 +314,6 @@ def _check_positive(w1, w2, grid):
 # Newton assembly
 # ---------------------------------------------------------------------------
 
-# The Jacobian's stencil terms: (di, dj, coefficient, multiple), with the
-# coefficients cA = dR/dphi_tt / ht^2, cB = dR/dphi_rr / hr^2,
-# cC = dR/dphi_rt / (4 hr ht) and cD = dR/dphi_r / (2 hr).
-_STENCIL = ((0, -1, 0, 1.0), (0, 1, 0, 1.0), (0, 0, 0, -2.0),
-            (-1, 0, 1, 1.0), (1, 0, 1, 1.0), (0, 0, 1, -2.0),
-            (1, 1, 2, 1.0), (1, -1, 2, -1.0), (-1, 1, 2, -1.0),
-            (-1, -1, 2, 1.0),
-            (1, 0, 3, 1.0), (-1, 0, 3, -1.0))
-
-
 @dataclass(frozen=True)
 class _BandMatrix:
     """A square matrix in LAPACK band storage, as dgbtrf takes it.
@@ -341,65 +332,66 @@ class _BandMatrix:
         return (self.ab.shape[1],) * 2
 
 
-@dataclass(frozen=True)
-class _StencilBand:
-    """Where the Jacobian's stencil terms land in band storage over an
-    (ni, nj) unknown block.
+def _jacobian_band(coefs) -> _BandMatrix:
+    """The banded Jacobian of R over the (ni, nj) unknown block, from the
+    stacked coefficients (A, B, C, D) of shape (4, ni, nj):
+    A = dR/dphi_tt / ht^2, B = dR/dphi_rr / hr^2, C = dR/dphi_rt / (4 hr ht)
+    and D = dR/dphi_r / (2 hr).
 
-    Unknown (ii, jj) is number ii nj + jj, so every term lies within
-    bw = nj + 1 of the diagonal, the Neumann mirror of ghost row -1 onto
-    row +1 included.  Term m takes the value multiple[m] *
-    coefs.flat[src[m]] and is summed into slot[m] of the C-ordered
-    (N, 3 bw + 1) array whose transpose is the Fortran-ordered band.
+    Unknown (ii, jj) is number ii nj + jj, so the term coupling it to
+    unknown (ii + di, jj + dj) lies on diagonal di nj + dj, within
+    bw = nj + 1 of the main one.  Terms that leave the t range or reach the
+    Dirichlet row are dropped, and row 0's di = -1 terms are added onto its
+    di = +1 ones (the Neumann mirror of ghost row -1 onto row +1).  An
+    entry that gathers several terms sums them in the order they are added
+    below, and that order fixes the bits of the entry, and so of phi.
     """
+    A, B, C, D = coefs
+    ni, nj = A.shape
+    size, bw = ni * nj, nj + 1
+    # bw spare columns at either end let every diagonal be read as an
+    # (ni, nj) view over the rows of J; the terms written stay inside ab
+    padded = np.zeros((3 * bw + 1, size + 2 * bw), order="F")
+    # the indices whose neighbour at offset -1, 0 or +1 is in the block
+    inner = {-1: slice(1, None), 0: slice(None), 1: slice(None, -1)}
 
-    size: int
-    bw: int
-    nnz: int
-    src: np.ndarray
-    multiple: np.ndarray
-    slot: np.ndarray
+    def diagonal(di, dj):
+        k = di * nj + dj
+        return padded[2 * bw - k, bw + k:bw + k + size].reshape(ni, nj)
 
-    @classmethod
-    def build(cls, ni, nj) -> "_StencilBand":
-        size, bw = ni * nj, nj + 1
-        ld = 3 * bw + 1
-        row = np.arange(size)
-        ii, jj = np.divmod(row, nj)
-        src, multiple, slot = [], [], []
-        for di, dj, coef, mult in _STENCIL:
-            ti = np.abs(ii + di)  # Neumann mirror: ghost row -1 is row +1
-            tj = jj + dj
-            keep = (ti <= ni - 1) & (tj >= 0) & (tj <= nj - 1)
-            r, c = row[keep], (ti * nj + tj)[keep]
-            src.append(coef * size + r)
-            multiple.append(np.full(r.size, mult))
-            slot.append(c * ld + 2 * bw + r - c)
-        # the stencil covers all nine (di, dj); a row reaches 3 unknown rows
-        # (2 at either end, the mirror folding row 0's -1 onto +1) times 3
-        # unknown columns (2 at either end)
-        return cls(size=size, bw=bw, nnz=(3 * ni - 2) * (3 * nj - 2),
-                   src=np.concatenate(src),
-                   multiple=np.concatenate(multiple),
-                   slot=np.concatenate(slot))
+    def add(di, dj, values):
+        """J[(ii, jj), (ii + di, jj + dj)] += values[ii, jj] where the
+        column is an unknown, with row 0's di = -1 onto its mirror."""
+        rows, cols = inner[di], inner[dj]
+        diagonal(di, dj)[rows, cols] += values[rows, cols]
+        if di < 0:
+            diagonal(1, dj)[:1, cols] += values[:1, cols]
 
-    def matrix(self, coefs):
-        """The band matrix for stacked coefficients of shape (4, ni, nj)."""
-        band = np.bincount(self.slot,
-                           weights=self.multiple * coefs.ravel()[self.src],
-                           minlength=self.size * (3 * self.bw + 1))
-        return _BandMatrix(ab=band.reshape(self.size, -1).T, bw=self.bw,
-                           nnz=self.nnz)
+    add(0, -1, A)
+    add(0, 1, A)
+    add(0, 0, -2.0 * A - 2.0 * B)
+    add(-1, 0, B)
+    add(1, 0, B)
+    add(1, 1, C)
+    add(1, -1, -C)
+    add(-1, 1, -C)
+    add(-1, -1, C)
+    add(1, 0, D)
+    add(-1, 0, -D)
+    # a row reaches 3 unknown rows (2 at either end, the mirror folding
+    # row 0's -1 onto +1) times 3 unknown columns (2 at either end)
+    return _BandMatrix(ab=padded[:, bw:bw + size], bw=bw,
+                       nnz=(3 * ni - 2) * (3 * nj - 2))
 
 
-def _newton_system(grid: PathGrid, fixed: _FixedData, s, band=None):
-    """Log-form residual R, normalized residual G and, given the stencil
-    band, the banded Jacobian of R over the unknown block.
+def _newton_system(grid: PathGrid, fixed: _FixedData, s, jacobian=False):
+    """Log-form residual R, normalized residual G and, with jacobian set,
+    the banded Jacobian of R over the unknown block.
 
     Returns (R, J, G), with G equal bit for bit to _residual(...,
-    normalized=True) from the same field arrays; J is a _BandMatrix, None
-    without a band (the line search needs R and G only), and all three
-    are None outside the ellipticity cone.
+    normalized=True) from the same field arrays; J is a _BandMatrix from
+    _jacobian_band, None unless asked for (the line search needs R and G
+    only), and all three are None outside the ellipticity cone.
     """
     n = fixed.n
     hr, ht = grid.h_rho, grid.h_t
@@ -410,13 +402,13 @@ def _newton_system(grid: PathGrid, fixed: _FixedData, s, band=None):
     density = fixed.density[:-1]
     R = np.log(M) + (n - 1) * np.log(w1) - np.log(s * density)
     G = _density_residual(M, w1, fixed, s) / density
-    if band is None:
+    if not jacobian:
         return R, None, G
     coefs = np.stack([w2 / M / ht ** 2,
                       phi_tt / M / hr ** 2,
                       -2.0 * P / M / (4.0 * hr * ht),
                       (n - 1) / w1 / (2.0 * hr)])
-    return R, band.matrix(coefs), G
+    return R, _jacobian_band(coefs), G
 
 
 # A stage keeps its LU only while each step is taken whole and cuts max|R|
@@ -622,7 +614,6 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
     """
     t = grid.t_nodes
     ni, nj = grid.phi.shape[0] - 1, grid.phi.shape[1] - 2
-    band = _StencilBand.build(ni, nj)
     for index, s in enumerate(stages):
         tol = (final_tol if s == stages[-1]
                else max(config.newton_tol, _STAGE_TOL))
@@ -661,7 +652,7 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
                     log.factorizations[-1] += 1
                     try:
                         delta, lu = spsolve(
-                            _newton_system(grid, fixed, s, band)[1],
+                            _newton_system(grid, fixed, s, jacobian=True)[1],
                             -R.ravel())
                     except np.linalg.LinAlgError as exc:
                         raise NonConvergence(s, history,
@@ -739,14 +730,15 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     # the certificate and the C^{1,1} probe come from the profile, through
     # fixed data built afresh rather than the solve's own
     final = _FixedData.build(grid)
-    G = _residual(grid, final, config.epsilon, normalized=False)
+    w1, w2, P, phi_tt = _field_arrays(grid, final)
+    _check_positive(w1, w2, grid)
+    M = phi_tt * w2 - P ** 2
+    G = _density_residual(M, w1, final, config.epsilon)
     res_raw = float(np.max(np.abs(G)))
     res_norm = float(np.max(np.abs(G / final.density[:-1])))
     if res_norm > config.newton_tol:
         raise NonConvergence(config.epsilon, [res_norm], log.factorizations)
 
-    w1, w2, P, phi_tt = _field_arrays(grid, final)
-    M = phi_tt * w2 - P ** 2
     margins = {"worst_nodes": {}}
     for name, values in (("w1", w1), ("w2", w2), ("M", M)):
         margins[name], margins["worst_nodes"][name] = _argmin_node(

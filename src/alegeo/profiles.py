@@ -42,7 +42,6 @@ import numpy as np
 
 __all__ = [
     "RadialProfile",
-    "CurvatureSample",
     "SignScanResult",
     "lebrun_profile",
     "flat_profile",
@@ -234,18 +233,6 @@ class RadialProfile:
             raise ProfileError(f"form {self.form!r} does not serialize")
         return {"n": self.n, "k": self.k, "tau_min": self.tau_min,
                 "form": self.form, "params": params}
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    """Pointwise curvature data of a radial metric."""
-
-    tau: float
-    lambda_base: float
-    lambda_fiber: float
-    ric_base: float
-    ric_fiber: float
-    scal: float
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +490,6 @@ def scalar_curvature(p: RadialProfile, tau):
     p._check_domain(tau)
     F1, F2 = _log_volume_derivs(p, tau)
     return 2.0 * (-(p.n - 1) * F1 / tau - F2 / p.phi(tau))
-
-
-def curvature_sample(p: RadialProfile, tau) -> CurvatureSample:
-    lb, lf = metric_eigenvalues(p, tau)
-    rb, rf = ricci_eigenvalues(p, tau)
-    return CurvatureSample(tau=float(tau), lambda_base=float(lb),
-                           lambda_fiber=float(lf), ric_base=float(rb),
-                           ric_fiber=float(rf),
-                           scal=float(scalar_curvature(p, tau)))
 
 
 @dataclass(frozen=True)

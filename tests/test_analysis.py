@@ -12,7 +12,6 @@ from alegeo.analysis import (
     adm_mass,
     default_window,
     fit_decay_exponent,
-    weighted_norm,
 )
 from alegeo.profiles import (
     bump_perturbed_profile,
@@ -76,22 +75,6 @@ def test_window_validation():
         fit_decay_exponent(-r, v)
     lo, hi = default_window(100.0)
     assert (lo, hi) == (12.5, 50.0)
-
-
-# ---------------------------------------------------------------------------
-# weighted norms
-# ---------------------------------------------------------------------------
-
-def test_weighted_norm_matching_weight():
-    r = np.geomspace(1.0, 50.0, 30)
-    assert weighted_norm(r, r ** -2.0, -2.0) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_weighted_norm_sup_at_inner_edge():
-    r = np.geomspace(2.0, 50.0, 30)
-    val = weighted_norm(r, r ** -2.0, -1.0)
-    # |r^-2| * r^1 = 1/r is maximized at r_min
-    assert val == pytest.approx(1.0 / r[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from alegeo.energy import (
     MixedBackgroundError,
     OffShellError,
     _cumulative_trapezoid,
+    _d_rho,
     _first_variation_curve,
     _simpson,
-    _path_curvature,
     _path_fields,
     convexity_audit,
     energy_report,
@@ -120,6 +120,21 @@ def test_first_variation_refined_grid_oracle():
 
     coarse, fine = value(257), value(2561)
     assert coarse == pytest.approx(fine, rel=1e-6)
+
+
+def _path_curvature(grid, fields):
+    """Complex-trace scalar curvature R_c(w) on the grid.
+
+    R_c = -(n-1) F'/w' - F''/w'' with F = (n-1) log w' + log w'' - n rho.
+    F' is closed-form in (w', w'', w'''); F'' would need w'''' and is taken
+    by rho-differentiation of F' instead.  Noise-amplified where w'' is
+    small; use the parts form of the first variation on solved grids.
+    """
+    n = grid.background.n
+    w1, w2, w3 = fields["w1"], fields["w2"], fields["w3"]
+    F1 = (n - 1) * w2 / w1 + w3 / w2 - n
+    F2 = _d_rho(F1, grid.h_rho)
+    return -(n - 1) * F1 / w1 - F2 / w2
 
 
 def test_first_variation_matches_curvature_quadrature():

@@ -19,7 +19,7 @@ from alegeo.geodesic import (
     reduced_residual,
     solve_epsilon_geodesic,
     _FixedData,
-    _StencilBand,
+    _jacobian_band,
     _newton_system,
     _prolong,
     _residual,
@@ -112,54 +112,68 @@ def _dense(J):
     return A
 
 
-def _dense_from_stencil(coefs):
-    """The Jacobian assembled entry by entry from geodesic._STENCIL."""
-    _, ni, nj = coefs.shape
-    A = np.zeros((ni * nj, ni * nj))
+# The Jacobian's stencil terms: (di, dj, coefficient, multiple), with the
+# coefficients cA = dR/dphi_tt / ht^2, cB = dR/dphi_rr / hr^2,
+# cC = dR/dphi_rt / (4 hr ht) and cD = dR/dphi_r / (2 hr).
+_STENCIL = ((0, -1, 0, 1.0), (0, 1, 0, 1.0), (0, 0, 0, -2.0),
+            (-1, 0, 1, 1.0), (1, 0, 1, 1.0), (0, 0, 1, -2.0),
+            (1, 1, 2, 1.0), (1, -1, 2, -1.0), (-1, 1, 2, -1.0),
+            (-1, -1, 2, 1.0),
+            (1, 0, 3, 1.0), (-1, 0, 3, -1.0))
+
+
+def _stencil_terms(ni, nj):
+    """(row, column, coefficient index, multiple) of every Jacobian term
+    over an (ni, nj) unknown block, entry by entry from _STENCIL."""
     for ii in range(ni):
         for jj in range(nj):
-            for di, dj, coef, mult in geodesic._STENCIL:
+            for di, dj, coef, mult in _STENCIL:
                 ti, tj = ii + di, jj + dj
                 if ti == -1:
                     ti = 1  # Neumann mirror
                 if ti < ni and 0 <= tj < nj:
-                    A[ii * nj + jj, ti * nj + tj] += mult * coefs[coef, ii, jj]
+                    yield ii * nj + jj, ti * nj + tj, (coef, ii, jj), mult
+
+
+def _dense_from_stencil(coefs):
+    """The Jacobian assembled entry by entry from _STENCIL."""
+    _, ni, nj = coefs.shape
+    A = np.zeros((ni * nj, ni * nj))
+    for row, col, src, mult in _stencil_terms(ni, nj):
+        A[row, col] += mult * coefs[src]
     return A
 
 
-class _RecordingBand:
-    """A _StencilBand that keeps the coefficients it was last filled with."""
-
-    def __init__(self, band):
-        self.band = band
-
-    def matrix(self, coefs):
-        self.coefs = coefs.copy()
-        return self.band.matrix(coefs)
-
-
 def _perturbed_system(n_rho, n_t, rng):
-    """A grid near the s = 0.7 trivial solution, with its Newton system."""
+    """A grid near the s = 0.7 trivial solution, with its Newton system
+    and the coefficients its Jacobian was assembled from."""
     g = make_grid(EH, n_rho=n_rho, n_t=n_t,
                   psi0=exp_decay_potential(0.03, 4.0, rho_ref=RHO_MIN_EH),
                   psi1=exp_decay_potential(0.05, 4.0, rho_ref=RHO_MIN_EH))
     t = g.t_nodes[None, :]
     g.phi[:] = 0.7 * t * (t - 1.0) / 2.0
     g.phi[:-1, 1:-1] += 0.001 * rng.standard_normal(g.phi[:-1, 1:-1].shape)
-    ni, nj = g.phi.shape[0] - 1, g.phi.shape[1] - 2
     fixed = _FixedData.build(g)
-    band = _RecordingBand(_StencilBand.build(ni, nj))
-    return g, fixed, band, _newton_system(g, fixed, 0.7, band)
+    recorded = []
+
+    def record(coefs):
+        recorded.append(coefs.copy())
+        return _jacobian_band(coefs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geodesic, "_jacobian_band", record)
+        system = _newton_system(g, fixed, 0.7, jacobian=True)
+    return g, fixed, recorded[-1], system
 
 
 def _check_jacobian(n_rho, n_t):
     rng = np.random.default_rng(7)
-    g, fixed, band, (R0, J, G0) = _perturbed_system(n_rho, n_t, rng)
+    g, fixed, _, (R0, J, G0) = _perturbed_system(n_rho, n_t, rng)
     ni, nj = g.phi.shape[0] - 1, g.phi.shape[1] - 2
     assert R0 is not None
     assert J.shape == (ni * nj, ni * nj)
-    # nnz is the number of distinct band slots the stencil reaches
-    assert J.nnz == np.unique(band.band.slot).size
+    # nnz is the number of distinct entries the stencil reaches
+    assert J.nnz == len({term[:2] for term in _stencil_terms(ni, nj)})
     # the residual-only path gives the full system's R and G bit for bit,
     # and G is the normalized residual the certificate uses
     R1, J1, G1 = _newton_system(g, fixed, 0.7)
@@ -189,8 +203,8 @@ def test_banded_solve_matches_dense_solve():
     # an i/j swap in the band slots, or a dropped sum of the Neumann
     # mirror onto row 0, leaves a band that differs from the dense matrix
     rng = np.random.default_rng(11)
-    _, _, band, (R, J, _) = _perturbed_system(17, 11, rng)
-    A = _dense_from_stencil(band.coefs)
+    _, _, coefs, (R, J, _) = _perturbed_system(17, 11, rng)
+    A = _dense_from_stencil(coefs)
     assert np.allclose(_dense(J), A, rtol=1e-14, atol=0.0)
     x, lu = geodesic.spsolve(J, -R.ravel())
     assert np.shares_memory(lu.lu, J.ab)  # factored in place, no copy
@@ -200,6 +214,19 @@ def test_banded_solve_matches_dense_solve():
     again = np.linalg.solve(A, rhs)
     assert np.max(np.abs(lu.solve(rhs) - again)) <= 1e-12 * np.max(
         np.abs(again))
+
+
+def test_band_fill_on_narrow_grids():
+    # at nj = 1, 2 (n_t = 3, 4) the +-1 diagonals are also the +-nj or
+    # +-(nj - 1) ones, and at ni = 2 (n_rho = 3) the Neumann mirror's row +1
+    # is the last unknown row, so the fill must sum what each entry gets
+    rng = np.random.default_rng(13)
+    for ni, nj in ((2, 1), (3, 1), (2, 2), (3, 2), (8, 1), (8, 2), (2, 7)):
+        coefs = rng.standard_normal((4, ni, nj))
+        J = _jacobian_band(coefs)
+        assert np.allclose(_dense(J), _dense_from_stencil(coefs),
+                           rtol=1e-14, atol=0.0)
+        assert J.nnz == len({term[:2] for term in _stencil_terms(ni, nj)})
 
 
 def _pivoting_band(rng, n=40, bw=3):
@@ -330,8 +357,8 @@ def test_eh_energy_solve_within_roundoff_of_the_newton_inverse():
 
 def test_jacobian_structural_nonzeros():
     # the counts of the 65x45 grid and of its every-other-node grid
-    assert _StencilBand.build(64, 43).nnz == 24130
-    assert _StencilBand.build(32, 21).nnz == 5734
+    assert _jacobian_band(np.zeros((4, 64, 43))).nnz == 24130
+    assert _jacobian_band(np.zeros((4, 32, 21))).nnz == 5734
 
 
 def test_fixed_data_matches_public_residual():
@@ -476,15 +503,8 @@ def test_nonconvergence_carries_stage_and_history():
 
 
 def test_singular_jacobian_raises_nonconvergence(monkeypatch):
-    system = geodesic._newton_system
-
-    def zero_coefficients(grid, fixed, s, band=None):
-        R, J, G = system(grid, fixed, s, band)
-        if J is not None:
-            J = band.matrix(np.zeros((4,) + R.shape))
-        return R, J, G
-
-    monkeypatch.setattr(geodesic, "_newton_system", zero_coefficients)
+    monkeypatch.setattr(geodesic, "_jacobian_band",
+                        lambda coefs: _jacobian_band(np.zeros_like(coefs)))
     psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
     cfg = SolverConfig(epsilon=0.25, n_rho=17, n_t=17)
     with pytest.raises(NonConvergence) as info:

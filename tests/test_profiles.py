@@ -13,7 +13,6 @@ from alegeo.profiles import (
     RadialProfile,
     bump_perturbed_profile,
     check_profile_json,
-    curvature_sample,
     curvature_scan_rows,
     custom_profile,
     flat_profile,
@@ -333,8 +332,7 @@ def test_curvature_scan_rows_columns():
     assert rows.shape == (16, 8)
     # r = exp(rho/2)
     assert np.allclose(rows[:, 2], np.exp(rows[:, 1] / 2.0))
-    s = curvature_sample(p, 2.0)
-    assert s.scal == pytest.approx(0.0, abs=1e-10)
+    assert scalar_curvature(p, 2.0) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_serialization_round_trip():
