@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from .analysis import InsufficientDecayError, fit_decay_exponent
-from .energy import MixedBackgroundError, OffShellError
+from .energy import OffShellError
 from .geodesic import GeodesicError
 from .profiles import (check_keys, curvature_scan_rows, lebrun_profile,
                        profile_from_json, ricci_sign_scan)
@@ -31,8 +31,7 @@ EXIT_PARTIAL = 4
 
 # ScenarioError, ProfileError and json.JSONDecodeError are ValueErrors
 VALIDATION_ERRORS = (ValueError, KeyError, FileNotFoundError)
-NUMERICAL_ERRORS = (GeodesicError, OffShellError, MixedBackgroundError,
-                    InsufficientDecayError)
+NUMERICAL_ERRORS = (GeodesicError, OffShellError, InsufficientDecayError)
 # a solve-geodesic config: geometry, boundary data, solver keys, analyses
 CONFIG_KEYS = ("id", "n", "k", "tau_min", "profile", "psi0", "psi1",
                "analyses", *SOLVER_KEYS)
@@ -124,7 +123,8 @@ def ricci_scan(config_path, k, tau_min, n, samples, out_dir):
         else:
             profile = lebrun_profile(k, tau_min, n=n)
         lo = profile.tau_min if profile.tau_min > 0 else 0.1
-        tau_grid = np.geomspace(lo * (1 + 1e-6), lo * 100.0, samples)
+        tau_grid = np.geomspace(lo * (1 + 1e-6),
+                                min(lo * 100.0, profile.tau_max), samples)
         rows = curvature_scan_rows(profile, tau_grid)
         scan = ricci_sign_scan(profile)
     except VALIDATION_ERRORS as exc:

@@ -24,13 +24,14 @@ rows rho[:-1] and the coarse grid on every other row, and energy_report
 builds one for its on-shell check and quadratures.  The Jacobian needs no
 index tables: with the unknowns numbered ii nj + jj, the stencil term at
 offset (di, dj) lies on band diagonal di nj + dj, so _jacobian_band adds
-each coefficient array straight into its diagonals.  The line search
-evaluates the residual only.  Each stage after the first starts from a
-secant predictor in s through the last two solutions (from one solution,
-the shift by the trivial solution s t(t-1)/2), falling back to the last
-solution when the prediction leaves the ellipticity cone.  Only the last
-stage, s = epsilon, is solved to newton_tol; the stages before it stop at
-the looser _STAGE_TOL, since they only seed the next.
+each coefficient array straight into its diagonals.  Each iterate is
+evaluated once: its field arrays give R, G and, if it is factored, the
+Jacobian.  Each stage after the first starts from a secant predictor in s
+through the last two solutions (from one solution, the shift by the
+trivial solution s t(t-1)/2), falling back to the last solution when the
+prediction leaves the ellipticity cone.  Only the last stage, s = epsilon,
+is solved to newton_tol; the stages before it stop at the looser
+_STAGE_TOL, since they only seed the next.
 
 Newton steps are chord steps (Kelley, Iterative Methods for Linear and
 Nonlinear Equations, SIAM 1995, ch. 5): a stage factors its Jacobian at
@@ -246,10 +247,10 @@ class _FixedData:
 
 
 def _field_arrays(grid: PathGrid, fixed: _FixedData):
-    """w', w'', P = Psi_t' + phi_t', phi_tt on residual nodes.
+    """w', w'', P = Psi_t' + phi_t', phi_tt and M = phi_tt w'' - P^2.
 
-    Residual nodes are i = 0..n_rho-2 (Neumann mirror at i = 0, Dirichlet
-    column excluded) and j = 1..n_t-2.  Returns arrays of shape
+    All on residual nodes i = 0..n_rho-2 (Neumann mirror at i = 0,
+    Dirichlet column excluded) and j = 1..n_t-2, as arrays of shape
     (n_rho-1, n_t-2).
     """
     t = grid.t_nodes
@@ -277,7 +278,7 @@ def _field_arrays(grid: PathGrid, fixed: _FixedData):
     w2 = (fixed.u2[:-1, None] + (1.0 - tj) * psi0[:, 2] + tj * psi1[:, 2]
           + phi_rr)
     P = psi1[:, 1] - psi0[:, 1] + phi_rt
-    return w1, w2, P, phi_tt
+    return w1, w2, P, phi_tt, phi_tt * w2 - P ** 2
 
 
 def _density_residual(M, w1, fixed: _FixedData, s):
@@ -286,9 +287,9 @@ def _density_residual(M, w1, fixed: _FixedData, s):
 
 
 def _residual(grid: PathGrid, fixed: _FixedData, s, normalized):
-    w1, w2, P, phi_tt = _field_arrays(grid, fixed)
+    w1, w2, _, _, M = _field_arrays(grid, fixed)
     _check_positive(w1, w2, grid)
-    G = _density_residual(phi_tt * w2 - P ** 2, w1, fixed, s)
+    G = _density_residual(M, w1, fixed, s)
     return G / fixed.density[:-1] if normalized else G
 
 
@@ -384,31 +385,29 @@ def _jacobian_band(coefs) -> _BandMatrix:
                        nnz=(3 * ni - 2) * (3 * nj - 2))
 
 
-def _newton_system(grid: PathGrid, fixed: _FixedData, s, jacobian=False):
-    """Log-form residual R, normalized residual G and, with jacobian set,
-    the banded Jacobian of R over the unknown block.
+def _newton_system(grid: PathGrid, fixed: _FixedData, s):
+    """Log-form residual R and normalized residual G at grid.phi.
 
-    Returns (R, J, G), with G equal bit for bit to _residual(...,
-    normalized=True) from the same field arrays; J is a _BandMatrix from
-    _jacobian_band, None unless asked for (the line search needs R and G
-    only), and all three are None outside the ellipticity cone.
+    Returns (R, G, arrays), or None outside the ellipticity cone.  G equals
+    _residual(..., normalized=True) bit for bit, and arrays, what
+    _field_arrays returned, give _jacobian_coefficients at this iterate.
     """
-    n = fixed.n
-    hr, ht = grid.h_rho, grid.h_t
-    w1, w2, P, phi_tt = _field_arrays(grid, fixed)
-    M = phi_tt * w2 - P ** 2
+    arrays = w1, w2, _, _, M = _field_arrays(grid, fixed)
     if np.any(w1 <= 0) or np.any(w2 <= 0) or np.any(M <= 0):
-        return None, None, None
+        return None
     density = fixed.density[:-1]
-    R = np.log(M) + (n - 1) * np.log(w1) - np.log(s * density)
+    R = np.log(M) + (fixed.n - 1) * np.log(w1) - np.log(s * density)
     G = _density_residual(M, w1, fixed, s) / density
-    if not jacobian:
-        return R, None, G
-    coefs = np.stack([w2 / M / ht ** 2,
-                      phi_tt / M / hr ** 2,
-                      -2.0 * P / M / (4.0 * hr * ht),
-                      (n - 1) / w1 / (2.0 * hr)])
-    return R, _jacobian_band(coefs), G
+    return R, G, arrays
+
+
+def _jacobian_coefficients(grid: PathGrid, fixed: _FixedData, arrays):
+    """_jacobian_band's coefficients (A, B, C, D) from the field arrays."""
+    hr, ht = grid.h_rho, grid.h_t
+    w1, w2, P, phi_tt, M = arrays
+    return np.stack([w2 / M / ht ** 2, phi_tt / M / hr ** 2,
+                     -2.0 * P / M / (4.0 * hr * ht),
+                     (fixed.n - 1) / w1 / (2.0 * hr)])
 
 
 # A stage keeps its LU only while each step is taken whole and cuts max|R|
@@ -513,18 +512,18 @@ def spsolve(J, rhs):
 def _line_search(grid: PathGrid, fixed: _FixedData, s, base, delta, r_max):
     """Halve alpha from 1 until phi = base + alpha delta cuts max|R|.
 
-    Returns (R, G, backtracks) at the accepted step, or None with the
-    unknown block restored to base.
+    Returns the _newton_system evaluation of the accepted step, and the
+    number of backtracks; or None with the unknown block restored to base.
     """
     ni, nj = delta.shape
     for k in range(_MAX_BACKTRACKS):
         alpha = 0.5 ** k
         grid.phi[:ni, 1:nj + 1] = base + alpha * delta
-        R, _, G = _newton_system(grid, fixed, s)
-        if R is not None:
-            r = np.max(np.abs(R))
+        system = _newton_system(grid, fixed, s)
+        if system is not None:
+            r = np.max(np.abs(system[0]))
             if r < r_max * (1 - 1e-4 * alpha) or r < 1e-13:
-                return R, G, k
+                return system, k
     grid.phi[:ni, 1:nj + 1] = base
     return None
 
@@ -620,21 +619,22 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
         log.iterations.append(0)
         log.factorizations.append(0)
         log.shapes.append(grid.phi.shape)
-        R = None
+        system = None
         if index:
             grid.phi = _secant_predictor(t, s, solved)
             _impose_boundary(grid.phi, t, s)
-            R, _, G = _newton_system(grid, fixed, s)
-            if R is None:
+            system = _newton_system(grid, fixed, s)
+            if system is None:
                 # the prediction left the ellipticity cone: restart from
                 # the last solution
                 grid.phi = solved[-1][1].copy()
-        if R is None:
+        if system is None:
             _impose_boundary(grid.phi, t, s)
-            R, _, G = _newton_system(grid, fixed, s)
-            if R is None:
+            system = _newton_system(grid, fixed, s)
+            if system is None:
                 raise PositivityLoss(
                     f"iterate left the ellipticity cone at stage s={s:g}")
+        R, G, arrays = system
         history, lu = [], None
         for _ in range(config.max_iters):
             res = float(np.max(np.abs(G)))
@@ -651,8 +651,8 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
                     # freed (with lu) before the next one is assembled
                     log.factorizations[-1] += 1
                     try:
-                        delta, lu = spsolve(
-                            _newton_system(grid, fixed, s, jacobian=True)[1],
+                        delta, lu = spsolve(_jacobian_band(
+                            _jacobian_coefficients(grid, fixed, arrays)),
                             -R.ravel())
                     except np.linalg.LinAlgError as exc:
                         raise NonConvergence(s, history,
@@ -666,7 +666,7 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
                 if fresh:
                     raise NonConvergence(s, history, log.factorizations)
                 lu = None  # the chord step failed: refactor here and retry
-            R, G, backtracks = step
+            (R, G, arrays), backtracks = step
             if backtracks or np.max(np.abs(R)) > _CHORD_CONTRACTION * r_max:
                 lu = None
         else:
@@ -699,7 +699,7 @@ def _coarse_start(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
         s, phi = solved[k]
         grid.phi = _prolong(phi)
         _impose_boundary(grid.phi, t, s)
-        if _newton_system(grid, fixed, s)[0] is not None:
+        if _newton_system(grid, fixed, s) is not None:
             return schedule[k:], [(s0, _prolong(phi0))
                                   for s0, phi0 in solved[max(k - 1, 0):k]]
     grid.phi = seed
@@ -730,9 +730,8 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     # the certificate and the C^{1,1} probe come from the profile, through
     # fixed data built afresh rather than the solve's own
     final = _FixedData.build(grid)
-    w1, w2, P, phi_tt = _field_arrays(grid, final)
+    w1, w2, _, _, M = _field_arrays(grid, final)
     _check_positive(w1, w2, grid)
-    M = phi_tt * w2 - P ** 2
     G = _density_residual(M, w1, final, config.epsilon)
     res_raw = float(np.max(np.abs(G)))
     res_norm = float(np.max(np.abs(G / final.density[:-1])))

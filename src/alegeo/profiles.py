@@ -120,10 +120,10 @@ class _Kernel:
 class RadialProfile:
     """Immutable radial metric: profile function plus reconstruction data.
 
-    ``rho_of_tau`` is anchored so that both metric eigenvalues tend to 1 at
-    the outer end of the domain (``anchor="infinity"`` for closed forms,
-    ``anchor="tau_max"`` for sampled data).  The anchor only shifts rho by a
-    constant and is recorded here.
+    Each constructor fixes the anchor of ``rho_of_tau`` so that both metric
+    eigenvalues tend to 1 at the outer end of the domain: at infinity, but
+    at tau_max for sampled data and as its base for a bump.  The anchor
+    only shifts rho by a constant.
     """
 
     n: int
@@ -132,7 +132,6 @@ class RadialProfile:
     tau_max: float
     form: str
     params: dict = field(default_factory=dict)
-    anchor: str = "infinity"
     _kernel: _Kernel = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -169,7 +168,8 @@ class RadialProfile:
     # -- reconstruction --------------------------------------------------
 
     def rho_of_tau(self, tau):
-        """Calabi variable rho(tau) = int d tau / phi, anchored per ``anchor``."""
+        """Calabi variable rho(tau) = int d tau / phi, as its constructor
+        anchors it."""
         tau = np.asarray(tau, dtype=float)
         self._check_domain(tau)
         return self._kernel.rho(tau)
@@ -337,7 +337,7 @@ def lebrun_profile(k: int, tau_min: float, n: int = 2,
     )
     return RadialProfile(n=n, k=k, tau_min=tau_min, tau_max=tau_max,
                          form="lebrun", params={"A": A, "B": B},
-                         anchor="infinity", _kernel=kern)
+                         _kernel=kern)
 
 
 def flat_profile(n: int = 2, k: int = 1, tau_max: float = 1e12) -> RadialProfile:
@@ -351,8 +351,7 @@ def flat_profile(n: int = 2, k: int = 1, tau_max: float = 1e12) -> RadialProfile
         tau=np.exp,
     )
     return RadialProfile(n=n, k=k, tau_min=0.0, tau_max=tau_max,
-                         form="flat", params={}, anchor="infinity",
-                         _kernel=kern)
+                         form="flat", params={}, _kernel=kern)
 
 
 def custom_profile(n, k, tau_min, phi, d1, d2, d3,
@@ -388,8 +387,7 @@ def sampled_profile(n, k, tau_min, tau: Sequence[float],
                                        "tau_max"))
     return RadialProfile(n=n, k=k, tau_min=float(tau_min),
                          tau_max=float(tau[-1]), form="samples",
-                         params={"tau": tau, "phi": phi}, anchor="tau_max",
-                         _kernel=kern)
+                         params={"tau": tau, "phi": phi}, _kernel=kern)
 
 
 def bump_perturbed_profile(base: RadialProfile, center: float, width: float,
@@ -443,7 +441,7 @@ def bump_perturbed_profile(base: RadialProfile, center: float, width: float,
     return RadialProfile(n=base.n, k=base.k, tau_min=base.tau_min,
                          tau_max=base.tau_max, form="perturbed",
                          params={"center": c, "width": w, "amplitude": a},
-                         anchor=base.anchor, _kernel=kern)
+                         _kernel=kern)
 
 
 # ---------------------------------------------------------------------------

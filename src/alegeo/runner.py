@@ -21,7 +21,7 @@ import scipy
 
 from . import __version__
 from .analysis import fit_decay_exponent
-from .energy import MixedBackgroundError, energy_report, energy_verdict
+from .energy import energy_report, energy_verdict
 from .geodesic import (GeodesicError, PathGrid, SolverConfig,
                        solve_epsilon_geodesic)
 from .potentials import check_potential_json, potential_from_json
@@ -252,7 +252,10 @@ def _decay_check(grid, psi1):
     c = grid.phi[-1:, :]
     dev = np.max(np.abs(grid.phi - c), axis=1)
     r = np.exp(grid.rho_nodes / 2.0)
-    fit = fit_decay_exponent(r, dev)
+    try:
+        fit = fit_decay_exponent(r, dev)
+    except ValueError as exc:  # too few nodes in the default window
+        return {"passed": False, "details": {"error": str(exc)}}
     gamma = psi1.r_decay
     passed = bool(fit.below_floor
                   or gamma is None
@@ -290,7 +293,7 @@ def run_scenario(scenario: Scenario, no_cache: bool = False) -> RunManifest:
                                                  "scipy": scipy.__version__}})
     try:
         _run_analyses(scenario, out, manifest)
-    except (GeodesicError, MixedBackgroundError, ValueError) as exc:
+    except (GeodesicError, ValueError) as exc:
         manifest.status = "error"
         manifest.error = f"scenario {scenario.id}: {exc}"
         _write_json(manifest_path, manifest.to_json_dict())

@@ -400,6 +400,29 @@ def test_failing_scenario_persists_marker(tmp_path):
     assert "positive metric" in doc["error"]
 
 
+def test_decay_check_on_a_short_grid_fails_as_a_check(tmp_path):
+    # 13 rho nodes leave 6 in the default fit window; the fit's ValueError
+    # used to escape a solved run as a validation error (exit 2) and leave
+    # its manifest with status "error"
+    cfg_path = tmp_path / "short.json"
+    cfg_path.write_text(json.dumps({
+        "n": 2, "k": 2, "tau_min": 1.0, "epsilon": 0.5,
+        "psi1": {"kind": "exp", "params": {"amplitude": 0.1, "gamma": 4.0,
+                                           "rho_ref": 0.96}},
+        "grid": {"n_rho": 13, "n_t": 13}, "analyses": ["decay"]}))
+    out = tmp_path / "run"
+    res = CliRunner().invoke(main, ["solve-geodesic", "--config",
+                                    str(cfg_path), "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert manifest["checks"]["solve"]["passed"] is True
+    assert manifest["checks"]["decay"] == {
+        "passed": False,
+        "details": {"error": "need >= 8 samples in window, got 6"}}
+    assert (out / "grid.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # batch
 # ---------------------------------------------------------------------------
@@ -567,6 +590,23 @@ def test_cli_ricci_scan_reads_a_checked_profile(tmp_path):
     assert res.exit_code == 2, res.output
     assert "profile.k must be an integer >= 1, got 1.5" in res.output
     assert not (tmp_path / "bad").exists()
+
+
+def test_cli_ricci_scan_of_a_short_sampled_profile(tmp_path):
+    # the table grid ran to 100 tau_min past this profile's tau_max = 20,
+    # so a valid profile exited 2 with "tau out of profile domain"
+    tau = np.linspace(1.0, 20.0, 40)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({
+        "form": "samples", "n": 2, "k": 2, "tau_min": 1.0,
+        "params": {"tau": tau.tolist(), "phi": (tau - 1.0 / tau).tolist()}}))
+    res = CliRunner().invoke(main, ["ricci-scan", "--config", str(path),
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert "mixed" in res.output
+    rows = np.loadtxt(tmp_path / "curvature_scan.csv", delimiter=",",
+                      skiprows=1)
+    assert len(rows) == 100 and rows[-1, 0] == 20.0
 
 
 def test_cli_validation_exit_code(tmp_path):

@@ -154,16 +154,9 @@ def _perturbed_system(n_rho, n_t, rng):
     g.phi[:] = 0.7 * t * (t - 1.0) / 2.0
     g.phi[:-1, 1:-1] += 0.001 * rng.standard_normal(g.phi[:-1, 1:-1].shape)
     fixed = _FixedData.build(g)
-    recorded = []
-
-    def record(coefs):
-        recorded.append(coefs.copy())
-        return _jacobian_band(coefs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(geodesic, "_jacobian_band", record)
-        system = _newton_system(g, fixed, 0.7, jacobian=True)
-    return g, fixed, recorded[-1], system
+    R, G, arrays = _newton_system(g, fixed, 0.7)
+    coefs = geodesic._jacobian_coefficients(g, fixed, arrays)
+    return g, fixed, coefs, (R, _jacobian_band(coefs), G)
 
 
 def _check_jacobian(n_rho, n_t):
@@ -174,20 +167,21 @@ def _check_jacobian(n_rho, n_t):
     assert J.shape == (ni * nj, ni * nj)
     # nnz is the number of distinct entries the stencil reaches
     assert J.nnz == len({term[:2] for term in _stencil_terms(ni, nj)})
-    # the residual-only path gives the full system's R and G bit for bit,
-    # and G is the normalized residual the certificate uses
-    R1, J1, G1 = _newton_system(g, fixed, 0.7)
-    assert J1 is None
+    # a second evaluation gives R, G and the field arrays bit for bit, and
+    # G is the normalized residual the certificate uses
+    R1, G1, arrays = _newton_system(g, fixed, 0.7)
     assert np.array_equal(R0, R1) and np.array_equal(G0, G1)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(arrays, geodesic._field_arrays(g, fixed), strict=True))
     assert np.array_equal(G0, _residual(g, fixed, 0.7, normalized=True))
     h = 1e-6
     J = _dense(J)
     for col in rng.choice(ni * nj, size=12, replace=False):
         i, j = divmod(col, nj)
         g.phi[i, j + 1] += h
-        Rp, _, _ = _newton_system(g, fixed, 0.7)
+        Rp = _newton_system(g, fixed, 0.7)[0]
         g.phi[i, j + 1] -= 2 * h
-        Rm, _, _ = _newton_system(g, fixed, 0.7)
+        Rm = _newton_system(g, fixed, 0.7)[0]
         g.phi[i, j + 1] += h
         fd = (Rp - Rm).ravel() / (2 * h)
         assert np.allclose(J[:, col], fd, atol=1e-4)
@@ -371,7 +365,7 @@ def test_fixed_data_matches_public_residual():
     assert np.array_equal(_residual(g, fixed, 0.3, normalized=True),
                           reduced_residual(g, normalized=True))
     # the right-hand side is epsilon times the background density
-    w1, w2, P, phi_tt = geodesic._field_arrays(g, fixed)
+    w1, w2, P, phi_tt, _ = geodesic._field_arrays(g, fixed)
     u1, u2 = EH.u_derivatives(g.rho_nodes[:-1], order=2)
     expected = ((phi_tt * w2 - P ** 2) * w1 ** (EH.n - 1)
                 - 0.3 * (u1 ** (EH.n - 1) * u2)[:, None])
@@ -406,8 +400,8 @@ def test_nontrivial_solve_certificate_and_sandwich():
     assert rep.c0_check.passed
     assert rep.positivity_margins["M"] > 0
     # each minimum sits at its worst node; field columns start at t_nodes[1]
-    w1, w2, P, phi_tt = geodesic._field_arrays(g, _FixedData.build(g))
-    for name, values in (("w1", w1), ("w2", w2), ("M", phi_tt * w2 - P ** 2)):
+    w1, w2, _, _, M = geodesic._field_arrays(g, _FixedData.build(g))
+    for name, values in (("w1", w1), ("w2", w2), ("M", M)):
         rho_w, t_w = rep.positivity_margins["worst_nodes"][name]
         i = int(np.flatnonzero(g.rho_nodes == rho_w)[0])
         j = int(np.flatnonzero(g.t_nodes == t_w)[0])
@@ -545,6 +539,29 @@ def test_chord_steps_reuse_each_stage_factorization(monkeypatch):
     assert len(rep.stage_factorizations) == len(rep.stage_iterations) == 5
     assert rep.stage_factorizations == [2, 2, 1, 1, 1]
     assert np.max(np.abs(g.phi - g_tight.phi)) < 1e-9
+
+
+def test_each_iterate_is_evaluated_once(monkeypatch):
+    # a refactorization takes its Jacobian from the evaluation that
+    # accepted the iterate, so the eh_energy solve, which never backtracks,
+    # evaluates the field arrays once for each of its 19 iterates on every
+    # other node, and 7 times on the grid: its 5 iterates, the hand-off
+    # test and the certificate (33 when each factorization evaluated again)
+    shapes = []
+    field_arrays = geodesic._field_arrays
+
+    def counted(grid, fixed):
+        shapes.append(grid.phi.shape)
+        return field_arrays(grid, fixed)
+
+    monkeypatch.setattr(geodesic, "_field_arrays", counted)
+    psi1 = tau_power_potential(EH, 0.1, 4.0)
+    _, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1,
+                                    _eh_tau_power_config(65, 45))
+    assert rep.stage_iterations == [6, 5, 4, 4, 5]
+    assert rep.stage_factorizations == [2, 2, 1, 1, 1]
+    assert len(shapes) == 26
+    assert shapes.count((33, 23)) == 19 and shapes.count((65, 45)) == 7
 
 
 def test_pure_newton_refreshes_after_every_step(monkeypatch):
