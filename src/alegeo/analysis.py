@@ -14,12 +14,12 @@ d lam_f/drho = phi (phi' - 1) e^-rho, r^{2n-1} times it is
 
     e^{(n-2) rho} [-2 phi (phi' - 1) - 2 (n-1) (phi - tau)],
 
-which tends to 2 (n - k) tau_min^{n-1} on the scalar-flat family
-phi = tau + (k-n) tau_min^{n-1} tau^{2-n} + (n-k-1) tau_min^n tau^{1-n}
-(-2A for LeBrun's n = 2 form, so Burns gives 2 tau_min).  For n >= 3 the
-factor e^{(n-2) rho} amplifies the roundoff of phi - tau, which is
-ulp(tau) against a difference of order tau^{2-n}: at n = 4 and r = 200
-about two digits are left, and at n = 5 none.  adm_mass therefore moves
+which tends to -2A = 2 (n - k) tau_min^{n-1} on the scalar-flat family
+phi = tau + A tau^{2-n} + B tau^{1-n} of profiles.lebrun_profile (so
+Burns gives 2 tau_min).  For n >= 3 the factor e^{(n-2) rho} amplifies
+the roundoff of phi - tau, which is ulp(tau) against a difference of
+order tau^{2-n}: at n = 4 and r = 200 about two digits are left, and at
+n = 5 none.  adm_mass therefore moves
 the flux radius in until phi - tau keeps about six digits; on the
 scalar-flat family the flux is constant up to a relative O(tau^{1-n}),
 so the smaller radius costs little.

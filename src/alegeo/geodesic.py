@@ -603,13 +603,13 @@ class _StageLog:
 
 
 def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
-                stages, solved, log: _StageLog, final_tol):
+                stages, solved, log: _StageLog, final_tol, start=None):
     """Solve the continuity stages in turn on grid, appending (s, phi) to
     solved after each.
 
-    The first stage starts from grid.phi, every later one from the secant
-    predictor through solved; the last stage stops at final_tol and the
-    others at _STAGE_TOL.
+    The first stage starts from grid.phi (start, if given, is its
+    _newton_system), every later one from the secant predictor through
+    solved; the last stage stops at final_tol and the others at _STAGE_TOL.
     """
     t = grid.t_nodes
     ni, nj = grid.phi.shape[0] - 1, grid.phi.shape[1] - 2
@@ -619,7 +619,7 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
         log.iterations.append(0)
         log.factorizations.append(0)
         log.shapes.append(grid.phi.shape)
-        system = None
+        system = None if index else start
         if index:
             grid.phi = _secant_predictor(t, s, solved)
             _impose_boundary(grid.phi, t, s)
@@ -678,12 +678,12 @@ def _coarse_start(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
                   log: _StageLog):
     """Run the whole continuation on every other node and hand it to grid.
 
-    Returns the stages grid still has to solve and the solved list they
-    start from, with grid.phi set to the first one's start: the prolonged
-    solution of the last coarse stage whose prolongation is elliptic on
-    grid, with the prolonged stage before it as the secant's second point.
-    Coarse stages that fail are logged and dropped; with no usable coarse
-    stage, grid keeps its seed and solves the whole schedule.
+    Returns the stages grid still has to solve, the solved list they
+    start from and the _newton_system of grid.phi, set to the first one's
+    start: the prolonged solution of the last coarse stage whose
+    prolongation is elliptic on grid, with the prolonged stage before it
+    as the secant's second point.  Failed coarse stages are logged and
+    dropped; with none usable, grid solves the whole schedule from its seed.
     """
     schedule = config.schedule()
     coarse = replace(grid, rho_nodes=grid.rho_nodes[::2],
@@ -699,11 +699,12 @@ def _coarse_start(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
         s, phi = solved[k]
         grid.phi = _prolong(phi)
         _impose_boundary(grid.phi, t, s)
-        if _newton_system(grid, fixed, s) is not None:
-            return schedule[k:], [(s0, _prolong(phi0))
-                                  for s0, phi0 in solved[max(k - 1, 0):k]]
+        system = _newton_system(grid, fixed, s)
+        if system is not None:
+            return schedule[k:], [(s0, _prolong(phi0)) for s0, phi0
+                                  in solved[max(k - 1, 0):k]], system
     grid.phi = seed
-    return schedule, []
+    return schedule, [], None
 
 
 def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
@@ -721,11 +722,12 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     _check_boundary_data(grid, fixed, "psi1")
 
     log = _StageLog()
-    stages, solved = config.schedule(), []
+    stages, solved, start = config.schedule(), [], None
     if all(m % 2 and (m + 1) // 2 >= _MIN_COARSE
            for m in (config.n_rho, config.n_t)):
-        stages, solved = _coarse_start(grid, fixed, config, log)
-    _run_stages(grid, fixed, config, stages, solved, log, config.newton_tol)
+        stages, solved, start = _coarse_start(grid, fixed, config, log)
+    _run_stages(grid, fixed, config, stages, solved, log, config.newton_tol,
+                start)
 
     # the certificate and the C^{1,1} probe come from the profile, through
     # fixed data built afresh rather than the solve's own

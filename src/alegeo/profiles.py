@@ -15,11 +15,11 @@ whose first and second rho-derivatives give the two Ricci eigenvalues.
 
 Each profile carries its own anchored rho(tau) = int d tau / phi, set once
 by its constructor: closed forms for the LeBrun family (partial fractions
-of 1/phi) and the flat cone (log tau), the base rho plus a compact
-Gauss-Legendre correction for a bump perturbation, and a log-grid
+of 1/phi at every n) and the flat cone (log tau), the base rho plus a
+compact Gauss-Legendre correction for a bump perturbation, and a log-grid
 quadrature only for custom and sampled profiles.  The inverse tau(rho) is
-exact for Eguchi-Hanson, Burns, the flat cone and a bump past its support,
-and one vectorised safeguarded Newton, _newton_tau, elsewhere.
+exact for Calabi's metric, Burns, the flat cone and a bump past its
+support, and one vectorised safeguarded Newton, _newton_tau, elsewhere.
 
 Every rho-derivative of a radial field comes from d/drho = phi d/dtau,
 written once as ``RadialProfile.rho_jet``; the background potential and
@@ -309,31 +309,44 @@ def _quadrature_rho(phi, tau_min, tau_max, anchor):
 
 def lebrun_profile(k: int, tau_min: float, n: int = 2,
                    tau_max: float = 1e12) -> RadialProfile:
-    """Scalar-flat family phi(tau) = tau + A + B/tau on O(-k) over CP^1.
+    """Scalar-flat family phi = tau + A tau^{2-n} + B tau^{1-n} on O(-k)
+    over CP^{n-1}.
 
-    A and B are fixed by smooth compactification across the zero section:
-    phi(tau_min) = 0 and phi'(tau_min) = k.  k = 2 with B = -tau_min^2 is the
-    Ricci-flat Eguchi-Hanson case; k = 1 is the Burns case.
+    A = (k-n) tau_min^{n-1} and B = (n-k-1) tau_min^n are fixed by smooth
+    compactification across the zero section: phi(tau_min) = 0 and
+    phi'(tau_min) = k.  k = n is Calabi's Ricci-flat metric (Eguchi-Hanson
+    at n = 2), and k = 1 at n = 2 is the Burns metric.
     """
-    if n != 2:
-        raise ProfileError("the tau + A + B/tau closed form is specific to n=2")
     if tau_min <= 0:
         raise ProfileError(f"tau_min must be > 0, got {tau_min}")
-    A = (k - 2.0) * tau_min
-    B = (1.0 - k) * tau_min ** 2
-    # phi = (tau - a)(tau - b)/tau, so 1/phi splits into partial fractions
-    # and rho = [a log(tau - a) - b log(tau - b)]/(a - b), whose constant
-    # is 0 under the "infinity" anchor: 1/2 log(tau^2 - a^2) at k = 2
-    # (Eguchi-Hanson), log(tau - a) at k = 1 (Burns), each inverted exactly
-    a, b = float(tau_min), (1.0 - k) * tau_min
+    a = float(tau_min)
+    A = (k - n) * a ** (n - 1)
+    B = (n - k - 1) * a ** n
+    # phi = P/tau^{n-1}, P = tau^n + A tau + B = (tau - a) a^{n-1} q(tau/a),
+    # q = x^{n-1} + ... + x + k - n + 1 (root 1 - k at n = 2).  The residues
+    # r^{n-1}/P'(r) = 1/phi'(r) of 1/phi (1/k at a) sum to 1, so rho = Re sum
+    # res log(tau - r) -> log(tau); a conjugate pair counts once, doubled
+    others = (np.array([1.0 - k]) if n == 2
+              else np.roots([1.0] * (n - 1) + [k - n + 1.0])) * a
+    others = others[others.imag >= 0]
+    residues = (np.where(others.imag > 0, 2.0, 1.0) * others ** (n - 1)
+                / (n * others ** (n - 1) + A))
+    # exact inverses: Calabi's rho = log(tau^n - a^n)/n, e^rho factored out
+    # against overflow (the later key, np.hypot, at n = 2); Burns' rho
+    tau = {(n, n): lambda r: np.exp(r) * (1.0 + (a * np.exp(-r)) ** n)
+           ** (1.0 / n),
+           (2, 2): lambda r: np.hypot(a, np.exp(r)),
+           (2, 1): lambda r: a + np.exp(r)}.get((n, k))
     kern = _Kernel(
-        phi=lambda t: t + A + B / t,
-        d1=lambda t: 1.0 - B / t ** 2,
-        d2=lambda t: 2.0 * B / t ** 3,
-        d3=lambda t: -6.0 * B / t ** 4,
-        rho=lambda t: (a * np.log(t - a) - b * np.log(t - b)) / (a - b),
-        tau={1: lambda r: a + np.exp(r),
-             2: lambda r: np.hypot(a, np.exp(r))}.get(k),
+        phi=lambda t: t + A / t ** (n - 2) + B / t ** (n - 1),
+        d1=lambda t: 1.0 + (2 - n) * A / t ** (n - 1) + (1 - n) * B / t ** n,
+        d2=lambda t: ((2 - n) * (1 - n) * A / t ** n
+                      + (1 - n) * -n * B / t ** (n + 1)),
+        d3=lambda t: ((2 - n) * (1 - n) * -n * A / t ** (n + 1)
+                      + (1 - n) * -n * (-1 - n) * B / t ** (n + 2)),
+        rho=lambda t: np.log(t - a) / k + np.real(
+            np.log(np.subtract.outer(t, others)) @ residues),
+        tau=tau,
     )
     return RadialProfile(n=n, k=k, tau_min=tau_min, tau_max=tau_max,
                          form="lebrun", params={"A": A, "B": B},

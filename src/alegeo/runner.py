@@ -108,7 +108,7 @@ class Scenario:
                 check_potential_json(potential, f"boundary.{key}")
             if scenario.needs_solve:
                 # the constructors check what the formats cannot, such as
-                # lebrun at n = 2 only, gamma > 0 and 3 nodes each way
+                # gamma > 0 and 3 nodes each way
                 scenario.build_potentials(scenario.build_profile())
                 if "epsilon" not in solver:
                     raise ScenarioError("solver.epsilon is required for "

@@ -107,20 +107,26 @@ def test_criterion_3_c11_uniformity_probe():
 
 
 def test_criterion_4_scalar_flatness():
-    for k, tau_min in itertools.product((1, 2, 3, 4), (0.5, 1.0, 2.0)):
-        p = lebrun_profile(k, tau_min)
+    for n, k, tau_min in itertools.product((2, 3, 4), (1, 2, 3, 4, 5),
+                                           (0.5, 1.0, 2.0)):
+        p = lebrun_profile(k, tau_min, n=n)
         tau = np.geomspace(tau_min * (1 + 1e-6), tau_min * 1e4, 100)
         assert np.max(np.abs(scalar_curvature(p, tau))) <= 1e-8
 
 
 def test_criterion_5_mixed_type_ricci():
-    for k in (1, 3):
-        scan = ricci_sign_scan(lebrun_profile(k, 1.0))
+    # the paper's last theorem: on O(-k) over CP^{n-1} with k != n no ALE
+    # Kahler metric has Ricci curvature of one sign; k = n is Calabi's
+    # Ricci-flat metric
+    for n, k in itertools.product((2, 3, 4), (1, 2, 3, 4, 5)):
+        if k == n:
+            scan = ricci_sign_scan(lebrun_profile(k, 1.0, n=n), zero_tol=1e-6)
+            assert scan.classification == "zero"
+            continue
+        scan = ricci_sign_scan(lebrun_profile(k, 1.0, n=n))
         assert scan.classification == "mixed"
         assert scan.positive_margin >= 1e-3
         assert scan.negative_margin <= -1e-3
-    scan = ricci_sign_scan(lebrun_profile(2, 1.0), zero_tol=1e-6)
-    assert scan.classification == "zero"
 
 
 def test_criterion_6_intersection_table():
@@ -155,10 +161,15 @@ def test_criterion_8_decay_exponents():
     # metric deviation of the explicit scalar-flat family: A = (k-2) tau_min
     # gives lambda_base - 1 ~ r^-2 for k != 2; at k = 2 (Eguchi-Hanson)
     # rho = 1/2 log(tau^2 - a^2), so lambda_base - 1 ~ a^2/(2 tau^2) ~ r^-4,
-    # fitted where it stays above roundoff
-    for k, window, rate in ((1, None, -2.0), (2, (10.0, 100.0), -4.0),
-                            (3, None, -2.0)):
-        p = lebrun_profile(k, 1.0)
+    # fitted where it stays above roundoff.  At every n, rho - log(tau) ~
+    # A tau^{1-n}/(n-1), or B tau^{-n}/n where A = 0 (k = n, Calabi), so
+    # lambda_base - 1 ~ r^{-2(n-1)} for k != n and r^{-2n} for k = n
+    cases = [(2, 1, None, -2.0), (2, 2, (10.0, 100.0), -4.0),
+             (2, 3, None, -2.0)]
+    cases += [(n, k, (10.0, 100.0), -2.0 * (n if k == n else n - 1))
+              for n, k in itertools.product((3, 4), (1, 2, 3, 4, 5))]
+    for n, k, window, rate in cases:
+        p = lebrun_profile(k, 1.0, n=n)
         taus = np.geomspace(2.0, 1e8, 200)
         r = np.exp(p.rho_of_tau(taus) / 2.0)
         lam_base, _ = metric_eigenvalues(p, taus)

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -81,24 +80,6 @@ def test_window_validation():
 # ADM mass
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def all_n_profile(n, k, a):
-    """Scalar-flat closed form of every n as a custom profile, a = tau_min:
-    phi = tau + (k-n) a^{n-1} tau^{2-n} + (n-k-1) a^n tau^{1-n}."""
-    terms = ((1.0, 1), ((k - n) * a ** (n - 1), 2 - n),
-             ((n - k - 1) * a ** n, 1 - n))
-
-    def deriv(m):
-        def d(t):
-            t = np.asarray(t, dtype=float)
-            return sum(c * np.prod(e - np.arange(m)) * t ** (e - m)
-                       for c, e in terms)
-        return d
-
-    return custom_profile(n=n, k=k, tau_min=a, phi=deriv(0), d1=deriv(1),
-                          d2=deriv(2), d3=deriv(3))
-
-
 def reference_metric(p, x):
     """Real 2n x 2n metric at a real point x of the asymptotic chart.
 
@@ -127,8 +108,8 @@ def reference_flux(p, r):
     of the full real metric, times r^{2n-1}.
 
     The step 1e-4 r leaves a truncation error near 1e-8 relative and keeps
-    the differences above the noise of tau(rho), which the custom
-    profiles interpolate.
+    the differences above the roundoff of tau(rho), which the Newton
+    inverse pins to about 1e-14 relative.
     """
     m = 2 * p.n
     x0 = np.zeros(m)
@@ -172,7 +153,7 @@ def test_reference_metric_eigenvectors():
                             for a in (0.5, 1.0, 2.0)])
 @pytest.mark.parametrize("r", [10.0, 30.0])
 def test_closed_form_flux_matches_reference(n, k, a, r):
-    p = lebrun_profile(k, a) if n == 2 else all_n_profile(n, k, a)
+    p = lebrun_profile(k, a, n=n)
     ref = reference_flux(p, r)
     assert abs(_scaled_flux(p, r) - ref) <= 1e-4 * max(1.0, abs(ref))
 
@@ -188,7 +169,7 @@ def test_lebrun_mass_is_minus_two_A(k, a):
 @pytest.mark.parametrize("k", range(1, 6))
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_all_n_mass_at_n_3(k, a):
-    m = adm_mass(all_n_profile(3, k, a))
+    m = adm_mass(lebrun_profile(k, a, n=3))
     expected = 2.0 * (3 - k) * a ** 2
     assert abs(m - expected) <= 1e-6 * max(1.0, abs(expected))
 
@@ -229,7 +210,7 @@ def test_all_n_mass_at_n_4_and_5(n, k, a):
     # at r = 200 phi - tau keeps at most ~2000 ulp of tau at n = 4 and
     # none at n = 5, and e^{(n-2) rho} amplifies the roundoff; k = n is
     # Calabi's metric, of mass 0
-    m = adm_mass(all_n_profile(n, k, a))
+    m = adm_mass(lebrun_profile(k, a, n=n))
     expected = 2.0 * (n - k) * a ** (n - 1)
     assert abs(m - expected) <= 1e-4 * a ** (n - 1)
 
@@ -246,7 +227,7 @@ def test_mass_refuses_an_unresolved_flux():
     # Calabi at n = 7: phi - tau = -tau^-6 is ~4e4 ulp of tau at r = 6.25,
     # as far in as the flux radius goes, so the flux would be roundoff
     with pytest.raises(InsufficientDecayError, match="not resolved"):
-        adm_mass(all_n_profile(7, 7, 1.0))
+        adm_mass(lebrun_profile(7, 1.0, n=7))
 
 
 def test_mass_refuses_slow_decay():

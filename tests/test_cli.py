@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from pathlib import Path
@@ -136,7 +137,6 @@ def test_unknown_scenario_keys_are_named(doc, where, key):
     ({"boundary": {"psi1": {"kind": "exp", "params": {
         "amplitude": 0.1, "gamma": 4.0, "rho_rf": 1.0}}}},
      "boundary.psi1.params has unknown keys ['rho_rf']"),
-    ({"geometry": {"n": 3, "k": 2}}, "specific to n=2"),
     ({"boundary": {"psi1": {"kind": "exp", "params": {
         "amplitude": 0.1, "gamma": 0.0}}}}, "gamma must be > 0")],
     ids=["string-tau-min", "string-epsilon", "fractional-n-rho",
@@ -144,15 +144,14 @@ def test_unknown_scenario_keys_are_named(doc, where, key):
          "unknown-kind", "missing-gamma", "list-params", "string-gamma",
          "string-profile", "two-bundles", "profile-fractional-k",
          "profile-params-typo", "flat-tau-min", "exp-params-typo",
-         "lebrun-n3-solve", "zero-gamma"])
+         "zero-gamma"])
 def test_wrong_scenario_values_are_named(doc, field):
     # a scenario that solves builds its SolverConfig when it is read; a
     # string psi1 and a string gamma used to raise AttributeError and
     # TypeError, and k = true solved on O(-1); a string profile failed
     # only when it ran, a shorthand k next to a profile named a second
     # bundle, and the profile and params typos and the flat tau_min were
-    # dropped; a solve on the n = 3 lebrun form and gamma = 0 data failed
-    # only when they ran
+    # dropped; a solve on gamma = 0 data failed only when it ran
     with pytest.raises(ScenarioError, match=re.escape(field)):
         Scenario.from_dict({"id": "x", "geometry": {"k": 2},
                             "analyses": ["c0_check"], **doc})
@@ -454,7 +453,7 @@ def test_batch_isolates_failures(tmp_path):
 
 
 def test_batch_intersections_need_no_profile(tmp_path):
-    # n = 3 has no closed-form LeBrun profile; intersections never solve
+    # intersections never solve, so they need no background profile
     s = Scenario.from_dict({"id": "n3k2", "geometry": {"n": 3, "k": 2},
                             "analyses": ["intersections"],
                             "out_dir": str(tmp_path)})
@@ -670,6 +669,16 @@ def test_cli_intersect(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("k,classification", [(3, "zero"), (2, "mixed")])
+def test_cli_ricci_scan_at_n_3(tmp_path, k, classification):
+    # Calabi's metric is Ricci-flat, and O(-2) over CP^2 has Ricci of
+    # mixed sign; --n 3 used to exit 2 ("specific to n=2")
+    res = CliRunner().invoke(main, ["ricci-scan", "--n", "3", "--k", str(k),
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert res.output.strip() == classification
+
+
 def test_cli_ricci_scan_and_decay_fit(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["ricci-scan", "--k", "3", "--tau-min", "1.0",
@@ -725,15 +734,14 @@ def test_cli_batch(tmp_path):
     ({"geometry": {"profile": "lebrun"}}, "geometry.profile"),
     ({"geometry": {"k": 2, "profile": {
         "form": "lebrun", "n": 2, "k": 1, "tau_min": 1.0, "params": {}}},
-      "analyses": ["c0_check", "intersections"]}, "geometry.profile"),
-    ({"geometry": {"n": 3, "k": 2}}, "specific to n=2")],
+      "analyses": ["c0_check", "intersections"]}, "geometry.profile")],
     ids=["geometry-taumin", "top-level-outdir", "fractional-n-rho",
-         "string-profile", "two-bundles", "lebrun-n3-solve"])
+         "string-profile", "two-bundles"])
 def test_cli_batch_rejects_a_bad_scenario(tmp_path, entry, named):
     # the first two ran (tau_min 1.0, the default out_dir) and exited 0; the
     # third failed its solve with a TypeError; the string profile failed
-    # when it ran (exit 3), as did a solve on the n = 3 lebrun form, and
-    # the two-bundle scenario solved on O(-1) and certified O(-2) (exit 0)
+    # when it ran (exit 3), and the two-bundle scenario solved on O(-1) and
+    # certified O(-2) (exit 0)
     scenario = {"id": "t1", "geometry": {"k": 2},
                 "solver": {"epsilon": 0.5, "grid": {"n_rho": 17, "n_t": 17}},
                 "analyses": ["c0_check"], **entry}
@@ -744,3 +752,19 @@ def test_cli_batch_rejects_a_bad_scenario(tmp_path, entry, named):
     assert res.exit_code == 2, res.output
     assert named in res.output
     assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_cli_batch_solves_on_n_3(tmp_path):
+    # the lebrun form covers every n: a solve on O(-2) over CP^2 used to be
+    # refused ("specific to n=2", exit 2)
+    scenario = {"id": "n3k2", "geometry": {"n": 3, "k": 2},
+                "solver": {"epsilon": 0.5, "grid": {"n_rho": 17, "n_t": 17}},
+                "analyses": ["c0_check"]}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"scenarios": [scenario]}))
+    res = CliRunner().invoke(main, ["batch", "--config", str(path),
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    with open(tmp_path / "out" / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["id"], row["passed"]) for row in rows] == [("n3k2", "True")]

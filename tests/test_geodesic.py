@@ -545,8 +545,10 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
     # a refactorization takes its Jacobian from the evaluation that
     # accepted the iterate, so the eh_energy solve, which never backtracks,
     # evaluates the field arrays once for each of its 19 iterates on every
-    # other node, and 7 times on the grid: its 5 iterates, the hand-off
-    # test and the certificate (33 when each factorization evaluated again)
+    # other node, and 6 times on the grid: its 5 iterates, the first of
+    # them evaluated by the hand-off test, and the certificate (26 when the
+    # first stage evaluated its start again, 33 when each factorization
+    # evaluated again)
     shapes = []
     field_arrays = geodesic._field_arrays
 
@@ -560,8 +562,8 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
                                     _eh_tau_power_config(65, 45))
     assert rep.stage_iterations == [6, 5, 4, 4, 5]
     assert rep.stage_factorizations == [2, 2, 1, 1, 1]
-    assert len(shapes) == 26
-    assert shapes.count((33, 23)) == 19 and shapes.count((65, 45)) == 7
+    assert len(shapes) == 25
+    assert shapes.count((33, 23)) == 19 and shapes.count((65, 45)) == 6
 
 
 def test_pure_newton_refreshes_after_every_step(monkeypatch):

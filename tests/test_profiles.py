@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,8 +62,6 @@ def test_lebrun_rejects_bad_input():
         lebrun_profile(2, -1.0)
     with pytest.raises(ProfileError):
         lebrun_profile(2, 0.0)
-    with pytest.raises(ProfileError):
-        lebrun_profile(2, 1.0, n=3)
     with pytest.raises(ProfileError):
         RadialProfile(n=2, k=0, tau_min=0.0, tau_max=1.0, form="flat")
     # n and k are integers, and a bool is not one
@@ -403,6 +402,39 @@ def test_lebrun_rho_matches_quadrature(k, tau_min):
             _tail_anchored_rho(phi, tau), abs=1e-9)
 
 
+def _split_quad_rho(dev, tau, split):
+    """log(tau) + int_tau^inf dev/(t (t + dev)) dt for phi = t + dev(t),
+    the tail past T = max(tau, split) after t = T/u and the rest as
+    -int_tau^T dt/phi, so that no quad interval holds both the pole near
+    tau_min and the infinite end."""
+    T = max(tau, split)
+    tail, _ = integrate.quad(lambda u: dev(T / u) / (u * (T / u + dev(T / u))),
+                             0.0, 1.0, epsabs=1e-16, epsrel=1e-13, limit=200)
+    head, _ = integrate.quad(lambda t: 1.0 / (t + dev(t)), tau, T,
+                             epsabs=1e-16, epsrel=1e-13, limit=200)
+    return math.log(T) + tail - head
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_lebrun_rho_matches_quadrature_at_every_n(n):
+    # the residue sum over the roots of tau^n + A tau + B, to 5.3e-14
+    # relative (n = 7, k = 1, tau_min = 2, tau = 2.002); its constant is 0,
+    # so rho - log(tau) tends to 0 like A tau^{1-n}/(n-1), up to the sum's
+    # roundoff of at most 3.6e-15 log(tau) (n = 6, k = 1)
+    for k in range(1, 8):
+        for a in (0.5, 1.0, 2.0):
+            p = lebrun_profile(k, a, n=n)
+            A, B = p.params["A"], p.params["B"]
+            dev = lambda t: A / t ** (n - 2) + B / t ** (n - 1)  # noqa: E731
+            for tau in a * np.array([1.001, 1.5, 3.0, 10.0, 1e3, 1e6]):
+                ref = _split_quad_rho(dev, tau, 4.0 * a)
+                assert abs(p.rho_of_tau(tau) - ref) <= 1e-12 * max(1.0,
+                                                                   abs(ref))
+            tau = 1e11
+            assert (abs(p.rho_of_tau(tau) - math.log(tau))
+                    <= 2.0 * abs(A) / tau ** (n - 1) + 1e-14 * math.log(tau))
+
+
 def test_explicit_inverses():
     rho = np.linspace(-5.5, 25.0, 62)
     for a in (0.5, 1.0, 2.0):
@@ -416,6 +448,16 @@ def test_explicit_inverses():
                            atol=1e-12)
         assert np.allclose(burns.rho_of_tau(tau_burns[10:]), rho[10:],
                            rtol=0, atol=1e-12)
+    # Calabi's metric, k = n: rho = log(tau^n - a^n)/n
+    for n in range(3, 8):
+        for a in (0.5, 1.0, 2.0):
+            calabi = lebrun_profile(n, a, n=n)
+            rho = np.linspace(calabi.rho_of_tau(1.001 * a), 25.0, 62)
+            tau = (a ** n + np.exp(n * rho)) ** (1.0 / n)
+            assert np.allclose(calabi.tau_of_rho(rho), tau, rtol=1e-12,
+                               atol=0)
+            assert np.allclose(calabi.rho_of_tau(tau), rho, rtol=0,
+                               atol=1e-12)
 
 
 def _round_trip_profiles():
@@ -485,14 +527,31 @@ def test_bump_inverse_is_base_inverse_past_support(base):
     assert np.array_equal(p.tau_of_rho(rho), base.tau_of_rho(rho))
 
 
+def _two_root_rho(p):
+    """The n = 2 profile p with rho = [a log(tau - a) - b log(tau - b)]/(a - b)
+    for b = (1 - k) a, the form lebrun_profile took before its all-n
+    residue sum, which moves rho by up to 3 ulp."""
+    a, b = p.tau_min, (1.0 - p.k) * p.tau_min
+
+    def rho(t):
+        return (a * np.log(t - a) - b * np.log(t - b)) / (a - b)
+    return replace(p, _kernel=replace(p._kernel, rho=rho))
+
+
 # tau_of_rho at these rho, recorded when every profile inverted by the
 # Newton (numpy 2.4.6, scipy 1.17.1); these still do, inside the bump's
-# support for "bump"
+# support for "bump".  "lebrun" is recorded again on the residue-sum rho,
+# which moves the last value by 17 ulp; "lebrun-two-root" keeps the
+# first record on the old rho
 NEWTON_TAU = {
     "lebrun": ([-3.5, -1.5, 0.0, 2.5, 9.0, 25.0],
                ["0x1.00003354e0f18p+0", "0x1.0050d3a770b13p+0",
                 "0x1.1a92dc1bf6700p+0", "0x1.689bf5253159ep+3",
-                "0x1.fa615845db434p+12", "0x1.0c3d3920862cap+36"]),
+                "0x1.fa615845db434p+12", "0x1.0c3d3920862dbp+36"]),
+    "lebrun-two-root": ([-3.5, -1.5, 0.0, 2.5, 9.0, 25.0],
+                        ["0x1.00003354e0f18p+0", "0x1.0050d3a770b13p+0",
+                         "0x1.1a92dc1bf6700p+0", "0x1.689bf5253159ep+3",
+                         "0x1.fa615845db434p+12", "0x1.0c3d3920862cap+36"]),
     "custom": ([-3.5, -1.5, 0.0, 2.5, 9.0, 25.0],
                ["0x1.000cbed8f0881p+0", "0x1.0404b3a6ca047p+0",
                 "0x1.5aa7de014e2f7p+0", "0x1.83f723e3fa8a9p+3",
@@ -511,7 +570,9 @@ NEWTON_TAU = {
 @pytest.mark.parametrize("name", sorted(NEWTON_TAU))
 def test_newton_inverse_unchanged_bit_for_bit(name):
     rho, recorded = NEWTON_TAU[name]
-    tau = _round_trip_profiles()[name].tau_of_rho(np.array(rho))
+    profiles = _round_trip_profiles()
+    profiles["lebrun-two-root"] = _two_root_rho(profiles["lebrun"])
+    tau = profiles[name].tau_of_rho(np.array(rho))
     assert [t.hex() for t in tau] == recorded
 
 
