@@ -137,6 +137,8 @@ def test_unknown_scenario_keys_are_named(doc, where, key):
     ({"boundary": {"psi1": {"kind": "exp", "params": {
         "amplitude": 0.1, "gamma": 4.0, "rho_rf": 1.0}}}},
      "boundary.psi1.params has unknown keys ['rho_rf']"),
+    ({"geometry": {"n": 3, "k": 2, "tau_min": 0.0}},
+     "geometry.tau_min must be > 0 for the lebrun form"),
     ({"boundary": {"psi1": {"kind": "exp", "params": {
         "amplitude": 0.1, "gamma": 0.0}}}}, "gamma must be > 0")],
     ids=["string-tau-min", "string-epsilon", "fractional-n-rho",
@@ -144,14 +146,15 @@ def test_unknown_scenario_keys_are_named(doc, where, key):
          "unknown-kind", "missing-gamma", "list-params", "string-gamma",
          "string-profile", "two-bundles", "profile-fractional-k",
          "profile-params-typo", "flat-tau-min", "exp-params-typo",
-         "zero-gamma"])
+         "lebrun-n3-solve", "zero-gamma"])
 def test_wrong_scenario_values_are_named(doc, field):
     # a scenario that solves builds its SolverConfig when it is read; a
     # string psi1 and a string gamma used to raise AttributeError and
     # TypeError, and k = true solved on O(-1); a string profile failed
     # only when it ran, a shorthand k next to a profile named a second
     # bundle, and the profile and params typos and the flat tau_min were
-    # dropped; a solve on gamma = 0 data failed only when it ran
+    # dropped; a solve on gamma = 0 data failed only when it ran, and the
+    # n = 3 lebrun form, now built at every n, still checks its tau_min
     with pytest.raises(ScenarioError, match=re.escape(field)):
         Scenario.from_dict({"id": "x", "geometry": {"k": 2},
                             "analyses": ["c0_check"], **doc})
@@ -734,14 +737,15 @@ def test_cli_batch(tmp_path):
     ({"geometry": {"profile": "lebrun"}}, "geometry.profile"),
     ({"geometry": {"k": 2, "profile": {
         "form": "lebrun", "n": 2, "k": 1, "tau_min": 1.0, "params": {}}},
-      "analyses": ["c0_check", "intersections"]}, "geometry.profile")],
+      "analyses": ["c0_check", "intersections"]}, "geometry.profile"),
+    ({"geometry": {"n": 3, "k": 2, "tau_min": 0.0}}, "geometry.tau_min")],
     ids=["geometry-taumin", "top-level-outdir", "fractional-n-rho",
-         "string-profile", "two-bundles"])
+         "string-profile", "two-bundles", "lebrun-n3-solve"])
 def test_cli_batch_rejects_a_bad_scenario(tmp_path, entry, named):
     # the first two ran (tau_min 1.0, the default out_dir) and exited 0; the
     # third failed its solve with a TypeError; the string profile failed
     # when it ran (exit 3), and the two-bundle scenario solved on O(-1) and
-    # certified O(-2) (exit 0)
+    # certified O(-2) (exit 0); an n = 3 lebrun solve is read like any other
     scenario = {"id": "t1", "geometry": {"k": 2},
                 "solver": {"epsilon": 0.5, "grid": {"n_rho": 17, "n_t": 17}},
                 "analyses": ["c0_check"], **entry}
