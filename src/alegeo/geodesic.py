@@ -19,19 +19,19 @@ the target epsilon geometrically.
 
 What depends only on the grid is built once per solve.  _FixedData is the
 one evaluator of u', u'', u''' and the psi0, psi1 jets to third order on
-every rho node: the boundary checks read it there, the residual on the
-rows rho[:-1] and the coarse grid on every other row, and energy_report
-builds one for its on-shell check and quadratures.  The Jacobian needs no
-index tables: with the unknowns numbered ii nj + jj, the stencil term at
-offset (di, dj) lies on band diagonal di nj + dj, so _jacobian_band adds
-each coefficient array straight into its diagonals.  Each iterate is
-evaluated once: its field arrays give R, G and, if it is factored, the
-Jacobian.  Each stage after the first starts from a secant predictor in s
-through the last two solutions (from one solution, the shift by the
-trivial solution s t(t-1)/2), falling back to the last solution when the
-prediction leaves the ellipticity cone.  Only the last stage, s = epsilon,
-is solved to newton_tol; the stages before it stop at the looser
-_STAGE_TOL, since they only seed the next.
+every rho node, and of w', w'' and P at phi = 0 on every (rho, t) node: the
+boundary checks read it, each iterate adds phi's differences to it, the
+coarse grid takes every other node of it, and energy_report builds one for
+its on-shell check and quadratures.  The Jacobian needs no index tables:
+with the unknowns numbered ii nj + jj, the stencil term at offset (di, dj)
+lies on band diagonal di nj + dj, and _jacobian_band writes each diagonal
+once.  Each iterate is evaluated once: its field arrays give R, G, max|R|
+and, if it is factored, the Jacobian.  Each stage after the first starts
+from a secant predictor in s through the last two solutions (from one
+solution, the shift by the trivial solution s t(t-1)/2), falling back to
+the last solution when the prediction leaves the ellipticity cone.  Only
+the last stage, s = epsilon, is solved to newton_tol; the stages before it
+stop at the looser _STAGE_TOL, since they only seed the next.
 
 Newton steps are chord steps (Kelley, Iterative Methods for Linear and
 Nonlinear Equations, SIAM 1995, ch. 5): a stage factors its Jacobian at
@@ -215,11 +215,13 @@ class SolverReport:
 
 @dataclass(frozen=True)
 class _FixedData:
-    """The background and boundary data of a grid, on every rho node.
+    """The background and boundary data of a grid, on every node.
 
     u1, u2, u3 are u', u'', u'''; row i of psi0 and psi1 is the jet
-    (psi, psi', psi'', psi''') at rho_nodes[i].  None of it depends on
-    phi, so a solve builds it once for every iterate, backtrack and stage.
+    (psi, psi', psi'', psi''') at rho_nodes[i].  w', w'' and P at phi = 0
+    are w1 = u1 + (1-t) psi0' + t psi1', w2 likewise (each summed in that
+    order) and P = psi1' - psi0'.  None of it depends on phi, so a solve
+    builds it once for every iterate, backtrack and stage.
     """
 
     n: int
@@ -229,21 +231,30 @@ class _FixedData:
     psi0: np.ndarray  # (n_rho, 4)
     psi1: np.ndarray  # (n_rho, 4)
     density: np.ndarray  # (u')^{n-1} u'' as an (n_rho, 1) column
+    w1: np.ndarray  # (n_rho, n_t)
+    w2: np.ndarray  # (n_rho, n_t)
+    P: np.ndarray  # (n_rho, 1)
 
     @classmethod
     def build(cls, grid: PathGrid) -> "_FixedData":
-        rho = grid.rho_nodes
+        rho, t = grid.rho_nodes, grid.t_nodes[None, :]
         u1, u2, u3 = grid.background.u_derivatives(rho, order=3)
         n = grid.background.n
-        return cls(n=n, u1=u1, u2=u2, u3=u3,
-                   psi0=np.stack(grid.psi0.jet(rho, 3), axis=1),
-                   psi1=np.stack(grid.psi1.jet(rho, 3), axis=1),
-                   density=(u1 ** (n - 1) * u2)[:, None])
+        psi0 = np.stack(grid.psi0.jet(rho, 3), axis=1)
+        psi1 = np.stack(grid.psi1.jet(rho, 3), axis=1)
+        return cls(
+            n=n, u1=u1, u2=u2, u3=u3, psi0=psi0, psi1=psi1,
+            density=(u1 ** (n - 1) * u2)[:, None],
+            w1=u1[:, None] + (1.0 - t) * psi0[:, 1:2] + t * psi1[:, 1:2],
+            w2=u2[:, None] + (1.0 - t) * psi0[:, 2:3] + t * psi1[:, 2:3],
+            P=psi1[:, 1:2] - psi0[:, 1:2])
 
-    def every_other_row(self) -> "_FixedData":
+    def every_other_node(self) -> "_FixedData":
         """The fixed data of the grid on every other node of this one."""
-        return replace(self, **{f.name: getattr(self, f.name)[::2]
-                                for f in fields(self) if f.name != "n"})
+        sliced = {f.name: getattr(self, f.name)[::2]
+                  for f in fields(self) if f.name != "n"}
+        sliced.update(w1=self.w1[::2, ::2], w2=self.w2[::2, ::2])
+        return replace(self, **sliced)
 
 
 def _field_arrays(grid: PathGrid, fixed: _FixedData):
@@ -251,18 +262,15 @@ def _field_arrays(grid: PathGrid, fixed: _FixedData):
 
     All on residual nodes i = 0..n_rho-2 (Neumann mirror at i = 0,
     Dirichlet column excluded) and j = 1..n_t-2, as arrays of shape
-    (n_rho-1, n_t-2).
+    (n_rho-1, n_t-2); w', w'' and P add phi's differences to fixed's.
     """
-    t = grid.t_nodes
-    hr, ht = grid.h_rho, grid.h_t
-    nr, nt = grid.rho_nodes.size, t.size
-    phi = grid.phi
+    hr, ht, phi = grid.h_rho, grid.h_t, grid.phi
+    nr, nt = phi.shape
 
     # ghost row at i = -1 mirrors i = 1
-    ext = np.vstack([phi[1:2, :], phi])
+    ext = np.concatenate([phi[1:2], phi])
 
-    sl_r = slice(0, nr - 1)
-    sl_t = slice(1, nt - 1)
+    sl_r, sl_t = slice(0, nr - 1), slice(1, nt - 1)
     phi_rr = (ext[0:nr - 1, sl_t] - 2.0 * ext[1:nr, sl_t]
               + ext[2:nr + 1, sl_t]) / hr ** 2
     phi_r = (ext[2:nr + 1, sl_t] - ext[0:nr - 1, sl_t]) / (2.0 * hr)
@@ -271,13 +279,9 @@ def _field_arrays(grid: PathGrid, fixed: _FixedData):
     phi_rt = (ext[2:nr + 1, 2:nt] - ext[2:nr + 1, 0:nt - 2]
               - ext[0:nr - 1, 2:nt] + ext[0:nr - 1, 0:nt - 2]) / (4.0 * hr * ht)
 
-    psi0, psi1 = fixed.psi0[:-1, :, None], fixed.psi1[:-1, :, None]
-    tj = t[sl_t][None, :]
-    w1 = (fixed.u1[:-1, None] + (1.0 - tj) * psi0[:, 1] + tj * psi1[:, 1]
-          + phi_r)
-    w2 = (fixed.u2[:-1, None] + (1.0 - tj) * psi0[:, 2] + tj * psi1[:, 2]
-          + phi_rr)
-    P = psi1[:, 1] - psi0[:, 1] + phi_rt
+    w1 = fixed.w1[sl_r, sl_t] + phi_r
+    w2 = fixed.w2[sl_r, sl_t] + phi_rr
+    P = fixed.P[sl_r] + phi_rt
     return w1, w2, P, phi_tt, phi_tt * w2 - P ** 2
 
 
@@ -342,10 +346,11 @@ def _jacobian_band(coefs) -> _BandMatrix:
     Unknown (ii, jj) is number ii nj + jj, so the term coupling it to
     unknown (ii + di, jj + dj) lies on diagonal di nj + dj, within
     bw = nj + 1 of the main one.  Terms that leave the t range or reach the
-    Dirichlet row are dropped, and row 0's di = -1 terms are added onto its
-    di = +1 ones (the Neumann mirror of ghost row -1 onto row +1).  An
-    entry that gathers several terms sums them in the order they are added
-    below, and that order fixes the bits of the entry, and so of phi.
+    Dirichlet row are dropped, and row 0's di = -1 terms are summed onto its
+    di = +1 ones (the Neumann mirror of ghost row -1 onto row +1).  Each
+    diagonal is written once, its sums taken in the order that fixes their
+    bits, and so phi's: B + D on (+1, 0) but B0 + B0 + D0 + -D0 on its row
+    0, and C0 + -C0 and -C0 + C0 on row 0 of (+1, +1) and (+1, -1).
     """
     A, B, C, D = coefs
     ni, nj = A.shape
@@ -353,32 +358,26 @@ def _jacobian_band(coefs) -> _BandMatrix:
     # bw spare columns at either end let every diagonal be read as an
     # (ni, nj) view over the rows of J; the terms written stay inside ab
     padded = np.zeros((3 * bw + 1, size + 2 * bw), order="F")
-    # the indices whose neighbour at offset -1, 0 or +1 is in the block
-    inner = {-1: slice(1, None), 0: slice(None), 1: slice(None, -1)}
 
     def diagonal(di, dj):
         k = di * nj + dj
         return padded[2 * bw - k, bw + k:bw + k + size].reshape(ni, nj)
 
-    def add(di, dj, values):
-        """J[(ii, jj), (ii + di, jj + dj)] += values[ii, jj] where the
-        column is an unknown, with row 0's di = -1 onto its mirror."""
-        rows, cols = inner[di], inner[dj]
-        diagonal(di, dj)[rows, cols] += values[rows, cols]
-        if di < 0:
-            diagonal(1, dj)[:1, cols] += values[:1, cols]
-
-    add(0, -1, A)
-    add(0, 1, A)
-    add(0, 0, -2.0 * A - 2.0 * B)
-    add(-1, 0, B)
-    add(1, 0, B)
-    add(1, 1, C)
-    add(1, -1, -C)
-    add(-1, 1, -C)
-    add(-1, -1, C)
-    add(1, 0, D)
-    add(-1, 0, -D)
+    # the (+1, dj) terms, with row 0's mirrored (-1, dj) terms summed last
+    down, right, left = B[:-1] + D[:-1], C[:-1, :-1].copy(), -C[:-1, 1:]
+    down[0] = B[0] + B[0] + D[0] + -D[0]
+    right[0] += -C[0, :-1]
+    left[0] += C[0, 1:]
+    # each slice keeps the terms whose unknown lies in the block
+    diagonal(0, -1)[:, 1:] = A[:, 1:]
+    diagonal(0, 1)[:, :-1] = A[:, :-1]
+    diagonal(0, 0)[:] = -2.0 * A - 2.0 * B
+    diagonal(-1, 0)[1:] = B[1:] - D[1:]
+    diagonal(1, 0)[:-1] = down
+    diagonal(1, 1)[:-1, :-1] = right
+    diagonal(1, -1)[:-1, 1:] = left
+    diagonal(-1, 1)[1:, :-1] = -C[1:, :-1]
+    diagonal(-1, -1)[1:, 1:] = C[1:, 1:]
     # a row reaches 3 unknown rows (2 at either end, the mirror folding
     # row 0's -1 onto +1) times 3 unknown columns (2 at either end)
     return _BandMatrix(ab=padded[:, bw:bw + size], bw=bw,
@@ -393,7 +392,7 @@ def _newton_system(grid: PathGrid, fixed: _FixedData, s):
     _field_arrays returned, give _jacobian_coefficients at this iterate.
     """
     arrays = w1, w2, _, _, M = _field_arrays(grid, fixed)
-    if np.any(w1 <= 0) or np.any(w2 <= 0) or np.any(M <= 0):
+    if not (w1.min() > 0 and w2.min() > 0 and M.min() > 0):
         return None
     density = fixed.density[:-1]
     R = np.log(M) + (fixed.n - 1) * np.log(w1) - np.log(s * density)
@@ -512,8 +511,8 @@ def spsolve(J, rhs):
 def _line_search(grid: PathGrid, fixed: _FixedData, s, base, delta, r_max):
     """Halve alpha from 1 until phi = base + alpha delta cuts max|R|.
 
-    Returns the _newton_system evaluation of the accepted step, and the
-    number of backtracks; or None with the unknown block restored to base.
+    Returns the accepted step's _newton_system evaluation, backtrack count
+    and max|R|; or None with the unknown block restored to base.
     """
     ni, nj = delta.shape
     for k in range(_MAX_BACKTRACKS):
@@ -521,9 +520,9 @@ def _line_search(grid: PathGrid, fixed: _FixedData, s, base, delta, r_max):
         grid.phi[:ni, 1:nj + 1] = base + alpha * delta
         system = _newton_system(grid, fixed, s)
         if system is not None:
-            r = np.max(np.abs(system[0]))
+            r = float(np.max(np.abs(system[0])))
             if r < r_max * (1 - 1e-4 * alpha) or r < 1e-13:
-                return system, k
+                return system, k, r
     grid.phi[:ni, 1:nj + 1] = base
     return None
 
@@ -635,6 +634,7 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
                 raise PositivityLoss(
                     f"iterate left the ellipticity cone at stage s={s:g}")
         R, G, arrays = system
+        r = float(np.max(np.abs(R)))
         history, lu = [], None
         for _ in range(config.max_iters):
             res = float(np.max(np.abs(G)))
@@ -642,7 +642,7 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
             log.iterations[-1] = len(history)
             if res <= tol:
                 break
-            r_max = float(np.max(np.abs(R)))
+            r_max = r
             base = grid.phi[:ni, 1:nj + 1].copy()
             while True:
                 fresh = lu is None
@@ -666,8 +666,8 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
                 if fresh:
                     raise NonConvergence(s, history, log.factorizations)
                 lu = None  # the chord step failed: refactor here and retry
-            (R, G, arrays), backtracks = step
-            if backtracks or np.max(np.abs(R)) > _CHORD_CONTRACTION * r_max:
+            (R, G, arrays), backtracks, r = step
+            if backtracks or r > _CHORD_CONTRACTION * r_max:
                 lu = None
         else:
             raise NonConvergence(s, history, log.factorizations)
@@ -690,7 +690,7 @@ def _coarse_start(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
                      t_nodes=grid.t_nodes[::2], phi=grid.phi[::2, ::2].copy())
     solved = []
     try:
-        _run_stages(coarse, fixed.every_other_row(), config, schedule,
+        _run_stages(coarse, fixed.every_other_node(), config, schedule,
                     solved, log, max(config.newton_tol, _STAGE_TOL))
     except GeodesicError:
         pass  # go on from the stages that converged
@@ -820,14 +820,13 @@ def _max_second_derivative(grid: PathGrid, fixed: _FixedData):
     up to lower order, so including it would let the sweep parameter itself
     dominate the probe instead of the quantity whose uniformity is tested.
     """
-    t = grid.t_nodes
+    t = grid.t_nodes[None, :]
     hr, ht = grid.h_rho, grid.h_t
-    psi0, psi1 = fixed.psi0[:, :, None], fixed.psi1[:, :, None]
-    Psi_rr = (1 - t[None, :]) * psi0[:, 2] + t[None, :] * psi1[:, 2]
+    Psi_rr = (1 - t) * fixed.psi0[:, 2:3] + t * fixed.psi1[:, 2:3]
     phi = grid.phi
     phi_rr = (phi[:-2, :] - 2 * phi[1:-1, :] + phi[2:, :]) / hr ** 2
     phi_rt = (phi[2:, 2:] - phi[2:, :-2] - phi[:-2, 2:]
               + phi[:-2, :-2]) / (4 * hr * ht)
-    P = (psi1[:, 1] - psi0[:, 1])[1:-1] + phi_rt
+    P = fixed.P[1:-1] + phi_rt
     return float(max(np.max(np.abs(phi_rr + Psi_rr[1:-1, :])),
                      np.max(np.abs(P))))

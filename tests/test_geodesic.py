@@ -223,6 +223,95 @@ def test_band_fill_on_narrow_grids():
         assert J.nnz == len({term[:2] for term in _stencil_terms(ni, nj)})
 
 
+def _reference_jacobian_band(coefs):
+    """The band as an older _jacobian_band filled it: each stencil term
+    added into its diagonal in turn, row 0's di = -1 terms onto di = +1."""
+    A, B, C, D = coefs
+    ni, nj = A.shape
+    size, bw = ni * nj, nj + 1
+    padded = np.zeros((3 * bw + 1, size + 2 * bw), order="F")
+    inner = {-1: slice(1, None), 0: slice(None), 1: slice(None, -1)}
+
+    def diagonal(di, dj):
+        k = di * nj + dj
+        return padded[2 * bw - k, bw + k:bw + k + size].reshape(ni, nj)
+
+    def add(di, dj, values):
+        rows, cols = inner[di], inner[dj]
+        diagonal(di, dj)[rows, cols] += values[rows, cols]
+        if di < 0:
+            diagonal(1, dj)[:1, cols] += values[:1, cols]
+
+    for di, dj, values in ((0, -1, A), (0, 1, A), (0, 0, -2.0 * A - 2.0 * B),
+                           (-1, 0, B), (1, 0, B), (1, 1, C), (1, -1, -C),
+                           (-1, 1, -C), (-1, -1, C), (1, 0, D), (-1, 0, -D)):
+        add(di, dj, values)
+    return padded[:, bw:bw + size]
+
+
+def _reference_field_arrays(grid, fixed):
+    """The field arrays as an older _field_arrays built them: the ghost row
+    by np.vstack, and Psi's terms summed from the jets on every call."""
+    t = grid.t_nodes
+    hr, ht = grid.h_rho, grid.h_t
+    nr, nt = grid.rho_nodes.size, t.size
+    phi = grid.phi
+    ext = np.vstack([phi[1:2, :], phi])
+    sl_r, sl_t = slice(0, nr - 1), slice(1, nt - 1)
+    phi_rr = (ext[0:nr - 1, sl_t] - 2.0 * ext[1:nr, sl_t]
+              + ext[2:nr + 1, sl_t]) / hr ** 2
+    phi_r = (ext[2:nr + 1, sl_t] - ext[0:nr - 1, sl_t]) / (2.0 * hr)
+    phi_tt = (phi[sl_r, 0:nt - 2] - 2.0 * phi[sl_r, sl_t]
+              + phi[sl_r, 2:nt]) / ht ** 2
+    phi_rt = (ext[2:nr + 1, 2:nt] - ext[2:nr + 1, 0:nt - 2]
+              - ext[0:nr - 1, 2:nt] + ext[0:nr - 1, 0:nt - 2]) / (4.0 * hr * ht)
+    psi0, psi1 = fixed.psi0[:-1, :, None], fixed.psi1[:-1, :, None]
+    tj = t[sl_t][None, :]
+    w1 = (fixed.u1[:-1, None] + (1.0 - tj) * psi0[:, 1] + tj * psi1[:, 1]
+          + phi_r)
+    w2 = (fixed.u2[:-1, None] + (1.0 - tj) * psi0[:, 2] + tj * psi1[:, 2]
+          + phi_rr)
+    P = psi1[:, 1] - psi0[:, 1] + phi_rt
+    return w1, w2, P, phi_tt, phi_tt * w2 - P ** 2
+
+
+@pytest.mark.parametrize("ni,nj", [(64, 43), (32, 21), (5, 3), (2, 1),
+                                   (3, 1), (2, 2), (3, 2), (8, 1), (8, 2),
+                                   (2, 7)])
+def test_band_fill_is_bit_for_bit_the_add_by_add_fill(ni, nj):
+    # each diagonal is written once, summing what an entry gathers in the
+    # order the add-by-add fill added it, so every bit of the band agrees;
+    # coefficients span 1e-8..1e8 so that a changed order would round apart
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        coefs = rng.standard_normal((4, ni, nj)) * 10.0 ** rng.uniform(
+            -8.0, 8.0, (4, ni, nj))
+        assert np.array_equal(_jacobian_band(coefs).ab,
+                              _reference_jacobian_band(coefs))
+
+
+@pytest.mark.parametrize("n_rho,n_t", [(17, 11), (9, 7), (7, 11), (3, 3),
+                                       (4, 4), (9, 3), (3, 9)])
+def test_newton_system_is_bit_for_bit_the_per_call_sums(n_rho, n_t):
+    # the field arrays add phi's differences to w', w'' and P at phi = 0,
+    # built once in the fixed data; R, G, the five arrays and the band
+    # agree bit for bit with the arrays summed from the jets on every call
+    rng = np.random.default_rng(19)
+    g, fixed, coefs, (R, J, G) = _perturbed_system(n_rho, n_t, rng)
+    arrays = _reference_field_arrays(g, fixed)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(geodesic._field_arrays(g, fixed), arrays, strict=True))
+    w1, _, _, _, M = arrays
+    density = fixed.density[:-1]
+    assert np.array_equal(R, np.log(M) + (fixed.n - 1) * np.log(w1)
+                          - np.log(0.7 * density))
+    assert np.array_equal(G, (M * w1 ** (fixed.n - 1) - 0.7 * density)
+                          / density)
+    reference = geodesic._jacobian_coefficients(g, fixed, arrays)
+    assert np.array_equal(coefs, reference)
+    assert np.array_equal(J.ab, _reference_jacobian_band(reference))
+
+
 def _pivoting_band(rng, n=40, bw=3):
     """A nonsymmetric band matrix A, and A in dgbtrf's band storage; its
     small diagonal makes the LU interchange rows."""
@@ -645,26 +734,30 @@ def test_prolong_is_exact_on_bicubics():
 
 
 def test_coarse_fixed_data_is_every_other_row():
+    # every other row of the rho columns, and every other node of the
+    # (rho, t) arrays, is the fixed data built afresh on the coarse grid
     cfg = _eh_tau_power_config(65, 45)
     rho = np.linspace(cfg.rho_min, cfg.rho_max, cfg.n_rho)
     t = np.linspace(0.0, 1.0, cfg.n_t)
     fine = PathGrid(rho_nodes=rho, t_nodes=t, phi=np.zeros((65, 45)),
-                    psi0=zero_potential(),
+                    psi0=exp_decay_potential(0.03, 4.0, rho_ref=RHO_MIN_EH),
                     psi1=tau_power_potential(EH, 0.1, 4.0), background=EH,
                     epsilon=cfg.epsilon)
     coarse = replace(fine, rho_nodes=rho[::2], t_nodes=t[::2],
                      phi=np.zeros((33, 23)))
-    sliced = _FixedData.build(fine).every_other_row()
+    sliced = _FixedData.build(fine).every_other_node()
     built = _FixedData.build(coarse)
     assert sliced.n == built.n == EH.n
     arrays = [f.name for f in fields(_FixedData) if f.name != "n"]
-    assert arrays == ["u1", "u2", "u3", "psi0", "psi1", "density"]
+    assert arrays == ["u1", "u2", "u3", "psi0", "psi1", "density", "w1",
+                      "w2", "P"]
     for name in arrays:
         a, b = getattr(sliced, name), getattr(built, name)
         assert a.shape == b.shape and a.shape[0] == 33
         assert np.array_equal(a, b)
     assert built.psi0.shape == built.psi1.shape == (33, 4)
-    assert built.density.shape == (33, 1)
+    assert built.density.shape == built.P.shape == (33, 1)
+    assert built.w1.shape == built.w2.shape == (33, 23)
 
 
 @pytest.mark.parametrize("n_rho,n_t", [(65, 45), (129, 89)])

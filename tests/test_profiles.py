@@ -435,6 +435,32 @@ def test_lebrun_rho_matches_quadrature_at_every_n(n):
                     <= 2.0 * abs(A) / tau ** (n - 1) + 1e-14 * math.log(tau))
 
 
+def test_lebrun_kernels_at_large_n_and_tau():
+    # tau^(n+2) passes 1e308 at tau = 1e12 from n = 24 on; each kernel
+    # still evaluates, with no overflow warning, to the exact value
+    # (integer coefficients at tau_min = 1, summed as fractions) rounded,
+    # a term past the double range being the 0 it rounds to
+    from fractions import Fraction
+    for n in range(2, 41):
+        for k in sorted({1, n}):
+            p = lebrun_profile(k, 1.0, n=n)
+            A, B = int(p.params["A"]), int(p.params["B"])
+            for tau in (1, 10 ** 6, 10 ** 12):
+                t = Fraction(tau)
+                exact = {
+                    "phi": t + A / t ** (n - 2) + B / t ** (n - 1),
+                    "phi_d1": 1 + (2 - n) * A / t ** (n - 1)
+                    + (1 - n) * B / t ** n,
+                    "phi_d2": (2 - n) * (1 - n) * A / t ** n
+                    + (1 - n) * -n * B / t ** (n + 1),
+                    "phi_d3": (2 - n) * (1 - n) * -n * A / t ** (n + 1)
+                    + (1 - n) * -n * (-1 - n) * B / t ** (n + 2)}
+                for name, value in exact.items():
+                    got = getattr(p, name)(float(tau))
+                    assert math.isclose(got, float(value), rel_tol=1e-13,
+                                        abs_tol=1e-300), (n, k, tau, name)
+
+
 def test_explicit_inverses():
     rho = np.linspace(-5.5, 25.0, 62)
     for a in (0.5, 1.0, 2.0):
