@@ -337,6 +337,7 @@ def lebrun_profile(k: int, tau_min: float, n: int = 2,
            ** (1.0 / n),
            (2, 2): lambda r: np.hypot(a, np.exp(r)),
            (2, 1): lambda r: a + np.exp(r)}.get((n, k))
+    # tau^(n+2) may pass 1e308 for n > 2; c / inf is then the 0 it rounds to
     terms = dict(
         phi=lambda t: t + A / t ** (n - 2) + B / t ** (n - 1),
         d1=lambda t: 1.0 + (2 - n) * A / t ** (n - 1) + (1 - n) * B / t ** n,
@@ -344,9 +345,7 @@ def lebrun_profile(k: int, tau_min: float, n: int = 2,
                       + (1 - n) * -n * B / t ** (n + 1)),
         d3=lambda t: ((2 - n) * (1 - n) * -n * A / t ** (n + 1)
                       + (1 - n) * -n * (-1 - n) * B / t ** (n + 2)))
-    if n > 2:  # tau^(n+2) may pass 1e308; c / inf is then the 0 it rounds to
-        terms = {key: np.errstate(over="ignore")(f)
-                 for key, f in terms.items()}
+    terms = {key: np.errstate(over="ignore")(f) for key, f in terms.items()}
     kern = _Kernel(**terms, tau=tau, rho=lambda t: np.log(t - a) / k
                    + np.real(np.log(np.subtract.outer(t, others)) @ residues))
     return RadialProfile(n=n, k=k, tau_min=tau_min, tau_max=tau_max,

@@ -312,6 +312,16 @@ def test_newton_system_is_bit_for_bit_the_per_call_sums(n_rho, n_t):
     assert np.array_equal(J.ab, _reference_jacobian_band(reference))
 
 
+@pytest.mark.parametrize("node", [(0, 1), (5, 4), (15, 9)])
+def test_nan_iterate_is_outside_the_cone(node):
+    # a NaN reaches w', w'' and M at the node's neighbors, and a NaN min
+    # fails the ellipticity test, so the iterate is refused, not solved with
+    g, fixed, _, _ = _perturbed_system(17, 11, np.random.default_rng(3))
+    assert _newton_system(g, fixed, 0.7) is not None
+    g.phi[node] = np.nan
+    assert _newton_system(g, fixed, 0.7) is None
+
+
 def _pivoting_band(rng, n=40, bw=3):
     """A nonsymmetric band matrix A, and A in dgbtrf's band storage; its
     small diagonal makes the LU interchange rows."""
