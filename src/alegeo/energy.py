@@ -134,9 +134,10 @@ def _path_fields(grid: PathGrid, fixed: _FixedData):
     t = grid.t_nodes
     hr, ht = grid.h_rho, grid.h_t
     psi0, psi1 = fixed.psi0[:, :, None], fixed.psi1[:, :, None]
-    Psi = [(1.0 - t[None, :]) * psi0[:, m] + t[None, :] * psi1[:, m]
-           for m in range(4)]
-    Psi_t = [psi1[:, m] - psi0[:, m] for m in range(4)]
+    # rho derivatives m = 1..3 of Psi, and m = 0..2 of Psi_t
+    Psi = {m: (1.0 - t[None, :]) * psi0[:, m] + t[None, :] * psi1[:, m]
+           for m in (1, 2, 3)}
+    Psi_t = [psi1[:, m] - psi0[:, m] for m in range(3)]
 
     phi = grid.phi
     phi_t = np.gradient(phi, ht, axis=1, edge_order=2)
@@ -217,7 +218,7 @@ def energy_report(grid: PathGrid, epsilon: float) -> EnergyReport:
     fixed = _FixedData.build(grid)
     res = float(np.max(np.abs(_residual(grid, fixed, epsilon,
                                         normalized=True))))
-    if res > ON_SHELL_TOL:
+    if not res <= ON_SHELL_TOL:
         raise OffShellError(
             f"normalized residual {res:.2e} exceeds {ON_SHELL_TOL:.0e}; "
             "the convexity identity needs the equation to hold")

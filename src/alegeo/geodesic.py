@@ -14,8 +14,11 @@ with phi = 0 at t = 0, 1, a spatially constant Dirichlet value at rho_max
 continuity value s is a constant: at s = epsilon this is the
 epsilon-geodesic equation (Phi_tt - |d Phi_t|^2) omega_Phi^n = epsilon
 omega^n (Chen, J. Differential Geom. 56, 2000).  Newton runs on the
-concave log form of the equation; the continuity path lowers s from 1 to
-the target epsilon geometrically.
+concave log form of the equation; the continuity path lowers s to the
+target epsilon geometrically, starting from the smallest s of the ladder
+1, 1/2, 1/4, ... whose seed s t(t-1)/2 is elliptic, and from the next s up
+whenever the continuation from there fails.  The seed's M = s w'' - P^2
+grows with s, since it has phi_tt = s and no rho differences.
 
 What depends only on the grid is built once per solve.  _FixedData is the
 one evaluator of u', u'', u''' and the psi0, psi1 jets to third order on
@@ -53,14 +56,15 @@ Grid sequencing (nested iteration: Allgower, Bohmer, Potra and Rheinboldt,
 SIAM J. Numer. Anal. 23, 1986).  The Newton counts of each stage do not
 depend on the mesh, so when n_rho and n_t are odd and every other node
 leaves at least _MIN_COARSE nodes each way, the whole continuation first
-runs on that coarse grid, each stage stopping at _STAGE_TOL, with the fixed
-data sliced from the grid's.  The grid then starts at the last coarse stage
-whose prolongation (4-point cubic midpoints, _prolong) lies in the
-ellipticity cone, with the prolonged stage before it as the secant's second
-point, and solves the stages from there on; on Eguchi-Hanson data that is
-s = epsilon alone, with one factorization.  Coarse stages that fail are
-logged and dropped, and with none usable the grid runs the whole schedule
-from its own seed.  Only one level is coarsened.
+runs on that coarse grid, where the seed is tested, each stage stopping at
+_STAGE_TOL, with the fixed data sliced from the grid's.  The grid then
+starts at the last coarse stage whose prolongation (4-point cubic
+midpoints, _prolong) lies in the ellipticity cone, with the prolonged stage
+before it as the secant's second point, and solves the stages from there
+on; on Eguchi-Hanson tau_power data the continuation is s = epsilon alone,
+and the grid factors one Jacobian.  Coarse stages that fail are logged and
+dropped; with none usable the start moves up the ladder, and from s = 1 the
+grid runs the whole ladder from its own seed.  Only one level is coarsened.
 """
 
 from __future__ import annotations
@@ -207,6 +211,7 @@ class SolverReport:
     stage_iterations: list
     stage_factorizations: list   # Jacobian LU factorizations per stage
     stage_shapes: list           # (n_rho, n_t) of the grid of each stage
+    stage_values: list           # the continuity value s of each stage
     c0_check: BoundCheck
     positivity_margins: dict     # min of w', w'', M; "worst_nodes": (rho, t)
     wall_time: float
@@ -308,10 +313,10 @@ def reduced_residual(grid: PathGrid, normalized=False):
 
 def _check_positive(w1, w2, grid):
     for name, arr in (("w'", w1), ("w''", w2)):
-        if np.any(arr <= 0):
+        if not arr.min() > 0:
             i, j = np.unravel_index(int(np.argmin(arr)), arr.shape)
             raise PositivityLoss(
-                f"{name} <= 0 at rho={grid.rho_nodes[i]:.4f}, "
+                f"{name} <= 0 or NaN at rho={grid.rho_nodes[i]:.4f}, "
                 f"t={grid.t_nodes[j + 1]:.4f}")
 
 
@@ -593,9 +598,11 @@ def _cubic_midpoints(a):
 
 @dataclass
 class _StageLog:
-    """Iterations, factorizations and (n_rho, n_t) of every stage run, on
-    either grid, in the order they ran; a failed stage is logged too."""
+    """s, iterations, factorizations and (n_rho, n_t) of every stage run,
+    on either grid and from every start, in the order they ran; a failed
+    stage is logged too."""
 
+    values: list = field(default_factory=list)
     iterations: list = field(default_factory=list)
     factorizations: list = field(default_factory=list)
     shapes: list = field(default_factory=list)
@@ -615,6 +622,7 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
     for index, s in enumerate(stages):
         tol = (final_tol if s == stages[-1]
                else max(config.newton_tol, _STAGE_TOL))
+        log.values.append(s)
         log.iterations.append(0)
         log.factorizations.append(0)
         log.shapes.append(grid.phi.shape)
@@ -674,24 +682,23 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
         solved.append((s, grid.phi.copy()))
 
 
-def _coarse_start(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
-                  log: _StageLog):
-    """Run the whole continuation on every other node and hand it to grid.
+def _coarse_start(grid: PathGrid, fixed: _FixedData, coarse,
+                  config: SolverConfig, stages, log: _StageLog, start):
+    """Run the continuation over stages on coarse, the (grid, fixed data)
+    pair on every other node whose phi start evaluates, and hand it to grid.
 
     Returns the stages grid still has to solve, the solved list they
     start from and the _newton_system of grid.phi, set to the first one's
     start: the prolonged solution of the last coarse stage whose
     prolongation is elliptic on grid, with the prolonged stage before it
     as the secant's second point.  Failed coarse stages are logged and
-    dropped; with none usable, grid solves the whole schedule from its seed.
+    dropped; with none usable, grid.phi is left as it was and the
+    evaluation is None.
     """
-    schedule = config.schedule()
-    coarse = replace(grid, rho_nodes=grid.rho_nodes[::2],
-                     t_nodes=grid.t_nodes[::2], phi=grid.phi[::2, ::2].copy())
     solved = []
     try:
-        _run_stages(coarse, fixed.every_other_node(), config, schedule,
-                    solved, log, max(config.newton_tol, _STAGE_TOL))
+        _run_stages(*coarse, config, stages, solved, log,
+                    max(config.newton_tol, _STAGE_TOL), start)
     except GeodesicError:
         pass  # go on from the stages that converged
     seed, t = grid.phi, grid.t_nodes
@@ -701,10 +708,10 @@ def _coarse_start(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
         _impose_boundary(grid.phi, t, s)
         system = _newton_system(grid, fixed, s)
         if system is not None:
-            return schedule[k:], [(s0, _prolong(phi0)) for s0, phi0
-                                  in solved[max(k - 1, 0):k]], system
+            return stages[k:], [(s0, _prolong(phi0)) for s0, phi0
+                                in solved[max(k - 1, 0):k]], system
     grid.phi = seed
-    return schedule, [], None
+    return stages, [], None
 
 
 def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
@@ -712,22 +719,41 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     """Continuity-path damped Newton solve; returns (PathGrid, SolverReport)."""
     t_start = time.perf_counter()
     t = np.linspace(0.0, 1.0, config.n_t)
-    # spatially constant seed, exact for trivial data and elliptic everywhere
     grid = PathGrid(rho_nodes=config.rho_nodes(profile), t_nodes=t,
-                    phi=np.tile(_dirichlet_column(t, 1.0), (config.n_rho, 1)),
-                    psi0=psi0, psi1=psi1, background=profile,
-                    epsilon=config.epsilon)
+                    phi=np.zeros((config.n_rho, config.n_t)), psi0=psi0,
+                    psi1=psi1, background=profile, epsilon=config.epsilon)
     fixed = _FixedData.build(grid)
     _check_boundary_data(grid, fixed, "psi0")
     _check_boundary_data(grid, fixed, "psi1")
 
-    log = _StageLog()
-    stages, solved, start = config.schedule(), [], None
+    log, ladder, coarse = _StageLog(), config.schedule(), None
     if all(m % 2 and (m + 1) // 2 >= _MIN_COARSE
            for m in (config.n_rho, config.n_t)):
-        stages, solved, start = _coarse_start(grid, fixed, config, log)
-    _run_stages(grid, fixed, config, stages, solved, log, config.newton_tol,
-                start)
+        coarse = (replace(grid, rho_nodes=grid.rho_nodes[::2],
+                          t_nodes=t[::2], phi=grid.phi[::2, ::2]),
+                  fixed.every_other_node())
+    # from the smallest s whose seed is elliptic on the first stage's grid,
+    # one rung up after each failure, with s = 1 the last resort
+    for k in reversed(range(len(ladder))):
+        grid.phi = np.tile(_dirichlet_column(t, ladder[k]), (config.n_rho, 1))
+        _impose_boundary(grid.phi, t, ladder[k])
+        if coarse:
+            coarse[0].phi = grid.phi[::2, ::2].copy()
+        start = _newton_system(*(coarse or (grid, fixed)), ladder[k])
+        if start is None and k:
+            continue
+        try:
+            stages, solved = ladder[k:], []
+            if coarse:
+                stages, solved, start = _coarse_start(
+                    grid, fixed, coarse, config, stages, log, start)
+            if start is not None or not k:  # else no coarse stage is usable
+                _run_stages(grid, fixed, config, stages, solved, log,
+                            config.newton_tol, start)
+                break
+        except GeodesicError:
+            if not k:
+                raise
 
     # the certificate and the C^{1,1} probe come from the profile, through
     # fixed data built afresh rather than the solve's own
@@ -737,7 +763,7 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     G = _density_residual(M, w1, final, config.epsilon)
     res_raw = float(np.max(np.abs(G)))
     res_norm = float(np.max(np.abs(G / final.density[:-1])))
-    if res_norm > config.newton_tol:
+    if not res_norm <= config.newton_tol:
         raise NonConvergence(config.epsilon, [res_norm], log.factorizations)
 
     margins = {"worst_nodes": {}}
@@ -750,6 +776,7 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
         stage_iterations=log.iterations,
         stage_factorizations=log.factorizations,
         stage_shapes=log.shapes,
+        stage_values=log.values,
         c0_check=c0_bound_check(grid),
         positivity_margins=margins,
         max_second_derivative=_max_second_derivative(grid, final),

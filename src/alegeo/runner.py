@@ -333,6 +333,7 @@ def _run_analyses(scenario, out, manifest):
             "stage_iterations": report.stage_iterations,
             "stage_factorizations": report.stage_factorizations,
             "stage_shapes": report.stage_shapes,
+            "stage_values": report.stage_values,
             "c0_passed": report.c0_check.passed,
             "positivity_margins": report.positivity_margins,
         })

@@ -243,10 +243,12 @@ def test_grid_round_trip(tmp_path):
     report = json.loads(Path(m.artifacts["report_json"]).read_text())
     iters, factors = (report["stage_iterations"],
                       report["stage_factorizations"])
-    # both stages on every other node, then s = epsilon on the grid
-    assert report["stage_shapes"] == [[17, 17], [17, 17], [33, 33]]
-    assert iters == [7, 9, 8]
-    assert factors == [1, 1, 1]
+    # the seed is elliptic at s = epsilon: one stage on every other node,
+    # then the same s on the grid
+    assert report["stage_shapes"] == [[17, 17], [33, 33]]
+    assert report["stage_values"] == [0.5, 0.5]
+    assert iters == [9, 8]
+    assert factors == [1, 1]
     margins = report["positivity_margins"]
     assert set(margins["worst_nodes"]) == {"w1", "w2", "M"}
     assert margins["M"] > 0
@@ -575,6 +577,24 @@ def test_k_energy_names_a_bad_sidecar_field(tmp_path, burns_run, edit, named):
                                     "--out", str(tmp_path / "energy")])
     assert res.exit_code == 2, res.output
     assert named in res.output
+    assert not (tmp_path / "energy" / "energy.json").exists()
+
+
+def test_k_energy_refuses_a_nan_in_the_grid(tmp_path, burns_run):
+    # a NaN in phi used to be judged, and energy.json written
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "grid.meta.json").write_bytes(
+        (burns_run / "grid.meta.json").read_bytes())
+    rows = (burns_run / "grid.csv").read_text().splitlines()
+    rho, t, _ = rows[100].split(",")
+    rows[100] = f"{rho},{t},nan"
+    (run / "grid.csv").write_text("\n".join(rows) + "\n")
+    res = CliRunner().invoke(main, ["k-energy", "--path",
+                                    str(run / "grid.csv"),
+                                    "--out", str(tmp_path / "energy")])
+    assert res.exit_code == 3, res.output
+    assert res.stderr.startswith("error: ") and "NaN" in res.stderr
     assert not (tmp_path / "energy" / "energy.json").exists()
 
 

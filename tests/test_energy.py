@@ -20,6 +20,7 @@ from alegeo.energy import (
 )
 from alegeo.geodesic import (
     PathGrid,
+    PositivityLoss,
     SolverConfig,
     _FixedData,
     solve_epsilon_geodesic,
@@ -277,6 +278,17 @@ def test_off_shell_rejected():
                  psi0=zero_potential(), psi1=psi1,
                  background=EH, epsilon=0.5)
     with pytest.raises(OffShellError):
+        energy_report(g, 0.5)
+
+
+def test_nan_in_phi_is_rejected():
+    # a NaN passed both the positivity test and the on-shell test, and the
+    # report came back with NaN terms and fd_agreement
+    psi1 = exp_decay_potential(0.1, 4.0, rho_ref=float(EH.rho_of_tau(2.0)))
+    g, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1,
+                                  SolverConfig(epsilon=0.5, n_rho=33, n_t=33))
+    g.phi[5, 5] = np.nan
+    with pytest.raises(PositivityLoss, match="NaN"):
         energy_report(g, 0.5)
 
 

@@ -393,9 +393,28 @@ def test_band_lu_runs_on_one_blas_thread(monkeypatch):
         geodesic._set_blas_threads(threads)
 
 
-# the eh_energy solve's phi (EH 65x45, tau_power 0.1/4, eps = 1/8), recorded
-# with scipy.linalg.lapack's dgbtrf (numpy 2.4.6, scipy 1.17.1, x86-64):
-# rows 8::16 by columns 5::11, and the sha256 of the whole array
+def _solve_from_s1(*args):
+    """solve_epsilon_geodesic with only s = 1 passing the start-rung test,
+    so that the continuation starts at s = 1 whatever the data."""
+    newton_system = geodesic._newton_system
+    rung_test = [True]
+
+    def only_s1(grid, fixed, s):
+        # a solve's first evaluations are its rung tests
+        if rung_test[0] and s < 1.0:
+            return None
+        rung_test[0] = False
+        return newton_system(grid, fixed, s)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geodesic, "_newton_system", only_s1)
+        return solve_epsilon_geodesic(*args)
+
+
+# the eh_energy solve's phi (EH 65x45, tau_power 0.1/4, eps = 1/8) started at
+# s = 1, recorded with scipy.linalg.lapack's dgbtrf (numpy 2.4.6, scipy
+# 1.17.1, x86-64): rows 8::16 by columns 5::11, and the sha256 of the whole
+# array
 EH_ENERGY_PHI = [
     "-0x1.de06e1277b764p-8", "-0x1.1be68666b5ef4p-6", "-0x1.2e106e2ba9a27p-6",
     "-0x1.39ea7f3fd757cp-7", "-0x1.a50d9cb04a205p-8", "-0x1.e44a7e4f3fca5p-7",
@@ -416,12 +435,22 @@ EH_ENERGY_PHI_NEWTON = [
     "-0x1.e261527bc0346p-8"]
 EH_ENERGY_SHA256_NEWTON = (
     "60873e9bd30f4f08e059e9146141aaf24d21f6267a892b3de19191ced6e7d603")
+# the same solve started at s = 1/8, the lowest rung with an elliptic seed
+EH_ENERGY_PHI_LOW = [
+    "-0x1.de06e1277b762p-8", "-0x1.1be68666b5ef3p-6", "-0x1.2e106e2ba9a26p-6",
+    "-0x1.39ea7f3fd757cp-7", "-0x1.a50d9cb04a208p-8", "-0x1.e44a7e4f3fca1p-7",
+    "-0x1.f0d226c8acbabp-7", "-0x1.ee3183368784ep-8", "-0x1.9c8f674c64bf1p-8",
+    "-0x1.d9ea3073bb2d9p-7", "-0x1.e58cf58974d32p-7", "-0x1.e2606995939f3p-8",
+    "-0x1.9c8fde2249f4ep-8", "-0x1.d9ead7c7e30c8p-7", "-0x1.e58dc080ef7bcp-7",
+    "-0x1.e261527bc0341p-8"]
+EH_ENERGY_SHA256_LOW = (
+    "51033297dc53c5dd73fb1711280dc60b96bfb7ecbe9d8e74614233713779fabf")
 
 
-def _eh_energy_solve(profile, phi_hex, sha256):
+def _eh_energy_solve(profile, phi_hex, sha256, solve=solve_epsilon_geodesic):
     psi1 = tau_power_potential(profile, 0.1, 4.0)
-    g, rep = solve_epsilon_geodesic(profile, zero_potential(), psi1,
-                                    _eh_tau_power_config(65, 45))
+    g, rep = solve(profile, zero_potential(), psi1,
+                   _eh_tau_power_config(65, 45))
     recorded = np.array([float.fromhex(h) for h in phi_hex])
     assert np.array_equal(g.phi[8::16, 5::11].ravel(), recorded)
     whole = np.ascontiguousarray(g.phi, dtype="<f8").tobytes()
@@ -430,22 +459,32 @@ def _eh_energy_solve(profile, phi_hex, sha256):
 
 
 def test_eh_energy_solve_is_pinned_bit_for_bit():
-    _eh_energy_solve(EH, EH_ENERGY_PHI, EH_ENERGY_SHA256)
+    # the solve starts at s = epsilon and moves no node of phi by more than
+    # 1e-16 from the s = 1 start (max |phi| is 0.019)
+    g, rep = _eh_energy_solve(EH, EH_ENERGY_PHI_LOW, EH_ENERGY_SHA256_LOW)
+    assert rep.stage_values == [0.125, 0.125]
+    assert rep.stage_iterations == [6, 5]
+    assert rep.stage_factorizations == [2, 1]
+    g_s1, _ = _eh_energy_solve(EH, EH_ENERGY_PHI, EH_ENERGY_SHA256,
+                               _solve_from_s1)
+    assert np.max(np.abs(g.phi - g_s1.phi)) <= 1e-16
 
 
 def test_eh_energy_solve_within_roundoff_of_the_newton_inverse():
-    # EH without its closed-form inverse takes the Newton, and reproduces
-    # the older pin bit for bit; the closed form moves no node of phi by
-    # more than 1e-15 (max |phi| is 0.019), and no stage's iterations or
-    # factorizations
+    # started at s = 1, EH without its closed-form inverse takes the Newton
+    # and reproduces the older pin bit for bit; the closed form moves no
+    # node of phi by more than 1e-15 (max |phi| is 0.019), and no stage's
+    # iterations or factorizations
     newton = replace(EH, _kernel=replace(EH._kernel, tau=None))
     g_old, rep_old = _eh_energy_solve(newton, EH_ENERGY_PHI_NEWTON,
-                                      EH_ENERGY_SHA256_NEWTON)
-    g, rep = _eh_energy_solve(EH, EH_ENERGY_PHI, EH_ENERGY_SHA256)
+                                      EH_ENERGY_SHA256_NEWTON, _solve_from_s1)
+    g, rep = _eh_energy_solve(EH, EH_ENERGY_PHI, EH_ENERGY_SHA256,
+                              _solve_from_s1)
     assert np.max(np.abs(g.phi - g_old.phi)) <= 1e-15
     assert rep.stage_iterations == rep_old.stage_iterations == [6, 5, 4, 4, 5]
     assert (rep.stage_factorizations == rep_old.stage_factorizations
             == [2, 2, 1, 1, 1])
+    assert rep.stage_values == [1.0, 0.5, 0.25, 0.125, 0.125]
 
 
 def test_jacobian_structural_nonzeros():
@@ -558,14 +597,18 @@ def test_zero_data_stages_converge_at_first_iterate():
     cfg = SolverConfig(epsilon=0.1)
     _, rep = solve_epsilon_geodesic(EH, zero_potential(), zero_potential(),
                                     cfg)
-    # five stages on every other node, then s = epsilon alone on the grid
+    # the seed at s = epsilon is the exact solution: one stage on every
+    # other node, then one on the grid
     assert len(cfg.schedule()) == 5
-    assert rep.stage_shapes == [(33, 33)] * 5 + [(65, 65)]
-    assert rep.stage_iterations == [1] * 6
+    assert rep.stage_values == [0.1, 0.1]
+    assert rep.stage_shapes == [(33, 33), (65, 65)]
+    assert rep.stage_iterations == [1, 1]
 
 
 def test_predictor_leaving_the_cone_falls_back(monkeypatch):
-    psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
+    # data whose seed is elliptic only at s = 1, so the path has stages
+    # after the first
+    psi1 = exp_decay_potential(0.5, 4.0, rho_ref=RHO_MIN_EH)
     cfg = SolverConfig(epsilon=0.25, n_rho=33, n_t=33)
     g_ref, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
 
@@ -580,6 +623,7 @@ def test_predictor_leaving_the_cone_falls_back(monkeypatch):
     monkeypatch.setattr(geodesic, "_secant_predictor", non_elliptic)
     g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
     assert len(predictions) == len(cfg.schedule()) - 1 == 2
+    assert rep.stage_values == [1.0, 0.5, 0.25, 0.25]
     assert rep.residual_sup <= cfg.newton_tol
     assert np.max(np.abs(g.phi - g_ref.phi)) < 1e-9
 
@@ -589,10 +633,12 @@ def test_nonconvergence_carries_stage_and_history():
     cfg = SolverConfig(epsilon=0.25, n_rho=17, n_t=17, max_iters=1)
     with pytest.raises(NonConvergence) as info:
         solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+    # the starts at s = 1/4 and 1/2 fail too; the error is the s = 1 start's
+    # and counts the factorizations of every start
     assert info.value.stage == 1.0
     assert len(info.value.history) == 1
     assert info.value.history[0] > cfg.newton_tol
-    assert info.value.stage_factorizations == [1]
+    assert info.value.stage_factorizations == [1, 1, 1]
 
 
 def test_singular_jacobian_raises_nonconvergence(monkeypatch):
@@ -605,7 +651,7 @@ def test_singular_jacobian_raises_nonconvergence(monkeypatch):
     assert info.value.stage == 1.0
     assert len(info.value.history) == 1
     assert info.value.history[0] > cfg.newton_tol
-    assert info.value.stage_factorizations == [1]
+    assert info.value.stage_factorizations == [1, 1, 1]
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -624,9 +670,6 @@ def _counted_factorizations(monkeypatch):
 def test_chord_steps_reuse_each_stage_factorization(monkeypatch):
     psi1 = tau_power_potential(EH, 0.1, 4.0)
     cfg = _eh_tau_power_config(65, 45)
-    # 1e-11 is reachable because only the last stage is solved to it: the
-    # s = 1 stage, with a roundoff floor near 7e-12 on this grid, runs on
-    # every other node and stops at _STAGE_TOL
     g_tight, rep_tight = solve_epsilon_geodesic(
         EH, zero_potential(), psi1, replace(cfg, newton_tol=1e-11))
     assert rep_tight.residual_sup <= 1e-11
@@ -635,19 +678,19 @@ def test_chord_steps_reuse_each_stage_factorization(monkeypatch):
     g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
     assert rep.residual_sup <= cfg.newton_tol
     assert len(calls) == sum(rep.stage_factorizations)
-    assert len(rep.stage_factorizations) == len(rep.stage_iterations) == 5
-    assert rep.stage_factorizations == [2, 2, 1, 1, 1]
+    # 11 iterations on 3 factorizations
+    assert rep.stage_iterations == [6, 5]
+    assert rep.stage_factorizations == [2, 1]
     assert np.max(np.abs(g.phi - g_tight.phi)) < 1e-9
 
 
 def test_each_iterate_is_evaluated_once(monkeypatch):
     # a refactorization takes its Jacobian from the evaluation that
     # accepted the iterate, so the eh_energy solve, which never backtracks,
-    # evaluates the field arrays once for each of its 19 iterates on every
-    # other node, and 6 times on the grid: its 5 iterates, the first of
-    # them evaluated by the hand-off test, and the certificate (26 when the
-    # first stage evaluated its start again, 33 when each factorization
-    # evaluated again)
+    # evaluates the field arrays once for each of its 6 iterates on every
+    # other node, the first of them by the start-rung test, and 6 times on
+    # the grid: its 5 iterates, the first of them evaluated by the hand-off
+    # test, and the certificate (25 when the continuation started at s = 1)
     shapes = []
     field_arrays = geodesic._field_arrays
 
@@ -659,10 +702,10 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
     psi1 = tau_power_potential(EH, 0.1, 4.0)
     _, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1,
                                     _eh_tau_power_config(65, 45))
-    assert rep.stage_iterations == [6, 5, 4, 4, 5]
-    assert rep.stage_factorizations == [2, 2, 1, 1, 1]
-    assert len(shapes) == 25
-    assert shapes.count((33, 23)) == 19 and shapes.count((65, 45)) == 6
+    assert rep.stage_iterations == [6, 5]
+    assert rep.stage_factorizations == [2, 1]
+    assert len(shapes) == 12
+    assert shapes.count((33, 23)) == 6 and shapes.count((65, 45)) == 6
 
 
 def test_pure_newton_refreshes_after_every_step(monkeypatch):
@@ -671,21 +714,21 @@ def test_pure_newton_refreshes_after_every_step(monkeypatch):
     psi1 = tau_power_potential(EH, 0.1, 4.0)
     _, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1,
                                     _eh_tau_power_config(65, 45))
-    assert rep.stage_iterations == [5, 4, 3, 3, 3]
-    assert rep.stage_factorizations == [4, 3, 2, 2, 2]
+    assert rep.stage_iterations == [4, 3]
+    assert rep.stage_factorizations == [3, 2]
     assert [i - 1 for i in rep.stage_iterations] == rep.stage_factorizations
-    assert len(calls) == 13
+    assert len(calls) == 5
 
 
 def test_intermediate_stages_stop_at_the_stage_tolerance():
-    # the s = 1 stage stalls above 1e-12 on this data (near 2e-12 on every
-    # other node, 7e-12 on the grid), so a 1e-12 certificate needs that
-    # stage stopped at _STAGE_TOL
+    # started at s = 1, whose stage stalls on this data near 1e-12 on every
+    # other node and 5e-12 on the grid, a 5e-13 certificate needs that stage
+    # stopped at _STAGE_TOL (the last stage reaches 8e-14)
     psi1 = tau_power_potential(EH, 0.1, 4.0)
-    cfg = replace(_eh_tau_power_config(65, 45), newton_tol=1e-12)
-    g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
-    assert rep.residual_sup <= 1e-12
-    assert len(rep.stage_iterations) == 5
+    cfg = replace(_eh_tau_power_config(65, 45), newton_tol=5e-13)
+    g, rep = _solve_from_s1(EH, zero_potential(), psi1, cfg)
+    assert rep.residual_sup <= 5e-13
+    assert rep.stage_values == [1.0, 0.5, 0.25, 0.125, 0.125]
 
     loose = replace(cfg, newton_tol=1e-9)
     g_loose, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1, loose)
@@ -774,18 +817,22 @@ def test_coarse_fixed_data_is_every_other_row():
 def test_fine_grid_solves_only_the_last_stage(n_rho, n_t):
     # the Newton counts do not depend on the mesh, so the continuation runs
     # on every other node and the grid factors one Jacobian, at s = epsilon
+    # (here the continuation is s = epsilon alone)
     psi1 = tau_power_potential(EH, 0.1, 4.0)
     cfg = _eh_tau_power_config(n_rho, n_t)
     _, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
     coarse = ((n_rho + 1) // 2, (n_t + 1) // 2)
-    assert rep.stage_shapes == [coarse] * 4 + [(n_rho, n_t)]
-    assert rep.stage_factorizations == [2, 2, 1, 1, 1]
+    assert rep.stage_shapes == [coarse, (n_rho, n_t)]
+    assert rep.stage_values == [cfg.epsilon] * 2
+    assert rep.stage_factorizations == [2, 1]
     assert rep.residual_sup <= cfg.newton_tol
 
 
 def test_failed_coarse_stage_is_absorbed(monkeypatch):
-    psi1 = tau_power_potential(EH, 0.1, 4.0)
-    cfg = replace(_eh_tau_power_config(65, 45), newton_tol=1e-11)
+    # data whose seed is elliptic only at s = 1, so the coarse continuation
+    # has a stage after its first
+    psi1 = exp_decay_potential(0.5, 4.0, rho_ref=RHO_MIN_EH)
+    cfg = SolverConfig(epsilon=0.25, n_rho=33, n_t=33, newton_tol=1e-11)
     g_ref, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
 
     second = cfg.schedule()[1]
@@ -793,28 +840,134 @@ def test_failed_coarse_stage_is_absorbed(monkeypatch):
 
     def failing(grid, fixed, s, *args):
         # no step is acceptable at the coarse grid's second stage
-        if grid.phi.shape == (33, 23) and s == second:
+        if grid.phi.shape == (17, 17) and s == second:
             return None
         return line_search(grid, fixed, s, *args)
 
     monkeypatch.setattr(geodesic, "_line_search", failing)
     g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
     # the failed stage is reported; the grid goes on from s = 1
-    assert rep.stage_shapes == [(33, 23)] * 2 + [(65, 45)] * 4
+    assert rep.stage_shapes == [(17, 17)] * 2 + [(33, 33)] * 3
+    assert rep.stage_values == [1.0, 0.5, 1.0, 0.5, 0.25]
     assert rep.stage_iterations[1] == rep.stage_factorizations[1] == 1
     assert rep.residual_sup <= cfg.newton_tol
     assert np.max(np.abs(g.phi - g_ref.phi)) < 1e-10
 
 
+def test_failed_start_climbs_one_rung(monkeypatch):
+    psi1 = tau_power_potential(EH, 0.1, 4.0)
+    cfg = _eh_tau_power_config(65, 45)
+    g_ref, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+
+    line_search = geodesic._line_search
+    seen = set()
+
+    def failing(grid, fixed, s, *args):
+        # no step is acceptable on the coarse grid at the start rung, s = 1/8,
+        # until a start from a higher rung has run
+        seen.add(s)
+        if grid.phi.shape == (33, 23) and seen == {cfg.epsilon}:
+            return None
+        return line_search(grid, fixed, s, *args)
+
+    monkeypatch.setattr(geodesic, "_line_search", failing)
+    g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+    # the failed start is logged; the solve starts again at s = 1/4
+    assert rep.stage_values == [0.125, 0.25, 0.125, 0.125]
+    assert rep.stage_shapes == [(33, 23)] * 3 + [(65, 45)]
+    assert rep.stage_iterations[0] == rep.stage_factorizations[0] == 1
+    assert rep.residual_sup <= cfg.newton_tol
+    assert np.max(np.abs(g.phi - g_ref.phi)) < 1e-13
+
+
 def test_flat_data_hands_off_before_epsilon():
-    # the prolonged solutions at s = 1/32 and 1/64 leave the ellipticity
-    # cone on this grid, so the grid takes over at s = 1/16
+    # the seed is elliptic from s = 1/2 on; the prolonged solutions at
+    # s = 1/32 and 1/64 leave the ellipticity cone on this grid, so the grid
+    # takes over at s = 1/16
     psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
     cfg = SolverConfig(epsilon=1.0 / 64.0, n_rho=65, n_t=65)
     _, rep = solve_epsilon_geodesic(flat_profile(), zero_potential(), psi1,
                                     cfg)
-    assert rep.stage_shapes == [(33, 33)] * 7 + [(65, 65)] * 3
+    assert rep.stage_shapes == [(33, 33)] * 6 + [(65, 65)] * 3
+    assert rep.stage_values == [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625,
+                                0.0625, 0.03125, 0.015625]
     assert rep.residual_sup <= cfg.newton_tol
+
+
+# ---------------------------------------------------------------------------
+# the start rung
+# ---------------------------------------------------------------------------
+
+def test_seed_elliptic_only_at_s1_takes_the_s1_path():
+    # max P^2 / w'' is near 0.63 on this data, above every rung but s = 1
+    psi1 = exp_decay_potential(0.5, 4.0, rho_ref=RHO_MIN_EH)
+    cfg = SolverConfig(epsilon=0.25, n_rho=33, n_t=33)
+    g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+    g_s1, rep_s1 = _solve_from_s1(EH, zero_potential(), psi1, cfg)
+    assert rep.stage_values == rep_s1.stage_values == [1.0, 0.5, 0.25, 0.25]
+    assert np.array_equal(g.phi, g_s1.phi)
+    for name in ("stage_iterations", "stage_factorizations", "residual_sup"):
+        assert getattr(rep, name) == getattr(rep_s1, name)
+
+
+# (profile, psi1 kind) of each scenario, and the factorizations of its
+# solves at epsilon = 1/4 and 1/32 on 33x33 when every solve started at s = 1
+_START_SCENARIOS = {
+    "burns-tau": (lebrun_profile(1, 1.0), "tau_power", (4, 7)),
+    "k3-tau": (lebrun_profile(3, 1.0), "tau_power", (4, 7)),
+    "flat-exp": (flat_profile(), "exp", (6, 14)),
+    "eh-exp": (EH, "exp", (4, 7)),
+    "eh-tau": (EH, "tau_power", (4, 7)),
+}
+
+
+@pytest.mark.parametrize("eps_index", [0, 1], ids=["eps-1/4", "eps-1/32"])
+@pytest.mark.parametrize("name", sorted(_START_SCENARIOS))
+def test_start_rung_scenarios(name, eps_index):
+    profile, kind, parent_factorizations = _START_SCENARIOS[name]
+    psi1 = (tau_power_potential(profile, 0.1, 4.0) if kind == "tau_power"
+            else exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH))
+    cfg = SolverConfig(epsilon=(0.25, 1.0 / 32.0)[eps_index], n_rho=33,
+                       n_t=33)
+    g, rep = solve_epsilon_geodesic(profile, zero_potential(), psi1, cfg)
+    g_s1, rep_s1 = _solve_from_s1(profile, zero_potential(), psi1, cfg)
+    assert sum(rep_s1.stage_factorizations) == parent_factorizations[eps_index]
+    assert sum(rep.stage_factorizations) <= parent_factorizations[eps_index]
+    assert rep.residual_sup <= cfg.newton_tol
+    assert np.max(np.abs(g.phi - g_s1.phi)) <= 1e-13
+
+
+def test_flat_data_start_with_one_more_coarse_factorization():
+    # on grids of 65 rho nodes the s = 1/2 start costs flat data one more
+    # coarse factorization than the s = 1 start: the s = 1/2 stage takes 3
+    # from its seed (2 + 1 from s = 1), and s = 1/4, predicted by the shift
+    # rather than the secant, takes 2; the grid's own stage takes 2 either way
+    psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
+    cfg = SolverConfig(epsilon=0.25, n_rho=65, n_t=45)
+    g, rep = solve_epsilon_geodesic(flat_profile(), zero_potential(), psi1,
+                                    cfg)
+    g_s1, rep_s1 = _solve_from_s1(flat_profile(), zero_potential(), psi1, cfg)
+    assert rep.stage_values == [0.5, 0.25, 0.25]
+    assert rep.stage_factorizations == [3, 2, 2]
+    assert rep_s1.stage_factorizations == [2, 1, 1, 2]
+    assert rep.stage_iterations == [7, 5, 9]
+    assert rep_s1.stage_iterations == [5, 8, 6, 9]
+    assert np.max(np.abs(g.phi - g_s1.phi)) <= 1e-13
+
+
+def test_nan_in_the_solved_phi_fails_the_certificate(monkeypatch):
+    run_stages = geodesic._run_stages
+
+    def nan_after(grid, *args):
+        run_stages(grid, *args)
+        if grid.phi.shape == (33, 33):
+            grid.phi[5, 5] = np.nan
+
+    monkeypatch.setattr(geodesic, "_run_stages", nan_after)
+    psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
+    with pytest.raises(PositivityLoss, match="NaN"):
+        solve_epsilon_geodesic(EH, zero_potential(), psi1,
+                               SolverConfig(epsilon=0.5, n_rho=33, n_t=33))
 
 
 def _refinement_orders(profile, psi1, config, sizes):
