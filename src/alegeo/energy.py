@@ -134,7 +134,7 @@ def _path_fields(grid: PathGrid, fixed: _FixedData):
     t = grid.t_nodes
     hr, ht = grid.h_rho, grid.h_t
     psi0, psi1 = fixed.psi0[:, :, None], fixed.psi1[:, :, None]
-    # rho derivatives m = 1..3 of Psi, and m = 0..2 of Psi_t
+    # only the rho derivatives that the fields below read
     Psi = {m: (1.0 - t[None, :]) * psi0[:, m] + t[None, :] * psi1[:, m]
            for m in (1, 2, 3)}
     Psi_t = [psi1[:, m] - psi0[:, m] for m in range(3)]

@@ -100,7 +100,7 @@ class NonConvergence(GeodesicError):
 
     ``history`` is that stage's residual history; ``stage_factorizations``
     counts the Jacobian factorizations of every stage run, on either grid
-    of a sequenced solve, the failed one last.
+    of a sequenced solve and from every start, the failed one last.
     """
 
     def __init__(self, stage, history, stage_factorizations):
