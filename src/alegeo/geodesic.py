@@ -16,8 +16,8 @@ epsilon-geodesic equation (Phi_tt - |d Phi_t|^2) omega_Phi^n = epsilon
 omega^n (Chen, J. Differential Geom. 56, 2000).  Newton runs on the
 concave log form of the equation; the continuity path lowers s to the
 target epsilon geometrically, starting from the smallest s of the ladder
-1, 1/2, 1/4, ... whose seed s t(t-1)/2 is elliptic, and from the next s up
-whenever the continuation from there fails.  The seed's M = s w'' - P^2
+1, 1/2, 1/4, ... whose seed s t(t-1)/2 is elliptic, and from s = 1 when
+the continuation from there fails.  The seed's M = s w'' - P^2
 grows with s, since it has phi_tt = s and no rho differences.
 
 What depends only on the grid is built once per solve.  _FixedData is the
@@ -100,7 +100,7 @@ class NonConvergence(GeodesicError):
 
     ``history`` is that stage's residual history; ``stage_factorizations``
     counts the Jacobian factorizations of every stage run, on either grid
-    of a sequenced solve and from every start, the failed one last.
+    of a sequenced solve and from both starts, the s = 1 start last.
     """
 
     def __init__(self, stage, history, stage_factorizations):
@@ -599,7 +599,7 @@ def _cubic_midpoints(a):
 @dataclass
 class _StageLog:
     """s, iterations, factorizations and (n_rho, n_t) of every stage run,
-    on either grid and from every start, in the order they ran; a failed
+    on either grid and from both starts, in the order they ran; a failed
     stage is logged too."""
 
     values: list = field(default_factory=list)
@@ -732,15 +732,15 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
         coarse = (replace(grid, rho_nodes=grid.rho_nodes[::2],
                           t_nodes=t[::2], phi=grid.phi[::2, ::2]),
                   fixed.every_other_node())
-    # from the smallest s whose seed is elliptic on the first stage's grid,
-    # one rung up after each failure, with s = 1 the last resort
-    for k in reversed(range(len(ladder))):
+    # from the lowest rung whose seed is elliptic; if that fails, from s = 1
+    k = len(ladder) - 1
+    while True:
         grid.phi = np.tile(_dirichlet_column(t, ladder[k]), (config.n_rho, 1))
-        _impose_boundary(grid.phi, t, ladder[k])
         if coarse:
             coarse[0].phi = grid.phi[::2, ::2].copy()
         start = _newton_system(*(coarse or (grid, fixed)), ladder[k])
         if start is None and k:
+            k -= 1
             continue
         try:
             stages, solved = ladder[k:], []
@@ -754,6 +754,7 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
         except GeodesicError:
             if not k:
                 raise
+        k = 0
 
     # the certificate and the C^{1,1} probe come from the profile, through
     # fixed data built afresh rather than the solve's own

@@ -633,12 +633,12 @@ def test_nonconvergence_carries_stage_and_history():
     cfg = SolverConfig(epsilon=0.25, n_rho=17, n_t=17, max_iters=1)
     with pytest.raises(NonConvergence) as info:
         solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
-    # the starts at s = 1/4 and 1/2 fail too; the error is the s = 1 start's
-    # and counts the factorizations of every start
+    # the start at s = 1/4 fails too; the error is the s = 1 start's and
+    # counts the factorizations of both starts
     assert info.value.stage == 1.0
     assert len(info.value.history) == 1
     assert info.value.history[0] > cfg.newton_tol
-    assert info.value.stage_factorizations == [1, 1, 1]
+    assert info.value.stage_factorizations == [1, 1]
 
 
 def test_singular_jacobian_raises_nonconvergence(monkeypatch):
@@ -651,7 +651,7 @@ def test_singular_jacobian_raises_nonconvergence(monkeypatch):
     assert info.value.stage == 1.0
     assert len(info.value.history) == 1
     assert info.value.history[0] > cfg.newton_tol
-    assert info.value.stage_factorizations == [1, 1, 1]
+    assert info.value.stage_factorizations == [1, 1]
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -854,30 +854,27 @@ def test_failed_coarse_stage_is_absorbed(monkeypatch):
     assert np.max(np.abs(g.phi - g_ref.phi)) < 1e-10
 
 
-def test_failed_start_climbs_one_rung(monkeypatch):
-    psi1 = tau_power_potential(EH, 0.1, 4.0)
-    cfg = _eh_tau_power_config(65, 45)
-    g_ref, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
-
+def test_failed_start_falls_back_to_s1(monkeypatch):
     line_search = geodesic._line_search
     seen = set()
 
     def failing(grid, fixed, s, *args):
         # no step is acceptable on the coarse grid at the start rung, s = 1/8,
-        # until a start from a higher rung has run
+        # until the fallback start at s = 1 has run
         seen.add(s)
-        if grid.phi.shape == (33, 23) and seen == {cfg.epsilon}:
+        if grid.phi.shape == (33, 23) and seen == {0.125}:
             return None
         return line_search(grid, fixed, s, *args)
 
     monkeypatch.setattr(geodesic, "_line_search", failing)
-    g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
-    # the failed start is logged; the solve starts again at s = 1/4
-    assert rep.stage_values == [0.125, 0.25, 0.125, 0.125]
-    assert rep.stage_shapes == [(33, 23)] * 3 + [(65, 45)]
-    assert rep.stage_iterations[0] == rep.stage_factorizations[0] == 1
-    assert rep.residual_sup <= cfg.newton_tol
-    assert np.max(np.abs(g.phi - g_ref.phi)) < 1e-13
+    # the failed start is logged; the solve starts again at s = 1 and is the
+    # s = 1 path bit for bit
+    _, rep = _eh_energy_solve(EH, EH_ENERGY_PHI, EH_ENERGY_SHA256)
+    assert rep.stage_values == [0.125, 1.0, 0.5, 0.25, 0.125, 0.125]
+    assert rep.stage_shapes == [(33, 23)] * 5 + [(65, 45)]
+    assert rep.stage_iterations == [1, 6, 5, 4, 4, 5]
+    assert rep.stage_factorizations == [1, 2, 2, 1, 1, 1]
+    assert rep.residual_sup <= 1e-9
 
 
 def test_flat_data_hands_off_before_epsilon():
