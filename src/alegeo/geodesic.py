@@ -22,10 +22,11 @@ grows with s, since it has phi_tt = s and no rho differences.
 
 What depends only on the grid is built once per solve.  _FixedData is the
 one evaluator of u', u'', u''' and the psi0, psi1 jets to third order on
-every rho node, and of w', w'' and P at phi = 0 on every (rho, t) node: the
-boundary checks read it, each iterate adds phi's differences to it, the
-coarse grid takes every other node of it, and energy_report builds one for
-its on-shell check and quadratures.  The Jacobian needs no index tables:
+every rho node, and of w', w'' and P at phi = 0 on every (rho, t) node, and
+its arrays are read-only: the boundary checks read it, each iterate adds
+phi's differences to it, the coarse grid takes every other node of it, the
+certificate reads it, and energy_report builds one for its on-shell check
+and quadratures.  The Jacobian needs no index tables:
 with the unknowns numbered ii nj + jj, the stencil term at offset (di, dj)
 lies on band diagonal di nj + dj, and _jacobian_band writes each diagonal
 once.  Each iterate is evaluated once: its field arrays give R, G, max|R|
@@ -50,7 +51,8 @@ LU with partial pivoting (dgbtrf, back-solves by dgbtrs) on one OpenBLAS
 thread, from scipy's _flapack file (no scipy.linalg import; else from
 scipy.linalg.lapack).  A zero pivot raises NonConvergence for its stage.
 The reported residual and the C^{1,1} probe are recomputed from the
-profile, with fixed data built afresh.
+solved phi and the solve's own fixed data, which no iteration can have
+written into.
 
 Grid sequencing (nested iteration: Allgower, Bohmer, Potra and Rheinboldt,
 SIAM J. Numer. Anal. 23, 1986).  The Newton counts of each stage do not
@@ -63,8 +65,8 @@ midpoints, _prolong) lies in the ellipticity cone, with the prolonged stage
 before it as the secant's second point, and solves the stages from there
 on; on Eguchi-Hanson tau_power data the continuation is s = epsilon alone,
 and the grid factors one Jacobian.  Coarse stages that fail are logged and
-dropped; with none usable the start moves up the ladder, and from s = 1 the
-grid runs the whole ladder from its own seed.  Only one level is coarsened.
+dropped; with none usable the solve starts again from s = 1, where the grid
+runs the whole ladder from its own seed.  Only one level is coarsened.
 """
 
 from __future__ import annotations
@@ -226,7 +228,8 @@ class _FixedData:
     (psi, psi', psi'', psi''') at rho_nodes[i].  w', w'' and P at phi = 0
     are w1 = u1 + (1-t) psi0' + t psi1', w2 likewise (each summed in that
     order) and P = psi1' - psi0'.  None of it depends on phi, so a solve
-    builds it once for every iterate, backtrack and stage.
+    builds it once for every iterate, backtrack and stage and for its
+    certificate, and its arrays are read-only.
     """
 
     n: int
@@ -239,6 +242,11 @@ class _FixedData:
     w1: np.ndarray  # (n_rho, n_t)
     w2: np.ndarray  # (n_rho, n_t)
     P: np.ndarray  # (n_rho, 1)
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name != "n":
+                getattr(self, f.name).flags.writeable = False
 
     @classmethod
     def build(cls, grid: PathGrid) -> "_FixedData":
@@ -756,14 +764,13 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
                 raise
         k = 0
 
-    # the certificate and the C^{1,1} probe come from the profile, through
-    # fixed data built afresh rather than the solve's own
-    final = _FixedData.build(grid)
-    w1, w2, _, _, M = _field_arrays(grid, final)
+    # the certificate and the C^{1,1} probe read the solved phi against the
+    # solve's own fixed data, unchanged since the profile gave it
+    w1, w2, _, _, M = _field_arrays(grid, fixed)
     _check_positive(w1, w2, grid)
-    G = _density_residual(M, w1, final, config.epsilon)
+    G = _density_residual(M, w1, fixed, config.epsilon)
     res_raw = float(np.max(np.abs(G)))
-    res_norm = float(np.max(np.abs(G / final.density[:-1])))
+    res_norm = float(np.max(np.abs(G / fixed.density[:-1])))
     if not res_norm <= config.newton_tol:
         raise NonConvergence(config.epsilon, [res_norm], log.factorizations)
 
@@ -780,7 +787,7 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
         stage_values=log.values,
         c0_check=c0_bound_check(grid),
         positivity_margins=margins,
-        max_second_derivative=_max_second_derivative(grid, final),
+        max_second_derivative=_max_second_derivative(grid, fixed),
         wall_time=time.perf_counter() - t_start,
     )
     return grid, report

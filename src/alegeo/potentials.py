@@ -1,12 +1,12 @@
 """Radial boundary potentials for the geodesic endpoints.
 
 A potential is a smooth function of rho that yields its jet, the values
-and analytic rho-derivatives up to fourth order, from one evaluation (the
+and analytic rho-derivatives up to third order, from one evaluation (the
 energy quadratures need three spatial derivatives of the perturbed Kahler
-potential); data given in tau invert the profile once and hand their
-tau-derivatives to the chain rule ``RadialProfile.rho_jet``.  Decay is
-parameterized by the exponent gamma in r-coordinates:
-psi ~ r^{-gamma} = exp(-gamma * rho / 2).
+potential, and nothing reads a fourth); data given in tau invert the
+profile once and hand their tau-derivatives to the chain rule
+``RadialProfile.rho_jet``.  Decay is parameterized by the exponent gamma
+in r-coordinates: psi ~ r^{-gamma} = exp(-gamma * rho / 2).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ __all__ = ["RadialPotential", "zero_potential", "exp_decay_potential",
 
 @dataclass(frozen=True)
 class RadialPotential:
-    """Radial potential with derivatives in rho up to fourth order."""
+    """Radial potential with derivatives in rho up to third order."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -33,8 +33,8 @@ class RadialPotential:
 
     def jet(self, rho, order):
         """[psi, psi', ..., psi^(order)] at rho, from one evaluation."""
-        if not 0 <= order <= 4:
-            raise ValueError(f"derivative order must be in 0..4, got {order}")
+        if not 0 <= order <= 3:
+            raise ValueError(f"derivative order must be in 0..3, got {order}")
         return self._jet(np.asarray(rho, dtype=float), order)
 
     def __call__(self, rho, order=0):
@@ -94,7 +94,7 @@ def tau_power_potential(profile, amplitude: float,
     gg = g / 2.0
     scale = a * profile.tau_min ** gg
     # d^m/dtau^m tau^-gg = coef[m] tau^(-gg-m)
-    coef = np.cumprod([1.0, -gg, -gg - 1.0, -gg - 2.0, -gg - 3.0])
+    coef = np.cumprod([1.0, -gg, -gg - 1.0, -gg - 2.0])
 
     def jet(rho, order):
         tau = profile.tau_of_rho(rho)

@@ -111,7 +111,6 @@ class _Kernel:
     phi: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
-    d3: Callable[[np.ndarray], np.ndarray]
     rho: Callable[[np.ndarray], np.ndarray]
     tau: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -154,9 +153,6 @@ class RadialProfile:
     def phi_d2(self, tau):
         return self._kernel.d2(np.asarray(tau, dtype=float))
 
-    def phi_d3(self, tau):
-        return self._kernel.d3(np.asarray(tau, dtype=float))
-
     def _check_domain(self, tau, strict=True):
         tau = np.asarray(tau, dtype=float)
         lo = self.tau_min * (1.0 + DEFAULT_ZERO_SECTION_MARGIN) if strict else self.tau_min
@@ -198,13 +194,12 @@ class RadialProfile:
     def rho_jet(self, tau, f, order):
         """[f, Df, ..., D^order f] for D = d/drho = phi(tau) d/dtau.
 
-        ``f`` holds the tau-derivatives f, ..., f^(order) at tau, order <= 4.
+        ``f`` holds the tau-derivatives f, ..., f^(order) at tau, order <= 3.
         Each step takes the tau-derivatives of D g = phi g' by the Leibniz
         rule, (phi g')^(m) = sum_i C(m, i) phi^(i) g^(m+1-i), so only
         phi, ..., phi^(order-1) are evaluated.
         """
-        dphi = [d(tau) for d in (self.phi, self.phi_d1, self.phi_d2,
-                                 self.phi_d3)[:order]]
+        dphi = [d(tau) for d in (self.phi, self.phi_d1, self.phi_d2)[:order]]
         g = list(f[:order + 1])
         jet = [g[0]]
         for j in range(order):
@@ -337,14 +332,12 @@ def lebrun_profile(k: int, tau_min: float, n: int = 2,
            ** (1.0 / n),
            (2, 2): lambda r: np.hypot(a, np.exp(r)),
            (2, 1): lambda r: a + np.exp(r)}.get((n, k))
-    # tau^(n+2) may pass 1e308 for n > 2; c / inf is then the 0 it rounds to
+    # tau^(n+1) may pass 1e308 for n > 2; c / inf is then the 0 it rounds to
     terms = dict(
         phi=lambda t: t + A / t ** (n - 2) + B / t ** (n - 1),
         d1=lambda t: 1.0 + (2 - n) * A / t ** (n - 1) + (1 - n) * B / t ** n,
         d2=lambda t: ((2 - n) * (1 - n) * A / t ** n
-                      + (1 - n) * -n * B / t ** (n + 1)),
-        d3=lambda t: ((2 - n) * (1 - n) * -n * A / t ** (n + 1)
-                      + (1 - n) * -n * (-1 - n) * B / t ** (n + 2)))
+                      + (1 - n) * -n * B / t ** (n + 1)))
     terms = {key: np.errstate(over="ignore")(f) for key, f in terms.items()}
     kern = _Kernel(**terms, tau=tau, rho=lambda t: np.log(t - a) / k
                    + np.real(np.log(np.subtract.outer(t, others)) @ residues))
@@ -359,7 +352,6 @@ def flat_profile(n: int = 2, k: int = 1, tau_max: float = 1e12) -> RadialProfile
         phi=lambda t: np.asarray(t, dtype=float) + 0.0,
         d1=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        d3=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         rho=np.log,
         tau=np.exp,
     )
@@ -367,10 +359,10 @@ def flat_profile(n: int = 2, k: int = 1, tau_max: float = 1e12) -> RadialProfile
                          form="flat", params={}, _kernel=kern)
 
 
-def custom_profile(n, k, tau_min, phi, d1, d2, d3,
+def custom_profile(n, k, tau_min, phi, d1, d2,
                    tau_max=1e12) -> RadialProfile:
-    """Profile from explicit callables phi(tau) and its first three derivatives."""
-    kern = _Kernel(phi=phi, d1=d1, d2=d2, d3=d3,
+    """Profile from explicit callables phi(tau) and its first two derivatives."""
+    kern = _Kernel(phi=phi, d1=d1, d2=d2,
                    rho=_quadrature_rho(phi, tau_min, tau_max, "infinity"))
     return RadialProfile(n=n, k=k, tau_min=tau_min, tau_max=tau_max,
                          form="custom", params={}, _kernel=kern)
@@ -395,7 +387,7 @@ def sampled_profile(n, k, tau_min, tau: Sequence[float],
 
     interp = interpolate.PchipInterpolator(tau, phi)
     kern = _Kernel(phi=interp, d1=interp.derivative(1),
-                   d2=interp.derivative(2), d3=interp.derivative(3),
+                   d2=interp.derivative(2),
                    rho=_quadrature_rho(interp, float(tau_min), float(tau[-1]),
                                        "tau_max"))
     return RadialProfile(n=n, k=k, tau_min=float(tau_min),
@@ -414,7 +406,7 @@ def bump_perturbed_profile(base: RadialProfile, center: float, width: float,
     """
     c, w, a = float(center), float(width), float(amplitude)
     bump = a * np.polynomial.Polynomial([1.0, 0.0, -1.0]) ** 4
-    derivs = [bump.deriv(m) for m in range(4)]
+    derivs = [bump.deriv(m) for m in range(3)]
 
     def s(t, m=0):
         """Order-m tau-derivative of the bump, zero off its support."""
@@ -447,7 +439,6 @@ def bump_perturbed_profile(base: RadialProfile, center: float, width: float,
         phi=lambda t: base_phi(np.asarray(t, dtype=float)) + s(t),
         d1=lambda t: base.phi_d1(t) + s(t, 1),
         d2=lambda t: base.phi_d2(t) + s(t, 2),
-        d3=lambda t: base.phi_d3(t) + s(t, 3),
         rho=rho,
         tau=tau,
     )

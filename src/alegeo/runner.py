@@ -69,7 +69,13 @@ def _profile_doc(geom):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A checked scenario; its geometry is always {"profile": document}."""
+    """A checked scenario; its geometry is always {"profile": document}.
+
+    A scenario that solves builds its profile, psi0, psi1 and SolverConfig
+    when it is made, as solve_inputs; their constructors check what the
+    formats cannot, such as gamma > 0 and 3 nodes each way.  A SolverConfig
+    field that the solver keys do not give keeps its default.
+    """
 
     id: str
     geometry: dict
@@ -77,6 +83,25 @@ class Scenario:
     solver: dict = field(default_factory=dict)
     analyses: tuple = ()
     out_dir: str = "."
+    solve_inputs: tuple = field(default=None, init=False, repr=False,
+                                compare=False)
+
+    def __post_init__(self):
+        if not self.needs_solve:
+            return
+        profile = profile_from_json(self.geometry["profile"])
+        zero = {"kind": "zero", "params": {}}
+        psi0, psi1 = (potential_from_json(self.boundary.get(key, zero),
+                                          profile) for key in BOUNDARY_KEYS)
+        s = self.solver
+        if "epsilon" not in s:
+            raise ScenarioError("solver.epsilon is required for path "
+                                "analyses")
+        given = {**s.get("grid", {}), **s.get("tolerances", {})}
+        config = SolverConfig(epsilon=s["epsilon"],
+                              **{key: val for key, val in given.items()
+                                 if val is not None})
+        object.__setattr__(self, "solve_inputs", (profile, psi0, psi1, config))
 
     @classmethod
     def from_dict(cls, doc) -> "Scenario":
@@ -99,24 +124,15 @@ class Scenario:
         for key in ("grid", "tolerances"):
             check_keys(solver.get(key, {}), f"solver.{key}", SOLVER_KEYS[key],
                        error=ScenarioError)
-        scenario = cls(id=sid, geometry={"profile": profile},
-                       boundary=dict(boundary), solver=dict(solver),
-                       analyses=analyses, out_dir=doc.get("out_dir", "."))
         try:
             check_profile_json(profile, name)
             for key, potential in boundary.items():
                 check_potential_json(potential, f"boundary.{key}")
-            if scenario.needs_solve:
-                # the constructors check what the formats cannot, such as
-                # gamma > 0 and 3 nodes each way
-                scenario.build_potentials(scenario.build_profile())
-                if "epsilon" not in solver:
-                    raise ScenarioError("solver.epsilon is required for "
-                                        "path analyses")
-                scenario.build_config()
+            return cls(id=sid, geometry={"profile": profile},
+                       boundary=dict(boundary), solver=dict(solver),
+                       analyses=analyses, out_dir=doc.get("out_dir", "."))
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        return scenario
 
     @property
     def needs_solve(self):
@@ -128,23 +144,6 @@ class Scenario:
                "boundary": self.boundary, "solver": self.solver,
                "analyses": list(self.analyses)}
         return canonical_hash(doc)
-
-    def build_profile(self):
-        return profile_from_json(self.geometry["profile"])
-
-    def build_potentials(self, profile):
-        zero = {"kind": "zero", "params": {}}
-        return tuple(potential_from_json(self.boundary.get(key, zero), profile)
-                     for key in BOUNDARY_KEYS)
-
-    def build_config(self) -> SolverConfig:
-        """SolverConfig from the solver keys the scenario gives; every
-        other field keeps the SolverConfig default."""
-        s = self.solver
-        given = {**s.get("grid", {}), **s.get("tolerances", {})}
-        return SolverConfig(epsilon=s["epsilon"],
-                            **{key: val for key, val in given.items()
-                               if val is not None})
 
 
 @dataclass
@@ -305,9 +304,7 @@ def run_scenario(scenario: Scenario, no_cache: bool = False) -> RunManifest:
 def _run_analyses(scenario, out, manifest):
     analyses = scenario.analyses
     if scenario.needs_solve:
-        profile = scenario.build_profile()
-        psi0, psi1 = scenario.build_potentials(profile)
-        cfg = scenario.build_config()
+        profile, psi0, psi1, cfg = scenario.solve_inputs
         grid, report = solve_epsilon_geodesic(profile, psi0, psi1, cfg)
         manifest.timings["solve_wall_time"] = report.wall_time
         _write_grid_csv(out / "grid.csv", grid)

@@ -237,7 +237,6 @@ def test_mass_refuses_slow_decay():
         phi=lambda t: t + t ** 0.8,
         d1=lambda t: 1.0 + 0.8 * t ** -0.2,
         d2=lambda t: -0.16 * t ** -1.2,
-        d3=lambda t: 0.192 * t ** -2.2,
         tau_max=1e10,
     )
     with pytest.raises(InsufficientDecayError):

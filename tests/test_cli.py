@@ -258,10 +258,8 @@ def test_grid_csv_has_the_bytes_of_savetxt(tmp_path):
     # a non-square grid tells the rho column from the t column
     for n_rho, n_t in ((17, 17), (17, 9)):
         s = eh_data_scenario(tmp_path, n=n_rho, n_t=n_t)
-        profile = s.build_profile()
-        psi0, psi1 = s.build_potentials(profile)
-        grid, _ = solve_epsilon_geodesic(profile, psi0, psi1,
-                                         s.build_config())
+        profile, psi0, psi1, cfg = s.solve_inputs
+        grid, _ = solve_epsilon_geodesic(profile, psi0, psi1, cfg)
         assert grid.phi.shape == (n_rho, n_t)
         assert grid.phi.min() < 0  # a minus sign in the phi column
         path = tmp_path / "grid.csv"
@@ -479,10 +477,36 @@ def test_batch_sweep_probe_row(tmp_path):
     assert len(rows) == 8
 
 
+def test_batch_builds_a_scenario_profile_once(tmp_path, monkeypatch):
+    # a scenario builds its profile, potentials and config when it is
+    # made, and its run uses those; a sampled profile pays its quadrature
+    # once
+    calls, build = [], runner.profile_from_json
+
+    def counted(doc):
+        calls.append(doc["form"])
+        return build(doc)
+
+    monkeypatch.setattr(runner, "profile_from_json", counted)
+    tau = np.geomspace(1.0, 1e4, 200)
+    s = Scenario.from_dict({
+        "id": "sampled",
+        "geometry": {"profile": {"form": "samples", "n": 2, "k": 2,
+                                 "tau_min": 1.0, "params": {
+                                     "tau": tau.tolist(),
+                                     "phi": (tau - 1.0 / tau).tolist()}}},
+        "solver": {"epsilon": 0.5, "grid": {"n_rho": 17, "n_t": 17}},
+        "analyses": ["c0_check"], "out_dir": str(tmp_path)})
+    rows, _ = batch([s])
+    assert [row["passed"] for row in rows] == [True]
+    assert calls == ["samples"]
+
+
 def test_batch_no_probe_row_without_distinct_epsilons(tmp_path):
     # identical scenarios under two ids are not an epsilon sweep
     a = eh_data_scenario(tmp_path / "a", epsilon=0.5, n=17)
-    b = Scenario.from_dict({**a.__dict__, "id": "eh-0.5-copy",
+    doc = {key: getattr(a, key) for key in runner.SCENARIO_KEYS}
+    b = Scenario.from_dict({**doc, "id": "eh-0.5-copy",
                             "analyses": list(a.analyses),
                             "out_dir": str(tmp_path / "b")})
     rows, _ = batch([a, b])

@@ -315,7 +315,7 @@ def test_tau_power_derivative_consistency():
     rho = np.linspace(-2.0, 3.0, 7)
     h = 1e-5
     # tolerance limited by the root-find noise in tau(rho), ~1e-10/h
-    for order in (0, 1, 2, 3):
+    for order in (0, 1, 2):
         fd = (psi(rho + h, order) - psi(rho - h, order)) / (2 * h)
         assert np.allclose(fd, psi(rho, order + 1), rtol=1e-4, atol=1e-7)
 
@@ -328,12 +328,12 @@ def test_tau_power_derivative_consistency():
 def test_potential_jet_matches_each_order(make):
     psi = make()
     rho = np.linspace(-1.0, 3.0, 9)
-    jet = psi.jet(rho, 4)
-    assert len(jet) == 5
-    for m in range(5):
+    jet = psi.jet(rho, 3)
+    assert len(jet) == 4
+    for m in range(4):
         assert np.array_equal(jet[m], psi(rho, m))
-    with pytest.raises(ValueError, match="0..4"):
-        psi.jet(rho, 5)
+    with pytest.raises(ValueError, match="0..3"):
+        psi.jet(rho, 4)
 
 
 @pytest.mark.parametrize("make,params", [
@@ -388,10 +388,11 @@ def test_tau_power_validation():
         tau_power_potential(flat_profile(), 0.1, 4.0)
 
 
-def test_energy_pass_inverts_the_profile_eight_times(monkeypatch):
-    # the benchmark's energy pass on 65x45: a solve (its fixed data and the
-    # certificate's), then energy_report and convexity_audit, which builds
-    # a second report; each evaluation inverts for u and for psi1
+def test_energy_pass_inverts_the_profile_six_times(monkeypatch):
+    # the benchmark's energy pass on 65x45: a solve (one fixed data, which
+    # its certificate reads too), then energy_report and convexity_audit,
+    # which builds a second report; each evaluation inverts for u and for
+    # psi1
     calls = []
     inverse = RadialProfile.tau_of_rho
 
@@ -405,7 +406,7 @@ def test_energy_pass_inverts_the_profile_eight_times(monkeypatch):
     grid, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
     energy_report(grid, 0.125)
     assert convexity_audit([grid], [0.125])["passed"]
-    assert calls == [65] * 8
+    assert calls == [65] * 6
 
 
 def test_energy_report_inverts_the_profile_once_per_field(eh_sweep,

@@ -587,10 +587,47 @@ def test_profile_inverted_a_fixed_number_of_times(monkeypatch, n_rho, n_t):
     _, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1,
                                     _eh_tau_power_config(n_rho, n_t))
     assert sum(rep.stage_iterations) > len(rep.stage_iterations)
-    # one for the background and one for psi1's jet in each of the solve's
-    # fixed data, which the boundary checks read too, and the
-    # certificate's, which is built afresh from the profile
-    assert calls == [n_rho] * 4
+    # one for the background and one for psi1's jet in the solve's one
+    # fixed data, which the boundary checks and the certificate read too
+    assert calls == [n_rho] * 2
+
+
+@pytest.mark.parametrize("case", ["eh", "flat"])
+def test_fixed_data_built_once_per_solve(monkeypatch, case):
+    # the coarse grid slices the grid's fixed data, and the certificate and
+    # the C^{1,1} probe read it too; flat exp data run several stages on
+    # both grids
+    if case == "eh":
+        profile, cfg = EH, _eh_tau_power_config(65, 45)
+        psi1 = tau_power_potential(EH, 0.1, 4.0)
+    else:
+        profile, cfg = flat_profile(), SolverConfig(epsilon=0.25, n_rho=65,
+                                                    n_t=45)
+        psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
+    shapes, build = [], _FixedData.build
+
+    def counted(grid):
+        shapes.append(grid.phi.shape)
+        return build(grid)
+
+    monkeypatch.setattr(_FixedData, "build", staticmethod(counted))
+    _, rep = solve_epsilon_geodesic(profile, zero_potential(), psi1, cfg)
+    assert (33, 23) in rep.stage_shapes and len(rep.stage_shapes) >= 2
+    assert shapes == [(65, 45)]
+
+
+def test_fixed_data_is_read_only():
+    # a solve shares one _FixedData between its stages, both grids and its
+    # certificate, so no reader may write into it
+    psi0 = exp_decay_potential(0.03, 4.0, rho_ref=RHO_MIN_EH)
+    g = make_grid(EH, n_rho=9, n_t=7, psi0=psi0,
+                  psi1=tau_power_potential(EH, 0.1, 4.0), epsilon=0.3)
+    fixed = _FixedData.build(g)
+    names = [f.name for f in fields(_FixedData) if f.name != "n"]
+    for data in (fixed, fixed.every_other_node()):
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(data, name)[0] = 1.0
 
 
 def test_zero_data_stages_converge_at_first_iterate():

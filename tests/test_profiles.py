@@ -162,7 +162,6 @@ def test_perturbed_profile_fd_oracle():
         phi=lambda t: t + np.exp(-t),
         d1=lambda t: 1.0 - np.exp(-t),
         d2=lambda t: np.exp(-t),
-        d3=lambda t: -np.exp(-t),
     )
     for tau in [0.5, 1.0, 2.0, 5.0]:
         F1_o, F2_o = _fd_curvature_oracle(lambda t: t + math.exp(-t), tau, 2)
@@ -200,7 +199,6 @@ def test_scalar_trace_consistency():
         phi=lambda t: t + 0.3 * np.exp(-t),
         d1=lambda t: 1.0 - 0.3 * np.exp(-t),
         d2=lambda t: 0.3 * np.exp(-t),
-        d3=lambda t: -0.3 * np.exp(-t),
     )
     for prof in (p, q):
         taus = np.geomspace(max(prof.tau_min * 1.01, 0.5), 1e4, 40)
@@ -277,14 +275,14 @@ def test_u_derivatives_chain_rule(k):
     assert (u3p - u3m) / (2 * h) == pytest.approx(u4, rel=1e-6)
 
     # u' = tau has no second tau-derivative, so its jet never meets the
-    # binomial weights of (phi g')^(m); f = tau^-2 reads them at D^3, D^4
+    # binomial weight of (phi g')^(m); f = tau^-2 reads it at D^3
     def jet(rho):
         tau = p.tau_of_rho(rho)
-        f = [c * tau ** (-2 - m) for m, c in enumerate((1, -2, 6, -24, 120))]
-        return p.rho_jet(tau, f, 4)
+        f = [c * tau ** (-2 - m) for m, c in enumerate((1, -2, 6, -24))]
+        return p.rho_jet(tau, f, 3)
 
     mid, plus, minus = jet(rho), jet(rho + h), jet(rho - h)
-    for m in range(4):
+    for m in range(3):
         fd = (plus[m] - minus[m]) / (2 * h)
         assert fd == pytest.approx(mid[m + 1], rel=1e-6)
 
@@ -319,8 +317,6 @@ def test_bump_perturbation_derivatives():
         assert p.phi_d1(tau) == pytest.approx(fd1, rel=1e-6, abs=1e-9)
         fd2 = (p.phi_d1(tau + h) - p.phi_d1(tau - h)) / (2 * h)
         assert p.phi_d2(tau) == pytest.approx(fd2, rel=1e-6, abs=1e-9)
-        fd3 = (p.phi_d2(tau + h) - p.phi_d2(tau - h)) / (2 * h)
-        assert p.phi_d3(tau) == pytest.approx(fd3, rel=1e-5, abs=1e-8)
     # untouched outside the support
     assert p.phi(20.0) == pytest.approx(base.phi(20.0), abs=1e-15)
 
@@ -436,7 +432,7 @@ def test_lebrun_rho_matches_quadrature_at_every_n(n):
 
 
 def test_lebrun_kernels_at_large_n_and_tau():
-    # tau^(n+2) passes 1e308 at tau = 1e12 from n = 24 on; each kernel
+    # tau^(n+1) passes 1e308 at tau = 1e12 from n = 25 on; each kernel
     # still evaluates, with no overflow warning, to the exact value
     # (integer coefficients at tau_min = 1, summed as fractions) rounded,
     # a term past the double range being the 0 it rounds to
@@ -452,9 +448,7 @@ def test_lebrun_kernels_at_large_n_and_tau():
                     "phi_d1": 1 + (2 - n) * A / t ** (n - 1)
                     + (1 - n) * B / t ** n,
                     "phi_d2": (2 - n) * (1 - n) * A / t ** n
-                    + (1 - n) * -n * B / t ** (n + 1),
-                    "phi_d3": (2 - n) * (1 - n) * -n * A / t ** (n + 1)
-                    + (1 - n) * -n * (-1 - n) * B / t ** (n + 2)}
+                    + (1 - n) * -n * B / t ** (n + 1)}
                 for name, value in exact.items():
                     got = getattr(p, name)(float(tau))
                     assert math.isclose(got, float(value), rel_tol=1e-13,
@@ -494,7 +488,6 @@ def _round_trip_profiles():
         phi=lambda t: t - 1.0 / t + 0.1 * (1.0 - t ** -2.0),
         d1=lambda t: 1.0 + t ** -2.0 + 0.2 * t ** -3.0,
         d2=lambda t: -2.0 * t ** -3.0 - 0.6 * t ** -4.0,
-        d3=lambda t: 6.0 * t ** -4.0 + 2.4 * t ** -5.0,
     )
     return {
         "lebrun": lebrun_profile(3, 1.0),
