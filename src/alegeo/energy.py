@@ -41,7 +41,8 @@ Both quadratures are numpy code for the uniform grids PathGrid builds (the
 derivatives use h_rho and h_t too): composite Simpson in rho, with the
 end-interval correction h/12 (5 y[-1] + 8 y[-2] - y[-3]) for an even node
 count, which is what scipy's simpson applies on a uniform grid, and a
-cumulative-sum trapezoid in t.
+cumulative-sum trapezoid in t.  u' to u''' and the boundary jets come from
+grid.fixed, built when the grid was made, so a report evaluates no profile.
 
 The background's Ricci trace takes F' and F'' of u from the profile's
 closed form (profiles._log_volume_derivs at tau = u'), so it vanishes to
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesic import PathGrid, _FixedData, _residual
+from .geodesic import PathGrid, _residual
 from .profiles import _log_volume_derivs, ricci_sign_scan
 
 __all__ = ["EnergyReport", "energy_report", "energy_verdict",
@@ -129,9 +130,9 @@ def _d_rho(arr, h):
     return np.gradient(arr, h, axis=0, edge_order=2)
 
 
-def _path_fields(grid: PathGrid, fixed: _FixedData):
+def _path_fields(grid: PathGrid):
     """All rho/t derivative fields of the path, shape (n_rho, n_t)."""
-    t = grid.t_nodes
+    t, fixed = grid.t_nodes, grid.fixed
     hr, ht = grid.h_rho, grid.h_t
     psi0, psi1 = fixed.psi0[:, :, None], fixed.psi1[:, :, None]
     # only the rho derivatives that the fields below read
@@ -214,15 +215,12 @@ def _check_energy_decay(grid):
 def energy_report(grid: PathGrid, epsilon: float) -> EnergyReport:
     """K-energy curve, first/second derivatives and decomposition terms."""
     _check_energy_decay(grid)
-    # one evaluation of the fixed data serves the on-shell check and sums
-    fixed = _FixedData.build(grid)
-    res = float(np.max(np.abs(_residual(grid, fixed, epsilon,
-                                        normalized=True))))
+    res = float(np.max(np.abs(_residual(grid, epsilon, normalized=True))))
     if not res <= ON_SHELL_TOL:
         raise OffShellError(
             f"normalized residual {res:.2e} exceeds {ON_SHELL_TOL:.0e}; "
             "the convexity identity needs the equation to hold")
-    fields = _path_fields(grid, fixed)
+    fields = _path_fields(grid)
     t = grid.t_nodes
     dK = _first_variation_curve(grid, fields)
     K = _cumulative_trapezoid(dK, grid.h_t)

@@ -20,14 +20,14 @@ target epsilon geometrically, starting from the smallest s of the ladder
 the continuation from there fails.  The seed's M = s w'' - P^2
 grows with s, since it has phi_tt = s and no rho differences.
 
-What depends only on the grid is built once per solve.  _FixedData is the
+What depends only on the grid is built once per path.  _FixedData is the
 one evaluator of u', u'', u''' and the psi0, psi1 jets to third order on
 every rho node, and of w', w'' and P at phi = 0 on every (rho, t) node, and
-its arrays are read-only: the boundary checks read it, each iterate adds
-phi's differences to it, the coarse grid takes every other node of it, the
-certificate reads it, and energy_report builds one for its on-shell check
-and quadratures.  The Jacobian needs no index tables:
-with the unknowns numbered ii nj + jj, the stencil term at offset (di, dj)
+a PathGrid, frozen but for phi's values, builds it as grid.fixed when it
+is made: the boundary checks read it, each iterate adds phi's differences
+to it, the coarse grid slices it, and the certificate, reduced_residual and
+energy_report read it.  The Jacobian needs no index tables: with the
+unknowns numbered ii nj + jj, the stencil term at offset (di, dj)
 lies on band diagonal di nj + dj, and _jacobian_band writes each diagonal
 once.  Each iterate is evaluated once: its field arrays give R, G, max|R|
 and, if it is factored, the Jacobian.  Each stage after the first starts
@@ -51,8 +51,7 @@ LU with partial pivoting (dgbtrf, back-solves by dgbtrs) on one OpenBLAS
 thread, from scipy's _flapack file (no scipy.linalg import; else from
 scipy.linalg.lapack).  A zero pivot raises NonConvergence for its stage.
 The reported residual and the C^{1,1} probe are recomputed from the
-solved phi and the solve's own fixed data, which no iteration can have
-written into.
+solved phi and the grid's read-only fixed data.
 
 Grid sequencing (nested iteration: Allgower, Bohmer, Potra and Rheinboldt,
 SIAM J. Numer. Anal. 23, 1986).  The Newton counts of each stage do not
@@ -174,9 +173,11 @@ class SolverConfig:
         return np.linspace(rho_min, rho_max, self.n_rho)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathGrid:
-    """Discrete path of radial potentials; phi is (n_rho, n_t)."""
+    """Discrete path of radial potentials; phi is (n_rho, n_t), and only
+    its values change.  fixed is built from the other fields whenever a
+    grid is made, by dataclasses.replace too, so it is never stale."""
 
     rho_nodes: np.ndarray
     t_nodes: np.ndarray
@@ -185,10 +186,21 @@ class PathGrid:
     psi1: RadialPotential
     background: RadialProfile
     epsilon: float
+    fixed: _FixedData = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.phi.shape != (self.rho_nodes.size, self.t_nodes.size):
             raise ValueError("phi shape does not match the node grids")
+        object.__setattr__(self, "fixed", _FixedData.build(self))
+
+    def every_other_node(self) -> "PathGrid":
+        """This grid on every other node, phi copied and fixed sliced."""
+        coarse = object.__new__(PathGrid)  # no __post_init__, no build
+        coarse.__dict__.update(
+            vars(self), rho_nodes=self.rho_nodes[::2],
+            t_nodes=self.t_nodes[::2], phi=self.phi[::2, ::2].copy(),
+            fixed=self.fixed.every_other_node())
+        return coarse
 
     @property
     def h_rho(self):
@@ -227,9 +239,10 @@ class _FixedData:
     u1, u2, u3 are u', u'', u'''; row i of psi0 and psi1 is the jet
     (psi, psi', psi'', psi''') at rho_nodes[i].  w', w'' and P at phi = 0
     are w1 = u1 + (1-t) psi0' + t psi1', w2 likewise (each summed in that
-    order) and P = psi1' - psi0'.  None of it depends on phi, so a solve
-    builds it once for every iterate, backtrack and stage and for its
-    certificate, and its arrays are read-only.
+    order) and P = psi1' - psi0'.  None of it depends on phi, so a
+    PathGrid builds it once, when it is made, for every iterate, backtrack
+    and stage of a solve, for its certificate and for energy_report, and
+    its arrays are read-only.
     """
 
     n: int
@@ -270,14 +283,14 @@ class _FixedData:
         return replace(self, **sliced)
 
 
-def _field_arrays(grid: PathGrid, fixed: _FixedData):
+def _field_arrays(grid: PathGrid):
     """w', w'', P = Psi_t' + phi_t', phi_tt and M = phi_tt w'' - P^2.
 
     All on residual nodes i = 0..n_rho-2 (Neumann mirror at i = 0,
     Dirichlet column excluded) and j = 1..n_t-2, as arrays of shape
-    (n_rho-1, n_t-2); w', w'' and P add phi's differences to fixed's.
+    (n_rho-1, n_t-2); w', w'' and P add phi's differences to grid.fixed's.
     """
-    hr, ht, phi = grid.h_rho, grid.h_t, grid.phi
+    hr, ht, phi, fixed = grid.h_rho, grid.h_t, grid.phi, grid.fixed
     nr, nt = phi.shape
 
     # ghost row at i = -1 mirrors i = 1
@@ -298,25 +311,25 @@ def _field_arrays(grid: PathGrid, fixed: _FixedData):
     return w1, w2, P, phi_tt, phi_tt * w2 - P ** 2
 
 
-def _density_residual(M, w1, fixed: _FixedData, s):
+def _density_residual(grid: PathGrid, s, M, w1):
     """G = M (w')^{n-1} - s (u')^{n-1} u'' from the field arrays."""
-    return M * w1 ** (fixed.n - 1) - s * fixed.density[:-1]
+    return M * w1 ** (grid.fixed.n - 1) - s * grid.fixed.density[:-1]
 
 
-def _residual(grid: PathGrid, fixed: _FixedData, s, normalized):
-    w1, w2, _, _, M = _field_arrays(grid, fixed)
+def _residual(grid: PathGrid, s, normalized):
+    w1, w2, _, _, M = _field_arrays(grid)
     _check_positive(w1, w2, grid)
-    G = _density_residual(M, w1, fixed, s)
-    return G / fixed.density[:-1] if normalized else G
+    G = _density_residual(grid, s, M, w1)
+    return G / grid.fixed.density[:-1] if normalized else G
 
 
 def reduced_residual(grid: PathGrid, normalized=False):
-    """G[phi] on the interior nodes (i = 0..n_rho-2, j = 1..n_t-2).
-
-    normalized=True divides by the background density (u')^{n-1} u'', the
-    scale-free form used for convergence certification.
-    """
-    return _residual(grid, _FixedData.build(grid), grid.epsilon, normalized)
+    """G[phi] at s = grid.epsilon on the interior nodes (i = 0..n_rho-2,
+    j = 1..n_t-2); normalized=True divides by the background density
+    (u')^{n-1} u''.  A solve's residual_sup is max|reduced_residual(grid,
+    normalized=True)| and its residual_raw_sup max|reduced_residual(grid)|,
+    bit for bit, at grid.epsilon."""
+    return _residual(grid, grid.epsilon, normalized)
 
 
 def _check_positive(w1, w2, grid):
@@ -397,29 +410,29 @@ def _jacobian_band(coefs) -> _BandMatrix:
                        nnz=(3 * ni - 2) * (3 * nj - 2))
 
 
-def _newton_system(grid: PathGrid, fixed: _FixedData, s):
+def _newton_system(grid: PathGrid, s):
     """Log-form residual R and normalized residual G at grid.phi.
 
     Returns (R, G, arrays), or None outside the ellipticity cone.  G equals
     _residual(..., normalized=True) bit for bit, and arrays, what
     _field_arrays returned, give _jacobian_coefficients at this iterate.
     """
-    arrays = w1, w2, _, _, M = _field_arrays(grid, fixed)
+    arrays = w1, w2, _, _, M = _field_arrays(grid)
     if not (w1.min() > 0 and w2.min() > 0 and M.min() > 0):
         return None
-    density = fixed.density[:-1]
-    R = np.log(M) + (fixed.n - 1) * np.log(w1) - np.log(s * density)
-    G = _density_residual(M, w1, fixed, s) / density
+    n, density = grid.fixed.n, grid.fixed.density[:-1]
+    R = np.log(M) + (n - 1) * np.log(w1) - np.log(s * density)
+    G = _density_residual(grid, s, M, w1) / density
     return R, G, arrays
 
 
-def _jacobian_coefficients(grid: PathGrid, fixed: _FixedData, arrays):
+def _jacobian_coefficients(grid: PathGrid, arrays):
     """_jacobian_band's coefficients (A, B, C, D) from the field arrays."""
     hr, ht = grid.h_rho, grid.h_t
     w1, w2, P, phi_tt, M = arrays
     return np.stack([w2 / M / ht ** 2, phi_tt / M / hr ** 2,
                      -2.0 * P / M / (4.0 * hr * ht),
-                     (fixed.n - 1) / w1 / (2.0 * hr)])
+                     (grid.fixed.n - 1) / w1 / (2.0 * hr)])
 
 
 # A stage keeps its LU only while each step is taken whole and cuts max|R|
@@ -521,7 +534,7 @@ def spsolve(J, rhs):
     return lu.solve(rhs), lu
 
 
-def _line_search(grid: PathGrid, fixed: _FixedData, s, base, delta, r_max):
+def _line_search(grid: PathGrid, s, base, delta, r_max):
     """Halve alpha from 1 until phi = base + alpha delta cuts max|R|.
 
     Returns the accepted step's _newton_system evaluation, backtrack count
@@ -531,7 +544,7 @@ def _line_search(grid: PathGrid, fixed: _FixedData, s, base, delta, r_max):
     for k in range(_MAX_BACKTRACKS):
         alpha = 0.5 ** k
         grid.phi[:ni, 1:nj + 1] = base + alpha * delta
-        system = _newton_system(grid, fixed, s)
+        system = _newton_system(grid, s)
         if system is not None:
             r = float(np.max(np.abs(system[0])))
             if r < r_max * (1 - 1e-4 * alpha) or r < 1e-13:
@@ -564,11 +577,12 @@ def _secant_predictor(t, s, solved):
     return phi1 + (s - s1) / (s1 - s0) * (phi1 - phi0)
 
 
-def _check_boundary_data(grid: PathGrid, fixed: _FixedData, label):
-    """The endpoint label ("psi0" or "psi1"), read from fixed, must be zero
-    or decay at least like r^-_MIN_DECAY and give a positive metric."""
+def _check_boundary_data(grid: PathGrid, label):
+    """The endpoint label ("psi0" or "psi1"), read from grid.fixed, must be
+    zero or decay at least like r^-_MIN_DECAY and give a positive metric."""
     if getattr(grid, label).is_zero:
         return
+    fixed = grid.fixed
     jet = getattr(fixed, label)
     r = np.exp(grid.rho_nodes / 2.0)
     try:
@@ -616,8 +630,8 @@ class _StageLog:
     shapes: list = field(default_factory=list)
 
 
-def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
-                stages, solved, log: _StageLog, final_tol, start=None):
+def _run_stages(grid: PathGrid, config: SolverConfig, stages, solved,
+                log: _StageLog, final_tol, start=None):
     """Solve the continuity stages in turn on grid, appending (s, phi) to
     solved after each.
 
@@ -636,16 +650,16 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
         log.shapes.append(grid.phi.shape)
         system = None if index else start
         if index:
-            grid.phi = _secant_predictor(t, s, solved)
+            grid.phi[:] = _secant_predictor(t, s, solved)
             _impose_boundary(grid.phi, t, s)
-            system = _newton_system(grid, fixed, s)
+            system = _newton_system(grid, s)
             if system is None:
                 # the prediction left the ellipticity cone: restart from
                 # the last solution
-                grid.phi = solved[-1][1].copy()
+                grid.phi[:] = solved[-1][1]
         if system is None:
             _impose_boundary(grid.phi, t, s)
-            system = _newton_system(grid, fixed, s)
+            system = _newton_system(grid, s)
             if system is None:
                 raise PositivityLoss(
                     f"iterate left the ellipticity cone at stage s={s:g}")
@@ -668,15 +682,15 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
                     log.factorizations[-1] += 1
                     try:
                         delta, lu = spsolve(_jacobian_band(
-                            _jacobian_coefficients(grid, fixed, arrays)),
+                            _jacobian_coefficients(grid, arrays)),
                             -R.ravel())
                     except np.linalg.LinAlgError as exc:
                         raise NonConvergence(s, history,
                                              log.factorizations) from exc
                 else:
                     delta = lu.solve(-R.ravel())
-                step = _line_search(grid, fixed, s, base,
-                                    delta.reshape(ni, nj), r_max)
+                step = _line_search(grid, s, base, delta.reshape(ni, nj),
+                                    r_max)
                 if step is not None:
                     break
                 if fresh:
@@ -690,10 +704,10 @@ def _run_stages(grid: PathGrid, fixed: _FixedData, config: SolverConfig,
         solved.append((s, grid.phi.copy()))
 
 
-def _coarse_start(grid: PathGrid, fixed: _FixedData, coarse,
-                  config: SolverConfig, stages, log: _StageLog, start):
-    """Run the continuation over stages on coarse, the (grid, fixed data)
-    pair on every other node whose phi start evaluates, and hand it to grid.
+def _coarse_start(grid: PathGrid, coarse: PathGrid, config: SolverConfig,
+                  stages, log: _StageLog, start):
+    """Run the continuation over stages on coarse, grid on every other node,
+    whose phi start evaluates, and hand it to grid.
 
     Returns the stages grid still has to solve, the solved list they
     start from and the _newton_system of grid.phi, set to the first one's
@@ -705,20 +719,20 @@ def _coarse_start(grid: PathGrid, fixed: _FixedData, coarse,
     """
     solved = []
     try:
-        _run_stages(*coarse, config, stages, solved, log,
+        _run_stages(coarse, config, stages, solved, log,
                     max(config.newton_tol, _STAGE_TOL), start)
     except GeodesicError:
         pass  # go on from the stages that converged
-    seed, t = grid.phi, grid.t_nodes
+    seed, t = grid.phi.copy(), grid.t_nodes
     for k in reversed(range(len(solved))):
         s, phi = solved[k]
-        grid.phi = _prolong(phi)
+        grid.phi[:] = _prolong(phi)
         _impose_boundary(grid.phi, t, s)
-        system = _newton_system(grid, fixed, s)
+        system = _newton_system(grid, s)
         if system is not None:
             return stages[k:], [(s0, _prolong(phi0)) for s0, phi0
                                 in solved[max(k - 1, 0):k]], system
-    grid.phi = seed
+    grid.phi[:] = seed
     return stages, [], None
 
 
@@ -730,23 +744,20 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
     grid = PathGrid(rho_nodes=config.rho_nodes(profile), t_nodes=t,
                     phi=np.zeros((config.n_rho, config.n_t)), psi0=psi0,
                     psi1=psi1, background=profile, epsilon=config.epsilon)
-    fixed = _FixedData.build(grid)
-    _check_boundary_data(grid, fixed, "psi0")
-    _check_boundary_data(grid, fixed, "psi1")
+    _check_boundary_data(grid, "psi0")
+    _check_boundary_data(grid, "psi1")
 
     log, ladder, coarse = _StageLog(), config.schedule(), None
     if all(m % 2 and (m + 1) // 2 >= _MIN_COARSE
            for m in (config.n_rho, config.n_t)):
-        coarse = (replace(grid, rho_nodes=grid.rho_nodes[::2],
-                          t_nodes=t[::2], phi=grid.phi[::2, ::2]),
-                  fixed.every_other_node())
+        coarse = grid.every_other_node()
     # from the lowest rung whose seed is elliptic; if that fails, from s = 1
     k = len(ladder) - 1
     while True:
-        grid.phi = np.tile(_dirichlet_column(t, ladder[k]), (config.n_rho, 1))
+        grid.phi[:] = _dirichlet_column(t, ladder[k])
         if coarse:
-            coarse[0].phi = grid.phi[::2, ::2].copy()
-        start = _newton_system(*(coarse or (grid, fixed)), ladder[k])
+            coarse.phi[:] = grid.phi[::2, ::2]
+        start = _newton_system(coarse or grid, ladder[k])
         if start is None and k:
             k -= 1
             continue
@@ -754,9 +765,9 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
             stages, solved = ladder[k:], []
             if coarse:
                 stages, solved, start = _coarse_start(
-                    grid, fixed, coarse, config, stages, log, start)
+                    grid, coarse, config, stages, log, start)
             if start is not None or not k:  # else no coarse stage is usable
-                _run_stages(grid, fixed, config, stages, solved, log,
+                _run_stages(grid, config, stages, solved, log,
                             config.newton_tol, start)
                 break
         except GeodesicError:
@@ -764,13 +775,12 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
                 raise
         k = 0
 
-    # the certificate and the C^{1,1} probe read the solved phi against the
-    # solve's own fixed data, unchanged since the profile gave it
-    w1, w2, _, _, M = _field_arrays(grid, fixed)
+    # the certificate is reduced_residual's, keeping the field arrays
+    w1, w2, _, _, M = _field_arrays(grid)
     _check_positive(w1, w2, grid)
-    G = _density_residual(M, w1, fixed, config.epsilon)
+    G = _density_residual(grid, config.epsilon, M, w1)
     res_raw = float(np.max(np.abs(G)))
-    res_norm = float(np.max(np.abs(G / fixed.density[:-1])))
+    res_norm = float(np.max(np.abs(G / grid.fixed.density[:-1])))
     if not res_norm <= config.newton_tol:
         raise NonConvergence(config.epsilon, [res_norm], log.factorizations)
 
@@ -787,7 +797,7 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
         stage_values=log.values,
         c0_check=c0_bound_check(grid),
         positivity_margins=margins,
-        max_second_derivative=_max_second_derivative(grid, fixed),
+        max_second_derivative=_max_second_derivative(grid),
         wall_time=time.perf_counter() - t_start,
     )
     return grid, report
@@ -847,7 +857,7 @@ def epsilon_sweep(profile, psi0, psi1, epsilons, config: SolverConfig):
                                       for r in reports], "cauchy": cauchy}
 
 
-def _max_second_derivative(grid: PathGrid, fixed: _FixedData):
+def _max_second_derivative(grid: PathGrid):
     """Max discrete second derivative of Phi against the spatial reference.
 
     Covers the spatial (rho-rho) and mixed (rho-t) components.  The pure
@@ -856,7 +866,7 @@ def _max_second_derivative(grid: PathGrid, fixed: _FixedData):
     dominate the probe instead of the quantity whose uniformity is tested.
     """
     t = grid.t_nodes[None, :]
-    hr, ht = grid.h_rho, grid.h_t
+    hr, ht, fixed = grid.h_rho, grid.h_t, grid.fixed
     Psi_rr = (1 - t) * fixed.psi0[:, 2:3] + t * fixed.psi1[:, 2:3]
     phi = grid.phi
     phi_rr = (phi[:-2, :] - 2 * phi[1:-1, :] + phi[2:, :]) / hr ** 2

@@ -37,24 +37,39 @@ RHO_MIN_EH = float(EH.rho_of_tau(2.0))
 SUITE_EPSILONS = (0.5, 0.25, 0.125, 0.0625)
 
 
+def _solve_families(families):
+    """Each (profile, psi0, psi1) solved at every SUITE_EPSILONS on 33x33."""
+    return [[solve_epsilon_geodesic(profile, psi0, psi1,
+                                    SolverConfig(epsilon=eps, n_rho=33,
+                                                 n_t=33))
+             for eps in SUITE_EPSILONS]
+            for profile, psi0, psi1 in families]
+
+
 @pytest.fixture(scope="module")
 def regression_suite():
     """Twelve solved scenarios: three data/background families, four eps."""
     burns = lebrun_profile(1, 1.0)
-    families = [
+    return _solve_families([
         (EH, zero_potential(),
          exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)),
         (flat_profile(), zero_potential(), exp_decay_potential(0.1, 4.0)),
         (burns, zero_potential(), tau_power_potential(burns, 0.08, 4.0)),
-    ]
-    suite = []
-    for profile, psi0, psi1 in families:
-        runs = []
-        for eps in SUITE_EPSILONS:
-            cfg = SolverConfig(epsilon=eps, n_rho=33, n_t=33)
-            runs.append(solve_epsilon_geodesic(profile, psi0, psi1, cfg))
-        suite.append(runs)
-    return suite
+    ])
+
+
+@pytest.fixture(scope="module")
+def n3_suite():
+    """Thirty-two solved scenarios on O(-k) over CP^2, k = 1..4: psi1
+    tau_power or exp data anchored at rho(2 tau_min), four eps each."""
+    families = []
+    for k in (1, 2, 3, 4):
+        p = lebrun_profile(k, 1.0, n=3)
+        rho_ref = float(p.rho_of_tau(2.0 * p.tau_min))
+        families += [(p, zero_potential(), psi1) for psi1 in (
+            tau_power_potential(p, 0.08, 4.0),
+            exp_decay_potential(0.1, 4.0, rho_ref=rho_ref))]
+    return _solve_families(families)
 
 
 @pytest.fixture(scope="module")
@@ -86,13 +101,21 @@ def test_criterion_1_exact_solution_reproduction():
         assert elapsed <= 10.0
 
 
-def test_criterion_2_c0_sandwich(regression_suite):
-    runs = [run for family in regression_suite for run in family]
-    assert len(runs) >= 10
+def _check_c0_sandwich(suite):
+    runs = [run for family in suite for run in family]
     for g, rep in runs:
         assert rep.c0_check.passed
         t = g.t_nodes[None, :]
         assert np.all(np.abs(g.phi) <= 2.0 * t * (1.0 - t) + 1e-12)
+    return len(runs)
+
+
+def test_criterion_2_c0_sandwich(regression_suite):
+    assert _check_c0_sandwich(regression_suite) >= 10
+
+
+def test_criterion_2_c0_sandwich_at_n3(n3_suite):
+    assert _check_c0_sandwich(n3_suite) == 32
 
 
 def test_criterion_3_c11_uniformity_probe():
@@ -189,12 +212,20 @@ def test_criterion_8_decay_exponents():
     assert fit.exponent <= -gamma + 0.3
 
 
-def test_criterion_9_comparison_principle(regression_suite):
+def _check_comparison(suite):
     pairs = 0
-    for family in regression_suite:
+    for family in suite:
         for (ga, _), (gb, _) in itertools.combinations(family, 2):
             # SUITE_EPSILONS is decreasing, so ga carries the larger epsilon
             ok, worst = comparison_check(ga, gb, tol=1e-10)
             assert ok, f"ordering violated by {worst:.3e}"
             pairs += 1
-    assert pairs == 18
+    return pairs
+
+
+def test_criterion_9_comparison_principle(regression_suite):
+    assert _check_comparison(regression_suite) == 18
+
+
+def test_criterion_9_comparison_principle_at_n3(n3_suite):
+    assert _check_comparison(n3_suite) == 48

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from alegeo import __version__, runner, toric
 from alegeo.cli import main
-from alegeo.geodesic import solve_epsilon_geodesic
+from alegeo.geodesic import _FixedData, solve_epsilon_geodesic
 from alegeo.profiles import lebrun_profile
 from alegeo.runner import (
     Scenario,
@@ -500,6 +500,22 @@ def test_batch_builds_a_scenario_profile_once(tmp_path, monkeypatch):
     rows, _ = batch([s])
     assert [row["passed"] for row in rows] == [True]
     assert calls == ["samples"]
+
+
+def test_energy_scenario_builds_its_fixed_data_once(tmp_path, monkeypatch):
+    # the energy analysis reads the fixed data of the solved grid
+    shapes, build = [], _FixedData.build
+
+    def counted(grid):
+        shapes.append(grid.phi.shape)
+        return build(grid)
+
+    monkeypatch.setattr(_FixedData, "build", staticmethod(counted))
+    m = run_scenario(eh_data_scenario(tmp_path / "run", n=17,
+                                      analyses=("energy",)))
+    assert m.status == "ok" and "energy" in m.checks
+    assert Path(m.artifacts["energy_json"]).exists()
+    assert shapes == [(17, 17)]
 
 
 def test_batch_no_probe_row_without_distinct_epsilons(tmp_path):

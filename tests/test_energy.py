@@ -80,7 +80,7 @@ def eh_sweep():
 
 def first_variation(g, j):
     """energy_report's dK/dt at the t node j."""
-    fields = _path_fields(g, _FixedData.build(g))
+    fields = _path_fields(g)
     return float(_first_variation_curve(g, fields)[j])
 
 
@@ -148,7 +148,7 @@ def test_first_variation_matches_curvature_quadrature():
     g = PathGrid(rho_nodes=rho, t_nodes=t, phi=bump[:, None] * t[None, :],
                  psi0=zero_potential(), psi1=zero_potential(),
                  background=EH, epsilon=0.5)
-    fields = _path_fields(g, _FixedData.build(g))
+    fields = _path_fields(g)
     R = _path_curvature(g, fields)
     V = fields["w1"] ** (EH.n - 1) * fields["w2"]
     direct = float(simpson((-fields["v"] * R * V)[:, 8], x=rho))
@@ -388,40 +388,45 @@ def test_tau_power_validation():
         tau_power_potential(flat_profile(), 0.1, 4.0)
 
 
-def test_energy_pass_inverts_the_profile_six_times(monkeypatch):
-    # the benchmark's energy pass on 65x45: a solve (one fixed data, which
-    # its certificate reads too), then energy_report and convexity_audit,
-    # which builds a second report; each evaluation inverts for u and for
-    # psi1
-    calls = []
-    inverse = RadialProfile.tau_of_rho
+def _count_evaluations(monkeypatch):
+    """The node counts of each tau_of_rho call and of each _FixedData
+    build, recorded as they run."""
+    inversions, builds = [], []
+    inverse, build = RadialProfile.tau_of_rho, _FixedData.build
 
-    def counted(self, rho):
-        calls.append(np.size(rho))
+    def counted_inverse(self, rho):
+        inversions.append(np.size(rho))
         return inverse(self, rho)
 
-    monkeypatch.setattr(RadialProfile, "tau_of_rho", counted)
+    def counted_build(grid):
+        builds.append(grid.rho_nodes.size)
+        return build(grid)
+
+    monkeypatch.setattr(RadialProfile, "tau_of_rho", counted_inverse)
+    monkeypatch.setattr(_FixedData, "build", staticmethod(counted_build))
+    return inversions, builds
+
+
+def test_energy_pass_builds_the_fixed_data_once(monkeypatch):
+    # the benchmark's energy pass on 65x45: the solve's grid builds its
+    # fixed data once, inverting for u and for psi1, and energy_report and
+    # convexity_audit, which builds a second report, read it
+    inversions, builds = _count_evaluations(monkeypatch)
     cfg = replace(energy_config(0.125), n_rho=65, n_t=45)
     psi1 = tau_power_potential(EH, 0.1, 4.0)
     grid, _ = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
     energy_report(grid, 0.125)
     assert convexity_audit([grid], [0.125])["passed"]
-    assert calls == [65] * 6
+    assert inversions == [65] * 2
+    assert builds == [65]
 
 
-def test_energy_report_inverts_the_profile_once_per_field(eh_sweep,
-                                                          monkeypatch):
-    calls = []
-    inverse = RadialProfile.tau_of_rho
-
-    def counted(self, rho):
-        calls.append(np.size(rho))
-        return inverse(self, rho)
-
-    monkeypatch.setattr(RadialProfile, "tau_of_rho", counted)
+def test_energy_report_on_a_solved_grid_evaluates_no_fixed_data(
+        eh_sweep, monkeypatch):
+    # the on-shell check and the path fields read the fixed data the grid
+    # built when the solve made it
+    inversions, builds = _count_evaluations(monkeypatch)
     grid = eh_sweep[-1]
-    energy_report(grid, EPSILONS[-1])
-    # one for the background (u' to u''') and one for psi1's jet to order
-    # 3, on every node; the on-shell check and the path fields both read
-    # that one evaluation
-    assert calls == [grid.rho_nodes.size] * 2
+    rep = energy_report(grid, EPSILONS[-1])
+    assert inversions == [] and builds == []
+    assert rep.fd_agreement() < energy.FD_AGREEMENT_TOL

@@ -1,7 +1,7 @@
 import hashlib
 import importlib.util
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -153,15 +153,14 @@ def _perturbed_system(n_rho, n_t, rng):
     t = g.t_nodes[None, :]
     g.phi[:] = 0.7 * t * (t - 1.0) / 2.0
     g.phi[:-1, 1:-1] += 0.001 * rng.standard_normal(g.phi[:-1, 1:-1].shape)
-    fixed = _FixedData.build(g)
-    R, G, arrays = _newton_system(g, fixed, 0.7)
-    coefs = geodesic._jacobian_coefficients(g, fixed, arrays)
-    return g, fixed, coefs, (R, _jacobian_band(coefs), G)
+    R, G, arrays = _newton_system(g, 0.7)
+    coefs = geodesic._jacobian_coefficients(g, arrays)
+    return g, coefs, (R, _jacobian_band(coefs), G)
 
 
 def _check_jacobian(n_rho, n_t):
     rng = np.random.default_rng(7)
-    g, fixed, _, (R0, J, G0) = _perturbed_system(n_rho, n_t, rng)
+    g, _, (R0, J, G0) = _perturbed_system(n_rho, n_t, rng)
     ni, nj = g.phi.shape[0] - 1, g.phi.shape[1] - 2
     assert R0 is not None
     assert J.shape == (ni * nj, ni * nj)
@@ -169,19 +168,19 @@ def _check_jacobian(n_rho, n_t):
     assert J.nnz == len({term[:2] for term in _stencil_terms(ni, nj)})
     # a second evaluation gives R, G and the field arrays bit for bit, and
     # G is the normalized residual the certificate uses
-    R1, G1, arrays = _newton_system(g, fixed, 0.7)
+    R1, G1, arrays = _newton_system(g, 0.7)
     assert np.array_equal(R0, R1) and np.array_equal(G0, G1)
     assert all(np.array_equal(a, b) for a, b in
-               zip(arrays, geodesic._field_arrays(g, fixed), strict=True))
-    assert np.array_equal(G0, _residual(g, fixed, 0.7, normalized=True))
+               zip(arrays, geodesic._field_arrays(g), strict=True))
+    assert np.array_equal(G0, _residual(g, 0.7, normalized=True))
     h = 1e-6
     J = _dense(J)
     for col in rng.choice(ni * nj, size=12, replace=False):
         i, j = divmod(col, nj)
         g.phi[i, j + 1] += h
-        Rp = _newton_system(g, fixed, 0.7)[0]
+        Rp = _newton_system(g, 0.7)[0]
         g.phi[i, j + 1] -= 2 * h
-        Rm = _newton_system(g, fixed, 0.7)[0]
+        Rm = _newton_system(g, 0.7)[0]
         g.phi[i, j + 1] += h
         fd = (Rp - Rm).ravel() / (2 * h)
         assert np.allclose(J[:, col], fd, atol=1e-4)
@@ -197,7 +196,7 @@ def test_banded_solve_matches_dense_solve():
     # an i/j swap in the band slots, or a dropped sum of the Neumann
     # mirror onto row 0, leaves a band that differs from the dense matrix
     rng = np.random.default_rng(11)
-    _, _, coefs, (R, J, _) = _perturbed_system(17, 11, rng)
+    _, coefs, (R, J, _) = _perturbed_system(17, 11, rng)
     A = _dense_from_stencil(coefs)
     assert np.allclose(_dense(J), A, rtol=1e-14, atol=0.0)
     x, lu = geodesic.spsolve(J, -R.ravel())
@@ -249,13 +248,13 @@ def _reference_jacobian_band(coefs):
     return padded[:, bw:bw + size]
 
 
-def _reference_field_arrays(grid, fixed):
+def _reference_field_arrays(grid):
     """The field arrays as an older _field_arrays built them: the ghost row
     by np.vstack, and Psi's terms summed from the jets on every call."""
     t = grid.t_nodes
     hr, ht = grid.h_rho, grid.h_t
     nr, nt = grid.rho_nodes.size, t.size
-    phi = grid.phi
+    phi, fixed = grid.phi, grid.fixed
     ext = np.vstack([phi[1:2, :], phi])
     sl_r, sl_t = slice(0, nr - 1), slice(1, nt - 1)
     phi_rr = (ext[0:nr - 1, sl_t] - 2.0 * ext[1:nr, sl_t]
@@ -297,17 +296,18 @@ def test_newton_system_is_bit_for_bit_the_per_call_sums(n_rho, n_t):
     # built once in the fixed data; R, G, the five arrays and the band
     # agree bit for bit with the arrays summed from the jets on every call
     rng = np.random.default_rng(19)
-    g, fixed, coefs, (R, J, G) = _perturbed_system(n_rho, n_t, rng)
-    arrays = _reference_field_arrays(g, fixed)
+    g, coefs, (R, J, G) = _perturbed_system(n_rho, n_t, rng)
+    arrays = _reference_field_arrays(g)
     assert all(np.array_equal(a, b) for a, b in
-               zip(geodesic._field_arrays(g, fixed), arrays, strict=True))
+               zip(geodesic._field_arrays(g), arrays, strict=True))
     w1, _, _, _, M = arrays
+    fixed = g.fixed
     density = fixed.density[:-1]
     assert np.array_equal(R, np.log(M) + (fixed.n - 1) * np.log(w1)
                           - np.log(0.7 * density))
     assert np.array_equal(G, (M * w1 ** (fixed.n - 1) - 0.7 * density)
                           / density)
-    reference = geodesic._jacobian_coefficients(g, fixed, arrays)
+    reference = geodesic._jacobian_coefficients(g, arrays)
     assert np.array_equal(coefs, reference)
     assert np.array_equal(J.ab, _reference_jacobian_band(reference))
 
@@ -316,10 +316,10 @@ def test_newton_system_is_bit_for_bit_the_per_call_sums(n_rho, n_t):
 def test_nan_iterate_is_outside_the_cone(node):
     # a NaN reaches w', w'' and M at the node's neighbors, and a NaN min
     # fails the ellipticity test, so the iterate is refused, not solved with
-    g, fixed, _, _ = _perturbed_system(17, 11, np.random.default_rng(3))
-    assert _newton_system(g, fixed, 0.7) is not None
+    g, _, _ = _perturbed_system(17, 11, np.random.default_rng(3))
+    assert _newton_system(g, 0.7) is not None
     g.phi[node] = np.nan
-    assert _newton_system(g, fixed, 0.7) is None
+    assert _newton_system(g, 0.7) is None
 
 
 def _pivoting_band(rng, n=40, bw=3):
@@ -399,12 +399,12 @@ def _solve_from_s1(*args):
     newton_system = geodesic._newton_system
     rung_test = [True]
 
-    def only_s1(grid, fixed, s):
+    def only_s1(grid, s):
         # a solve's first evaluations are its rung tests
         if rung_test[0] and s < 1.0:
             return None
         rung_test[0] = False
-        return newton_system(grid, fixed, s)
+        return newton_system(grid, s)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geodesic, "_newton_system", only_s1)
@@ -499,15 +499,14 @@ def test_fixed_data_matches_public_residual():
     g = make_grid(EH, n_rho=9, n_t=7, psi0=psi0, psi1=psi1, epsilon=0.3)
     t = g.t_nodes[None, :]
     g.phi[:] = 0.3 * t * (t - 1.0) / 2.0
-    fixed = _FixedData.build(g)
-    assert np.array_equal(_residual(g, fixed, 0.3, normalized=True),
+    assert np.array_equal(_residual(g, 0.3, normalized=True),
                           reduced_residual(g, normalized=True))
     # the right-hand side is epsilon times the background density
-    w1, w2, P, phi_tt, _ = geodesic._field_arrays(g, fixed)
+    w1, w2, P, phi_tt, _ = geodesic._field_arrays(g)
     u1, u2 = EH.u_derivatives(g.rho_nodes[:-1], order=2)
     expected = ((phi_tt * w2 - P ** 2) * w1 ** (EH.n - 1)
                 - 0.3 * (u1 ** (EH.n - 1) * u2)[:, None])
-    np.testing.assert_allclose(_residual(g, fixed, 0.3, normalized=False),
+    np.testing.assert_allclose(_residual(g, 0.3, normalized=False),
                                expected, rtol=1e-12, atol=1e-15)
 
 
@@ -538,7 +537,7 @@ def test_nontrivial_solve_certificate_and_sandwich():
     assert rep.c0_check.passed
     assert rep.positivity_margins["M"] > 0
     # each minimum sits at its worst node; field columns start at t_nodes[1]
-    w1, w2, _, _, M = geodesic._field_arrays(g, _FixedData.build(g))
+    w1, w2, _, _, M = geodesic._field_arrays(g)
     for name, values in (("w1", w1), ("w2", w2), ("M", M)):
         rho_w, t_w = rep.positivity_margins["worst_nodes"][name]
         i = int(np.flatnonzero(g.rho_nodes == rho_w)[0])
@@ -622,12 +621,68 @@ def test_fixed_data_is_read_only():
     psi0 = exp_decay_potential(0.03, 4.0, rho_ref=RHO_MIN_EH)
     g = make_grid(EH, n_rho=9, n_t=7, psi0=psi0,
                   psi1=tau_power_potential(EH, 0.1, 4.0), epsilon=0.3)
-    fixed = _FixedData.build(g)
     names = [f.name for f in fields(_FixedData) if f.name != "n"]
-    for data in (fixed, fixed.every_other_node()):
+    for data in (g.fixed, g.every_other_node().fixed):
         for name in names:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(data, name)[0] = 1.0
+
+
+def test_path_grid_is_frozen():
+    # the solver writes phi's values in place and reassigns no field, so a
+    # grid's fixed data stay those of its own nodes and data
+    g = make_grid(EH, n_rho=9, n_t=7)
+    names = [f.name for f in fields(PathGrid)]
+    assert "fixed" in names and "phi" in names
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(g, name, getattr(g, name))
+
+
+def test_replaced_grid_builds_its_own_fixed_data():
+    # dataclasses.replace builds the fixed data of the new fields, so no
+    # grid carries stale fixed data
+    g = make_grid(EH, n_rho=9, n_t=7, psi1=tau_power_potential(EH, 0.1, 4.0))
+    other = exp_decay_potential(0.05, 4.0, rho_ref=RHO_MIN_EH)
+    replaced = replace(g, psi1=other)
+    built = _FixedData.build(replaced)
+    for f in fields(_FixedData):
+        assert np.array_equal(getattr(replaced.fixed, f.name),
+                              getattr(built, f.name))
+    assert np.array_equal(replaced.fixed.psi1,
+                          np.stack(other.jet(g.rho_nodes, 3), axis=1))
+    assert not np.array_equal(replaced.fixed.psi1, g.fixed.psi1)
+
+
+def test_every_other_node_grid_slices_the_fixed_data(monkeypatch):
+    # the coarse grid of a sequenced solve: every other node, a phi of its
+    # own, and the fine grid's fixed data sliced, not built again
+    g = make_grid(EH, n_rho=9, n_t=7, psi1=tau_power_potential(EH, 0.1, 4.0))
+    monkeypatch.setattr(_FixedData, "build", None)
+    coarse = g.every_other_node()
+    assert np.array_equal(coarse.rho_nodes, g.rho_nodes[::2])
+    assert np.array_equal(coarse.t_nodes, g.t_nodes[::2])
+    assert coarse.fixed.w1.shape == coarse.phi.shape == (5, 4)
+    coarse.phi[:] = 1.0
+    assert not g.phi.any()
+
+
+@pytest.mark.parametrize("case", ["eh", "flat"])
+def test_reduced_residual_is_the_certified_residual(case):
+    # the report's residual_sup and residual_raw_sup are max|G| of the
+    # public residual at the grid's epsilon, normalized and not
+    if case == "eh":
+        profile, cfg = EH, _eh_tau_power_config(65, 45)
+        psi1 = tau_power_potential(EH, 0.1, 4.0)
+    else:
+        profile = flat_profile()
+        cfg = SolverConfig(epsilon=1 / 64, n_rho=65, n_t=65)
+        psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
+    g, rep = solve_epsilon_geodesic(profile, zero_potential(), psi1, cfg)
+    assert g.epsilon == cfg.epsilon
+    assert rep.residual_sup == float(
+        np.max(np.abs(reduced_residual(g, normalized=True))))
+    assert rep.residual_raw_sup == float(np.max(np.abs(reduced_residual(g))))
 
 
 def test_zero_data_stages_converge_at_first_iterate():
@@ -731,9 +786,9 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
     shapes = []
     field_arrays = geodesic._field_arrays
 
-    def counted(grid, fixed):
+    def counted(grid):
         shapes.append(grid.phi.shape)
-        return field_arrays(grid, fixed)
+        return field_arrays(grid)
 
     monkeypatch.setattr(geodesic, "_field_arrays", counted)
     psi1 = tau_power_potential(EH, 0.1, 4.0)
@@ -875,11 +930,11 @@ def test_failed_coarse_stage_is_absorbed(monkeypatch):
     second = cfg.schedule()[1]
     line_search = geodesic._line_search
 
-    def failing(grid, fixed, s, *args):
+    def failing(grid, s, *args):
         # no step is acceptable at the coarse grid's second stage
         if grid.phi.shape == (17, 17) and s == second:
             return None
-        return line_search(grid, fixed, s, *args)
+        return line_search(grid, s, *args)
 
     monkeypatch.setattr(geodesic, "_line_search", failing)
     g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
@@ -895,13 +950,13 @@ def test_failed_start_falls_back_to_s1(monkeypatch):
     line_search = geodesic._line_search
     seen = set()
 
-    def failing(grid, fixed, s, *args):
+    def failing(grid, s, *args):
         # no step is acceptable on the coarse grid at the start rung, s = 1/8,
         # until the fallback start at s = 1 has run
         seen.add(s)
         if grid.phi.shape == (33, 23) and seen == {0.125}:
             return None
-        return line_search(grid, fixed, s, *args)
+        return line_search(grid, s, *args)
 
     monkeypatch.setattr(geodesic, "_line_search", failing)
     # the failed start is logged; the solve starts again at s = 1 and is the
