@@ -215,7 +215,8 @@ def _check_energy_decay(grid):
 def energy_report(grid: PathGrid, epsilon: float) -> EnergyReport:
     """K-energy curve, first/second derivatives and decomposition terms."""
     _check_energy_decay(grid)
-    res = float(np.max(np.abs(_residual(grid, epsilon, normalized=True))))
+    G = _residual(grid, epsilon)[0]
+    res = float(np.max(np.abs(G / grid.fixed.density[:-1])))
     if not res <= ON_SHELL_TOL:
         raise OffShellError(
             f"normalized residual {res:.2e} exceeds {ON_SHELL_TOL:.0e}; "

@@ -23,19 +23,20 @@ grows with s, since it has phi_tt = s and no rho differences.
 What depends only on the grid is built once per path.  _FixedData is the
 one evaluator of u', u'', u''' and the psi0, psi1 jets to third order on
 every rho node, and of w', w'' and P at phi = 0 on every (rho, t) node, and
-a PathGrid, frozen but for phi's values, builds it as grid.fixed when it
-is made: the boundary checks read it, each iterate adds phi's differences
-to it, the coarse grid slices it, and the certificate, reduced_residual and
-energy_report read it.  The Jacobian needs no index tables: with the
-unknowns numbered ii nj + jj, the stencil term at offset (di, dj)
-lies on band diagonal di nj + dj, and _jacobian_band writes each diagonal
-once.  Each iterate is evaluated once: its field arrays give R, G, max|R|
-and, if it is factored, the Jacobian.  Each stage after the first starts
-from a secant predictor in s through the last two solutions (from one
-solution, the shift by the trivial solution s t(t-1)/2), falling back to
-the last solution when the prediction leaves the ellipticity cone.  Only
-the last stage, s = epsilon, is solved to newton_tol; the stages before it
-stop at the looser _STAGE_TOL, since they only seed the next.
+a PathGrid, frozen but for phi's values and with read-only nodes, builds it
+as grid.fixed when it is made: the boundary data's positivity check reads
+it (their decay is the r_decay they declare), each iterate adds phi's
+differences to it, the coarse grid slices it, and the certificate,
+reduced_residual and energy_report read it.  The Jacobian needs no index
+tables: with the unknowns numbered ii nj + jj, the stencil term at offset
+(di, dj) lies on band diagonal di nj + dj, and _jacobian_band writes each
+diagonal once.  Each iterate is evaluated once: its field arrays give R,
+G, max|R| and, if it is factored, the Jacobian.  Each stage after the
+first starts from a secant predictor in s through the last two solutions
+(from one solution, the shift by the trivial solution s t(t-1)/2), falling
+back to the last solution when the prediction leaves the ellipticity cone.
+Only the last stage, s = epsilon, is solved to newton_tol; the stages
+before it stop at the looser _STAGE_TOL, since they only seed the next.
 
 Newton steps are chord steps (Kelley, Iterative Methods for Linear and
 Nonlinear Equations, SIAM 1995, ch. 5): a stage factors its Jacobian at
@@ -50,8 +51,9 @@ matrix of half-bandwidth nj + 1; it is factored in place by LAPACK's banded
 LU with partial pivoting (dgbtrf, back-solves by dgbtrs) on one OpenBLAS
 thread, from scipy's _flapack file (no scipy.linalg import; else from
 scipy.linalg.lapack).  A zero pivot raises NonConvergence for its stage.
-The reported residual and the C^{1,1} probe are recomputed from the
-solved phi and the grid's read-only fixed data.
+One _residual evaluation of the solved phi (_field_arrays is the only
+stencil) gives the certificate, the positivity margins and the C^{1,1}
+probe.
 
 Grid sequencing (nested iteration: Allgower, Bohmer, Potra and Rheinboldt,
 SIAM J. Numer. Anal. 23, 1986).  The Newton counts of each stage do not
@@ -81,7 +83,6 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .analysis import fit_decay_exponent
 from .potentials import RadialPotential
 from .profiles import RadialProfile
 
@@ -175,9 +176,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class PathGrid:
-    """Discrete path of radial potentials; phi is (n_rho, n_t), and only
-    its values change.  fixed is built from the other fields whenever a
-    grid is made, by dataclasses.replace too, so it is never stale."""
+    """Discrete path of radial potentials on read-only copies of the nodes;
+    phi is (n_rho, n_t), and only its values change.  fixed is built from
+    the other fields whenever a grid is made (by dataclasses.replace too)."""
 
     rho_nodes: np.ndarray
     t_nodes: np.ndarray
@@ -189,6 +190,9 @@ class PathGrid:
     fixed: _FixedData = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("rho_nodes", "t_nodes"):
+            object.__setattr__(self, name, np.array(getattr(self, name)))
+            getattr(self, name).flags.writeable = False
         if self.phi.shape != (self.rho_nodes.size, self.t_nodes.size):
             raise ValueError("phi shape does not match the node grids")
         object.__setattr__(self, "fixed", _FixedData.build(self))
@@ -284,11 +288,12 @@ class _FixedData:
 
 
 def _field_arrays(grid: PathGrid):
-    """w', w'', P = Psi_t' + phi_t', phi_tt and M = phi_tt w'' - P^2.
+    """w', w'', P = Psi_t' + phi_t', phi_tt, M = phi_tt w'' - P^2, phi_rr.
 
     All on residual nodes i = 0..n_rho-2 (Neumann mirror at i = 0,
     Dirichlet column excluded) and j = 1..n_t-2, as arrays of shape
-    (n_rho-1, n_t-2); w', w'' and P add phi's differences to grid.fixed's.
+    (n_rho-1, n_t-2); w', w'' and P add phi's differences, taken here
+    alone, to grid.fixed's.
     """
     hr, ht, phi, fixed = grid.h_rho, grid.h_t, grid.phi, grid.fixed
     nr, nt = phi.shape
@@ -308,19 +313,15 @@ def _field_arrays(grid: PathGrid):
     w1 = fixed.w1[sl_r, sl_t] + phi_r
     w2 = fixed.w2[sl_r, sl_t] + phi_rr
     P = fixed.P[sl_r] + phi_rt
-    return w1, w2, P, phi_tt, phi_tt * w2 - P ** 2
+    return w1, w2, P, phi_tt, phi_tt * w2 - P ** 2, phi_rr
 
 
-def _density_residual(grid: PathGrid, s, M, w1):
-    """G = M (w')^{n-1} - s (u')^{n-1} u'' from the field arrays."""
-    return M * w1 ** (grid.fixed.n - 1) - s * grid.fixed.density[:-1]
-
-
-def _residual(grid: PathGrid, s, normalized):
-    w1, w2, _, _, M = _field_arrays(grid)
+def _residual(grid: PathGrid, s):
+    """G = M (w')^{n-1} - s (u')^{n-1} u'' at grid.phi, and the field arrays
+    it comes from; raises PositivityLoss where w' or w'' is not positive."""
+    arrays = w1, w2, _, _, M, _ = _field_arrays(grid)
     _check_positive(w1, w2, grid)
-    G = _density_residual(grid, s, M, w1)
-    return G / grid.fixed.density[:-1] if normalized else G
+    return M * w1 ** (grid.fixed.n - 1) - s * grid.fixed.density[:-1], arrays
 
 
 def reduced_residual(grid: PathGrid, normalized=False):
@@ -329,7 +330,8 @@ def reduced_residual(grid: PathGrid, normalized=False):
     (u')^{n-1} u''.  A solve's residual_sup is max|reduced_residual(grid,
     normalized=True)| and its residual_raw_sup max|reduced_residual(grid)|,
     bit for bit, at grid.epsilon."""
-    return _residual(grid, grid.epsilon, normalized)
+    G = _residual(grid, grid.epsilon)[0]
+    return G / grid.fixed.density[:-1] if normalized else G
 
 
 def _check_positive(w1, w2, grid):
@@ -413,23 +415,23 @@ def _jacobian_band(coefs) -> _BandMatrix:
 def _newton_system(grid: PathGrid, s):
     """Log-form residual R and normalized residual G at grid.phi.
 
-    Returns (R, G, arrays), or None outside the ellipticity cone.  G equals
-    _residual(..., normalized=True) bit for bit, and arrays, what
+    Returns (R, G, arrays), or None outside the cone, where _residual
+    raises; so G is _residual's G / density, written out, and arrays, what
     _field_arrays returned, give _jacobian_coefficients at this iterate.
     """
-    arrays = w1, w2, _, _, M = _field_arrays(grid)
+    arrays = w1, w2, _, _, M, _ = _field_arrays(grid)
     if not (w1.min() > 0 and w2.min() > 0 and M.min() > 0):
         return None
     n, density = grid.fixed.n, grid.fixed.density[:-1]
     R = np.log(M) + (n - 1) * np.log(w1) - np.log(s * density)
-    G = _density_residual(grid, s, M, w1) / density
+    G = (M * w1 ** (n - 1) - s * density) / density
     return R, G, arrays
 
 
 def _jacobian_coefficients(grid: PathGrid, arrays):
     """_jacobian_band's coefficients (A, B, C, D) from the field arrays."""
     hr, ht = grid.h_rho, grid.h_t
-    w1, w2, P, phi_tt, M = arrays
+    w1, w2, P, phi_tt, M, _ = arrays
     return np.stack([w2 / M / ht ** 2, phi_tt / M / hr ** 2,
                      -2.0 * P / M / (4.0 * hr * ht),
                      (grid.fixed.n - 1) / w1 / (2.0 * hr)])
@@ -578,22 +580,17 @@ def _secant_predictor(t, s, solved):
 
 
 def _check_boundary_data(grid: PathGrid, label):
-    """The endpoint label ("psi0" or "psi1"), read from grid.fixed, must be
-    zero or decay at least like r^-_MIN_DECAY and give a positive metric."""
-    if getattr(grid, label).is_zero:
+    """The endpoint label ("psi0" or "psi1") must be zero or declare, as
+    its r_decay, a decay at least like r^-_MIN_DECAY, and its jets in
+    grid.fixed must give a positive metric on every rho node."""
+    psi = getattr(grid, label)
+    if psi.is_zero:
         return
-    fixed = grid.fixed
-    jet = getattr(fixed, label)
-    r = np.exp(grid.rho_nodes / 2.0)
-    try:
-        fit = fit_decay_exponent(r, jet[:, 0], window=(r[0], r[-1]))
-    except ValueError as exc:
-        raise BoundaryInconsistency(f"{label}: cannot assess decay: {exc}")
-    if not fit.below_floor and (fit.exponent is None
-                                or fit.exponent > -_MIN_DECAY):
+    if psi.r_decay is None or not psi.r_decay >= _MIN_DECAY:
         raise BoundaryInconsistency(
-            f"{label} decays like r^{fit.exponent:.2f}, slower than the "
-            f"required r^-{_MIN_DECAY}")
+            f"{label} must declare a decay r^-gamma with gamma >= "
+            f"{_MIN_DECAY}, got r_decay = {psi.r_decay}")
+    fixed, jet = grid.fixed, getattr(grid.fixed, label)
     if np.any(fixed.u1 + jet[:, 1] <= 0) or np.any(fixed.u2 + jet[:, 2] <= 0):
         raise BoundaryInconsistency(f"{label} does not give a positive metric")
 
@@ -775,10 +772,8 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
                 raise
         k = 0
 
-    # the certificate is reduced_residual's, keeping the field arrays
-    w1, w2, _, _, M = _field_arrays(grid)
-    _check_positive(w1, w2, grid)
-    G = _density_residual(grid, config.epsilon, M, w1)
+    # one evaluation gives the certificate, the margins and the probe
+    G, (w1, w2, P, _, M, phi_rr) = _residual(grid, config.epsilon)
     res_raw = float(np.max(np.abs(G)))
     res_norm = float(np.max(np.abs(G / grid.fixed.density[:-1])))
     if not res_norm <= config.newton_tol:
@@ -797,7 +792,7 @@ def solve_epsilon_geodesic(profile: RadialProfile, psi0: RadialPotential,
         stage_values=log.values,
         c0_check=c0_bound_check(grid),
         positivity_margins=margins,
-        max_second_derivative=_max_second_derivative(grid),
+        max_second_derivative=_max_second_derivative(grid, phi_rr, P),
         wall_time=time.perf_counter() - t_start,
     )
     return grid, report
@@ -857,21 +852,17 @@ def epsilon_sweep(profile, psi0, psi1, epsilons, config: SolverConfig):
                                       for r in reports], "cauchy": cauchy}
 
 
-def _max_second_derivative(grid: PathGrid):
+def _max_second_derivative(grid: PathGrid, phi_rr, P):
     """Max discrete second derivative of Phi against the spatial reference.
 
-    Covers the spatial (rho-rho) and mixed (rho-t) components.  The pure
-    time-time part is excluded: it equals the right-hand side scale epsilon
-    up to lower order, so including it would let the sweep parameter itself
-    dominate the probe instead of the quantity whose uniformity is tested.
+    Covers Phi_rr = Psi'' + phi_rr (Psi'' alone at t = 0, 1, where phi = 0)
+    and the mixed Phi_rt = P on rows 1..n_rho-2, from the certificate's
+    field arrays.  The pure time-time part is excluded: it equals the
+    right-hand side scale epsilon up to lower order, so including it would
+    let the sweep parameter itself dominate the probe instead of the
+    quantity whose uniformity is tested.
     """
-    t = grid.t_nodes[None, :]
-    hr, ht, fixed = grid.h_rho, grid.h_t, grid.fixed
-    Psi_rr = (1 - t) * fixed.psi0[:, 2:3] + t * fixed.psi1[:, 2:3]
-    phi = grid.phi
-    phi_rr = (phi[:-2, :] - 2 * phi[1:-1, :] + phi[2:, :]) / hr ** 2
-    phi_rt = (phi[2:, 2:] - phi[2:, :-2] - phi[:-2, 2:]
-              + phi[:-2, :-2]) / (4 * hr * ht)
-    P = fixed.P[1:-1] + phi_rt
-    return float(max(np.max(np.abs(phi_rr + Psi_rr[1:-1, :])),
-                     np.max(np.abs(P))))
+    t, fixed = grid.t_nodes[None, :], grid.fixed
+    Phi_rr = (1 - t) * fixed.psi0[1:-1, 2:3] + t * fixed.psi1[1:-1, 2:3]
+    Phi_rr[:, 1:-1] += phi_rr[1:]
+    return float(max(np.max(np.abs(Phi_rr)), np.max(np.abs(P[1:]))))

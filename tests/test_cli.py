@@ -425,6 +425,23 @@ def test_decay_check_on_a_short_grid_fails_as_a_check(tmp_path):
     assert (out / "grid.csv").exists()
 
 
+def test_solve_on_a_grid_too_small_for_a_decay_fit(tmp_path):
+    # the boundary check reads the decay the data declare and fits none,
+    # so 7 rho nodes (fewer than a decay fit's 8 samples) solve, exit 0
+    cfg_path = tmp_path / "small.json"
+    cfg_path.write_text(json.dumps({
+        "n": 2, "k": 2, "tau_min": 1.0, "epsilon": 0.5,
+        "psi1": {"kind": "exp", "params": {"amplitude": 0.1, "gamma": 4.0,
+                                           "rho_ref": 0.96}},
+        "grid": {"n_rho": 7, "n_t": 7}}))
+    out = tmp_path / "run"
+    res = CliRunner().invoke(main, ["solve-geodesic", "--config",
+                                    str(cfg_path), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    report = json.loads((out / "report.json").read_text())
+    assert report["residual_sup"] <= 1e-11
+
+
 # ---------------------------------------------------------------------------
 # batch
 # ---------------------------------------------------------------------------

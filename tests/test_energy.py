@@ -208,6 +208,28 @@ def test_formula_vs_fd_within_one_percent(eh_sweep):
         assert rep.fd_agreement() < 0.01
 
 
+FLUXES_DROPPED = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: dK/dt drops both endpoint fluxes [Phi_t F' W], "
+    "which vanish only for k = n")
+
+
+@pytest.mark.parametrize("k", [pytest.param(1, marks=FLUXES_DROPPED), 2,
+                               pytest.param(3, marks=FLUXES_DROPPED)],
+                         ids=["burns", "eh", "k3"])
+@pytest.mark.parametrize("n_rho,n_t", [(33, 23), (65, 45)])
+def test_first_variation_vanishes_on_the_background_slice(k, n_rho, n_t):
+    # with psi0 = 0 the t = 0 slice is the scalar-flat background, so
+    # dK/dt(0) = 0 exactly: a gate with no finite differences (EH reads
+    # about 5e-18; Burns -0.076 and k = 3 +0.070 without the fluxes)
+    profile = lebrun_profile(k, 1.0)
+    cfg = replace(energy_config(0.125, profile), n_rho=n_rho, n_t=n_t)
+    g, _ = solve_epsilon_geodesic(profile, zero_potential(),
+                                  tau_power_potential(profile, 0.08, 4.0),
+                                  cfg)
+    assert abs(energy_report(g, 0.125).dK_dt[0]) <= 1e-5
+
+
 def test_sign_regression(eh_sweep):
     # frozen values pin the global sign convention of the on-shell term
     rep = energy_report(eh_sweep[0], 0.5)

@@ -1,7 +1,10 @@
+import ast
+import ctypes
 import hashlib
 import importlib.util
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,12 +170,15 @@ def _check_jacobian(n_rho, n_t):
     # nnz is the number of distinct entries the stencil reaches
     assert J.nnz == len({term[:2] for term in _stencil_terms(ni, nj)})
     # a second evaluation gives R, G and the field arrays bit for bit, and
-    # G is the normalized residual the certificate uses
+    # G is the normalized residual the certificate uses, from the same arrays
     R1, G1, arrays = _newton_system(g, 0.7)
     assert np.array_equal(R0, R1) and np.array_equal(G0, G1)
     assert all(np.array_equal(a, b) for a, b in
                zip(arrays, geodesic._field_arrays(g), strict=True))
-    assert np.array_equal(G0, _residual(g, 0.7, normalized=True))
+    G, certified = _residual(g, 0.7)
+    assert np.array_equal(G0, G / g.fixed.density[:-1])
+    assert all(np.array_equal(a, b) for a, b in
+               zip(arrays, certified, strict=True))
     h = 1e-6
     J = _dense(J)
     for col in rng.choice(ni * nj, size=12, replace=False):
@@ -271,7 +277,7 @@ def _reference_field_arrays(grid):
     w2 = (fixed.u2[:-1, None] + (1.0 - tj) * psi0[:, 2] + tj * psi1[:, 2]
           + phi_rr)
     P = psi1[:, 1] - psi0[:, 1] + phi_rt
-    return w1, w2, P, phi_tt, phi_tt * w2 - P ** 2
+    return w1, w2, P, phi_tt, phi_tt * w2 - P ** 2, phi_rr
 
 
 @pytest.mark.parametrize("ni,nj", [(64, 43), (32, 21), (5, 3), (2, 1),
@@ -293,14 +299,14 @@ def test_band_fill_is_bit_for_bit_the_add_by_add_fill(ni, nj):
                                        (4, 4), (9, 3), (3, 9)])
 def test_newton_system_is_bit_for_bit_the_per_call_sums(n_rho, n_t):
     # the field arrays add phi's differences to w', w'' and P at phi = 0,
-    # built once in the fixed data; R, G, the five arrays and the band
+    # built once in the fixed data; R, G, the six arrays and the band
     # agree bit for bit with the arrays summed from the jets on every call
     rng = np.random.default_rng(19)
     g, coefs, (R, J, G) = _perturbed_system(n_rho, n_t, rng)
     arrays = _reference_field_arrays(g)
     assert all(np.array_equal(a, b) for a, b in
                zip(geodesic._field_arrays(g), arrays, strict=True))
-    w1, _, _, _, M = arrays
+    w1, _, _, _, M, _ = arrays
     fixed = g.fixed
     density = fixed.density[:-1]
     assert np.array_equal(R, np.log(M) + (fixed.n - 1) * np.log(w1)
@@ -411,43 +417,114 @@ def _solve_from_s1(*args):
         return solve_epsilon_geodesic(*args)
 
 
-# the eh_energy solve's phi (EH 65x45, tau_power 0.1/4, eps = 1/8) started at
-# s = 1, recorded with scipy.linalg.lapack's dgbtrf (numpy 2.4.6, scipy
-# 1.17.1, x86-64): rows 8::16 by columns 5::11, and the sha256 of the whole
-# array
-EH_ENERGY_PHI = [
-    "-0x1.de06e1277b764p-8", "-0x1.1be68666b5ef4p-6", "-0x1.2e106e2ba9a27p-6",
-    "-0x1.39ea7f3fd757cp-7", "-0x1.a50d9cb04a205p-8", "-0x1.e44a7e4f3fca5p-7",
-    "-0x1.f0d226c8acbaep-7", "-0x1.ee31833687850p-8", "-0x1.9c8f674c64bf4p-8",
-    "-0x1.d9ea3073bb2dbp-7", "-0x1.e58cf58974d32p-7", "-0x1.e2606995939f3p-8",
-    "-0x1.9c8fde2249f5ep-8", "-0x1.d9ead7c7e30e2p-7", "-0x1.e58dc080ef7d5p-7",
-    "-0x1.e261527bc0353p-8"]
-EH_ENERGY_SHA256 = (
-    "aac1c2a36ff07912f91e8e746486bb46c64913e22cdf9accb71359ca07385c36")
-# the same pin with EH inverted by the safeguarded Newton (its kernel's
-# closed-form tau removed), whose tau differs by 1 ulp at 31 of 65 nodes
-EH_ENERGY_PHI_NEWTON = [
-    "-0x1.de06e1277b763p-8", "-0x1.1be68666b5ef2p-6", "-0x1.2e106e2ba9a25p-6",
-    "-0x1.39ea7f3fd757ap-7", "-0x1.a50d9cb04a208p-8", "-0x1.e44a7e4f3fca8p-7",
-    "-0x1.f0d226c8acbb0p-7", "-0x1.ee31833687852p-8", "-0x1.9c8f674c64be7p-8",
-    "-0x1.d9ea3073bb2c9p-7", "-0x1.e58cf58974d21p-7", "-0x1.e2606995939e7p-8",
-    "-0x1.9c8fde2249f53p-8", "-0x1.d9ead7c7e30d2p-7", "-0x1.e58dc080ef7c5p-7",
-    "-0x1.e261527bc0346p-8"]
-EH_ENERGY_SHA256_NEWTON = (
-    "60873e9bd30f4f08e059e9146141aaf24d21f6267a892b3de19191ced6e7d603")
-# the same solve started at s = 1/8, the lowest rung with an elliptic seed
-EH_ENERGY_PHI_LOW = [
-    "-0x1.de06e1277b762p-8", "-0x1.1be68666b5ef3p-6", "-0x1.2e106e2ba9a26p-6",
-    "-0x1.39ea7f3fd757cp-7", "-0x1.a50d9cb04a208p-8", "-0x1.e44a7e4f3fca1p-7",
-    "-0x1.f0d226c8acbabp-7", "-0x1.ee3183368784ep-8", "-0x1.9c8f674c64bf1p-8",
-    "-0x1.d9ea3073bb2d9p-7", "-0x1.e58cf58974d32p-7", "-0x1.e2606995939f3p-8",
-    "-0x1.9c8fde2249f4ep-8", "-0x1.d9ead7c7e30c8p-7", "-0x1.e58dc080ef7bcp-7",
-    "-0x1.e261527bc0341p-8"]
-EH_ENERGY_SHA256_LOW = (
-    "51033297dc53c5dd73fb1711280dc60b96bfb7ecbe9d8e74614233713779fabf")
+# the eh_energy solve's phi (EH 65x45, tau_power 0.1/4, eps = 1/8), recorded
+# with scipy.linalg.lapack's dgbtrf (numpy 2.4.6, scipy 1.17.1, x86-64): rows
+# 8::16 by columns 5::11, and the sha256 of the whole array.  dgbtrf's
+# rounding depends on the OpenBLAS kernel, so each pin is kept per kernel
+# family, as scipy_openblas_get_corename() names it: "SkylakeX" (AVX-512,
+# also chosen for Cooperlake and SapphireRapids) and "Haswell" (AVX2, also
+# chosen for Zen).  The two differ by at most 2.8e-17 at 1265 of 2925 nodes
+# of the s = 1/8 start's phi (max |phi| is 0.019), in the same iterations.
+# The pins: "s1" is the solve started at s = 1; "newton" the same with EH
+# inverted by the safeguarded Newton (its kernel's closed-form tau removed),
+# whose tau differs by 1 ulp at 31 of 65 nodes; and "low" the solve started
+# at s = 1/8, the lowest rung with an elliptic seed.
+EH_ENERGY_PINS = {
+    "SkylakeX": {
+        "s1": ([
+            "-0x1.de06e1277b764p-8", "-0x1.1be68666b5ef4p-6",
+            "-0x1.2e106e2ba9a27p-6", "-0x1.39ea7f3fd757cp-7",
+            "-0x1.a50d9cb04a205p-8", "-0x1.e44a7e4f3fca5p-7",
+            "-0x1.f0d226c8acbaep-7", "-0x1.ee31833687850p-8",
+            "-0x1.9c8f674c64bf4p-8", "-0x1.d9ea3073bb2dbp-7",
+            "-0x1.e58cf58974d32p-7", "-0x1.e2606995939f3p-8",
+            "-0x1.9c8fde2249f5ep-8", "-0x1.d9ead7c7e30e2p-7",
+            "-0x1.e58dc080ef7d5p-7", "-0x1.e261527bc0353p-8"],
+            "aac1c2a36ff07912f91e8e746486bb46c64913e22cdf9accb71359ca07385c36",
+        ),
+        "newton": ([
+            "-0x1.de06e1277b763p-8", "-0x1.1be68666b5ef2p-6",
+            "-0x1.2e106e2ba9a25p-6", "-0x1.39ea7f3fd757ap-7",
+            "-0x1.a50d9cb04a208p-8", "-0x1.e44a7e4f3fca8p-7",
+            "-0x1.f0d226c8acbb0p-7", "-0x1.ee31833687852p-8",
+            "-0x1.9c8f674c64be7p-8", "-0x1.d9ea3073bb2c9p-7",
+            "-0x1.e58cf58974d21p-7", "-0x1.e2606995939e7p-8",
+            "-0x1.9c8fde2249f53p-8", "-0x1.d9ead7c7e30d2p-7",
+            "-0x1.e58dc080ef7c5p-7", "-0x1.e261527bc0346p-8"],
+            "60873e9bd30f4f08e059e9146141aaf24d21f6267a892b3de19191ced6e7d603",
+        ),
+        "low": ([
+            "-0x1.de06e1277b762p-8", "-0x1.1be68666b5ef3p-6",
+            "-0x1.2e106e2ba9a26p-6", "-0x1.39ea7f3fd757cp-7",
+            "-0x1.a50d9cb04a208p-8", "-0x1.e44a7e4f3fca1p-7",
+            "-0x1.f0d226c8acbabp-7", "-0x1.ee3183368784ep-8",
+            "-0x1.9c8f674c64bf1p-8", "-0x1.d9ea3073bb2d9p-7",
+            "-0x1.e58cf58974d32p-7", "-0x1.e2606995939f3p-8",
+            "-0x1.9c8fde2249f4ep-8", "-0x1.d9ead7c7e30c8p-7",
+            "-0x1.e58dc080ef7bcp-7", "-0x1.e261527bc0341p-8"],
+            "51033297dc53c5dd73fb1711280dc60b96bfb7ecbe9d8e74614233713779fabf",
+        ),
+    },
+    "Haswell": {
+        "s1": ([
+            "-0x1.de06e1277b763p-8", "-0x1.1be68666b5ef3p-6",
+            "-0x1.2e106e2ba9a26p-6", "-0x1.39ea7f3fd757bp-7",
+            "-0x1.a50d9cb04a204p-8", "-0x1.e44a7e4f3fca3p-7",
+            "-0x1.f0d226c8acbadp-7", "-0x1.ee31833687850p-8",
+            "-0x1.9c8f674c64bf4p-8", "-0x1.d9ea3073bb2dbp-7",
+            "-0x1.e58cf58974d32p-7", "-0x1.e2606995939f3p-8",
+            "-0x1.9c8fde2249f5ep-8", "-0x1.d9ead7c7e30e2p-7",
+            "-0x1.e58dc080ef7d5p-7", "-0x1.e261527bc0353p-8"],
+            "35d81e0ad6046230d9764d3741bbb0a366f6734dcfd001f7c27c162070147c05",
+        ),
+        "newton": ([
+            "-0x1.de06e1277b765p-8", "-0x1.1be68666b5ef4p-6",
+            "-0x1.2e106e2ba9a26p-6", "-0x1.39ea7f3fd757bp-7",
+            "-0x1.a50d9cb04a1fdp-8", "-0x1.e44a7e4f3fc9cp-7",
+            "-0x1.f0d226c8acba8p-7", "-0x1.ee3183368784dp-8",
+            "-0x1.9c8f674c64be7p-8", "-0x1.d9ea3073bb2c9p-7",
+            "-0x1.e58cf58974d21p-7", "-0x1.e2606995939e7p-8",
+            "-0x1.9c8fde2249f53p-8", "-0x1.d9ead7c7e30d2p-7",
+            "-0x1.e58dc080ef7c5p-7", "-0x1.e261527bc0346p-8"],
+            "49c9554fb1054bbe9df3ff5ceff0d0a69164f1e51384952e64f9af6306d06031",
+        ),
+        "low": ([
+            "-0x1.de06e1277b766p-8", "-0x1.1be68666b5ef4p-6",
+            "-0x1.2e106e2ba9a28p-6", "-0x1.39ea7f3fd757dp-7",
+            "-0x1.a50d9cb04a20ep-8", "-0x1.e44a7e4f3fcabp-7",
+            "-0x1.f0d226c8acbb1p-7", "-0x1.ee31833687852p-8",
+            "-0x1.9c8f674c64bf1p-8", "-0x1.d9ea3073bb2d9p-7",
+            "-0x1.e58cf58974d32p-7", "-0x1.e2606995939f3p-8",
+            "-0x1.9c8fde2249f4ep-8", "-0x1.d9ead7c7e30c8p-7",
+            "-0x1.e58dc080ef7bcp-7", "-0x1.e261527bc0341p-8"],
+            "51c673a2dc056cbffadc69974321a9fe001eab881be09eca97a07ef467d05cd6",
+        ),
+    },
+}
 
 
-def _eh_energy_solve(profile, phi_hex, sha256, solve=solve_epsilon_geodesic):
+def _openblas_core():
+    """The core name of the OpenBLAS that geodesic._blas_pool opens."""
+    path = next(geodesic._SCIPY.parent.glob(
+        "scipy.libs/libscipy_openblas*.so"), None)
+    if path is None:
+        pytest.fail("no scipy OpenBLAS library to name the kernel of")
+    corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _pin(start):
+    """The eh_energy pin (phi samples, sha256) of start for this kernel."""
+    core = _openblas_core()
+    if core not in EH_ENERGY_PINS:
+        pytest.fail(f"no eh_energy phi pins recorded for the OpenBLAS core "
+                    f"{core!r}; record them from a solve on that kernel")
+    return EH_ENERGY_PINS[core][start]
+
+
+def _eh_energy_solve(profile, start, solve=solve_epsilon_geodesic):
+    phi_hex, sha256 = _pin(start)
     psi1 = tau_power_potential(profile, 0.1, 4.0)
     g, rep = solve(profile, zero_potential(), psi1,
                    _eh_tau_power_config(65, 45))
@@ -461,12 +538,11 @@ def _eh_energy_solve(profile, phi_hex, sha256, solve=solve_epsilon_geodesic):
 def test_eh_energy_solve_is_pinned_bit_for_bit():
     # the solve starts at s = epsilon and moves no node of phi by more than
     # 1e-16 from the s = 1 start (max |phi| is 0.019)
-    g, rep = _eh_energy_solve(EH, EH_ENERGY_PHI_LOW, EH_ENERGY_SHA256_LOW)
+    g, rep = _eh_energy_solve(EH, "low")
     assert rep.stage_values == [0.125, 0.125]
     assert rep.stage_iterations == [6, 5]
     assert rep.stage_factorizations == [2, 1]
-    g_s1, _ = _eh_energy_solve(EH, EH_ENERGY_PHI, EH_ENERGY_SHA256,
-                               _solve_from_s1)
+    g_s1, _ = _eh_energy_solve(EH, "s1", _solve_from_s1)
     assert np.max(np.abs(g.phi - g_s1.phi)) <= 1e-16
 
 
@@ -476,10 +552,8 @@ def test_eh_energy_solve_within_roundoff_of_the_newton_inverse():
     # node of phi by more than 1e-15 (max |phi| is 0.019), and no stage's
     # iterations or factorizations
     newton = replace(EH, _kernel=replace(EH._kernel, tau=None))
-    g_old, rep_old = _eh_energy_solve(newton, EH_ENERGY_PHI_NEWTON,
-                                      EH_ENERGY_SHA256_NEWTON, _solve_from_s1)
-    g, rep = _eh_energy_solve(EH, EH_ENERGY_PHI, EH_ENERGY_SHA256,
-                              _solve_from_s1)
+    g_old, rep_old = _eh_energy_solve(newton, "newton", _solve_from_s1)
+    g, rep = _eh_energy_solve(EH, "s1", _solve_from_s1)
     assert np.max(np.abs(g.phi - g_old.phi)) <= 1e-15
     assert rep.stage_iterations == rep_old.stage_iterations == [6, 5, 4, 4, 5]
     assert (rep.stage_factorizations == rep_old.stage_factorizations
@@ -499,15 +573,15 @@ def test_fixed_data_matches_public_residual():
     g = make_grid(EH, n_rho=9, n_t=7, psi0=psi0, psi1=psi1, epsilon=0.3)
     t = g.t_nodes[None, :]
     g.phi[:] = 0.3 * t * (t - 1.0) / 2.0
-    assert np.array_equal(_residual(g, 0.3, normalized=True),
+    G, _ = _residual(g, 0.3)
+    assert np.array_equal(G / g.fixed.density[:-1],
                           reduced_residual(g, normalized=True))
     # the right-hand side is epsilon times the background density
-    w1, w2, P, phi_tt, _ = geodesic._field_arrays(g)
+    w1, w2, P, phi_tt, _, _ = geodesic._field_arrays(g)
     u1, u2 = EH.u_derivatives(g.rho_nodes[:-1], order=2)
     expected = ((phi_tt * w2 - P ** 2) * w1 ** (EH.n - 1)
                 - 0.3 * (u1 ** (EH.n - 1) * u2)[:, None])
-    np.testing.assert_allclose(_residual(g, 0.3, normalized=False),
-                               expected, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(G, expected, rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +611,7 @@ def test_nontrivial_solve_certificate_and_sandwich():
     assert rep.c0_check.passed
     assert rep.positivity_margins["M"] > 0
     # each minimum sits at its worst node; field columns start at t_nodes[1]
-    w1, w2, _, _, M = geodesic._field_arrays(g)
+    w1, w2, _, _, M, _ = geodesic._field_arrays(g)
     for name, values in (("w1", w1), ("w2", w2), ("M", M)):
         rho_w, t_w = rep.positivity_margins["worst_nodes"][name]
         i = int(np.flatnonzero(g.rho_nodes == rho_w)[0])
@@ -665,6 +739,27 @@ def test_every_other_node_grid_slices_the_fixed_data(monkeypatch):
     assert coarse.fixed.w1.shape == coarse.phi.shape == (5, 4)
     coarse.phi[:] = 1.0
     assert not g.phi.any()
+
+
+def test_path_grid_nodes_are_read_only():
+    # the fixed data describe the nodes the grid was made on, so the grid
+    # keeps read-only copies: the caller's arrays stay writeable, and a
+    # write to them reaches neither the grid's nodes nor its fixed data
+    rho = np.linspace(RHO_MIN_EH, RHO_MIN_EH + 6.0, 9)
+    t = np.linspace(0.0, 1.0, 7)
+    g = PathGrid(rho_nodes=rho, t_nodes=t, phi=np.zeros((9, 7)),
+                 psi0=zero_potential(),
+                 psi1=tau_power_potential(EH, 0.1, 4.0), background=EH,
+                 epsilon=0.5)
+    coarse = g.every_other_node()
+    for nodes in (g.rho_nodes, g.t_nodes, coarse.rho_nodes, coarse.t_nodes):
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[:] += 1.0
+    assert rho.flags.writeable and t.flags.writeable
+    before = rho.copy()
+    rho += 1.0
+    assert np.array_equal(g.rho_nodes, before)
+    assert np.array_equal(g.fixed.u1, _FixedData.build(g).u1)
 
 
 @pytest.mark.parametrize("case", ["eh", "flat"])
@@ -961,7 +1056,7 @@ def test_failed_start_falls_back_to_s1(monkeypatch):
     monkeypatch.setattr(geodesic, "_line_search", failing)
     # the failed start is logged; the solve starts again at s = 1 and is the
     # s = 1 path bit for bit
-    _, rep = _eh_energy_solve(EH, EH_ENERGY_PHI, EH_ENERGY_SHA256)
+    _, rep = _eh_energy_solve(EH, "s1")
     assert rep.stage_values == [0.125, 1.0, 0.5, 0.25, 0.125, 0.125]
     assert rep.stage_shapes == [(33, 23)] * 5 + [(65, 45)]
     assert rep.stage_iterations == [1, 6, 5, 4, 4, 5]
@@ -1171,6 +1266,39 @@ def test_max_second_derivative_is_reported(tmp_path):
     assert details["max_second_derivative"] == rep.max_second_derivative
 
 
+def _reference_max_second_derivative(grid):
+    """The C^{1,1} probe as an older _max_second_derivative took it: phi's
+    differences of its own, over every t column."""
+    t, fixed = grid.t_nodes[None, :], grid.fixed
+    hr, ht, phi = grid.h_rho, grid.h_t, grid.phi
+    Psi_rr = (1 - t) * fixed.psi0[:, 2:3] + t * fixed.psi1[:, 2:3]
+    phi_rr = (phi[:-2, :] - 2 * phi[1:-1, :] + phi[2:, :]) / hr ** 2
+    phi_rt = (phi[2:, 2:] - phi[2:, :-2] - phi[:-2, 2:]
+              + phi[:-2, :-2]) / (4 * hr * ht)
+    return float(max(np.max(np.abs(phi_rr + Psi_rr[1:-1, :])),
+                     np.max(np.abs(fixed.P[1:-1] + phi_rt))))
+
+
+@pytest.mark.parametrize("case", ["eh-exp", "burns", "flat", "n3"])
+def test_probe_reads_the_certificate_evaluation(case):
+    # the probe takes phi_rr and P from the certificate's field arrays and
+    # is bit for bit the probe that took its own differences of phi
+    psi0 = exp_decay_potential(0.05, 4.0, rho_ref=RHO_MIN_EH)
+    psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
+    cfg = SolverConfig(epsilon=0.25, n_rho=17, n_t=13)
+    profile = {"eh-exp": EH, "burns": lebrun_profile(1, 1.0),
+               "flat": flat_profile(), "n3": lebrun_profile(3, 1.0, n=3)}[case]
+    if case == "burns":
+        psi0, psi1 = zero_potential(), tau_power_potential(profile, 0.08, 4.0)
+    g, rep = solve_epsilon_geodesic(profile, psi0, psi1, cfg)
+    assert rep.max_second_derivative == _reference_max_second_derivative(g)
+    # it reads no phi: only the field arrays and the fixed data
+    _, arrays = _residual(g, g.epsilon)
+    g.phi[:] = np.nan
+    assert geodesic._max_second_derivative(
+        g, arrays[5], arrays[2]) == rep.max_second_derivative
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -1236,3 +1364,49 @@ def test_nonpositive_boundary_metric_rejected():
     with pytest.raises(BoundaryInconsistency):
         solve_epsilon_geodesic(EH, zero_potential(), bad,
                                SolverConfig(epsilon=0.5))
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.49])
+def test_slowly_decaying_boundary_data_rejected(gamma):
+    # the check reads the decay r^-gamma that the data declare
+    psi1 = exp_decay_potential(0.1, gamma, rho_ref=RHO_MIN_EH)
+    with pytest.raises(BoundaryInconsistency, match=f"r_decay = {gamma}"):
+        solve_epsilon_geodesic(EH, zero_potential(), psi1,
+                               SolverConfig(epsilon=0.5))
+    # r^-1/2 itself is decay enough
+    g = make_grid(EH, psi1=exp_decay_potential(0.1, 0.5, rho_ref=RHO_MIN_EH))
+    geodesic._check_boundary_data(g, "psi1")
+
+
+@pytest.mark.parametrize("m", [5, 7])
+def test_boundary_data_on_grids_too_small_for_a_decay_fit(m):
+    # the declared decay needs no samples, so EH exp data on a 5x5 or 7x7
+    # grid (fewer rho nodes than a decay fit's 8) solve to the certificate
+    psi1 = exp_decay_potential(0.1, 4.0, rho_ref=RHO_MIN_EH)
+    cfg = SolverConfig(epsilon=0.5, n_rho=m, n_t=m)
+    g, rep = solve_epsilon_geodesic(EH, zero_potential(), psi1, cfg)
+    assert g.phi.shape == (m, m)
+    assert rep.residual_sup <= cfg.newton_tol
+
+
+def test_boundary_check_fits_no_decay(monkeypatch):
+    # a solve with nonzero data at both ends calls fit_decay_exponent
+    # nowhere, and geodesic does not import analysis
+    calls = []
+    for name, module in list(sys.modules.items()):
+        fit = getattr(module, "fit_decay_exponent", None)
+        if name.startswith("alegeo") and fit is not None:
+            monkeypatch.setattr(module, "fit_decay_exponent",
+                                lambda *a, _fit=fit, **k: calls.append(a)
+                                or _fit(*a, **k))
+    psi = exp_decay_potential(0.05, 4.0, rho_ref=RHO_MIN_EH)
+    _, rep = solve_epsilon_geodesic(EH, psi, psi, SolverConfig(
+        epsilon=0.5, n_rho=17, n_t=17))
+    assert rep.residual_sup <= 1e-11
+    assert calls == []
+    tree = ast.parse(Path(geodesic.__file__).read_text())
+    imported = {name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, "module", None)]
+                + [alias.name for alias in node.names]}
+    assert not {"analysis", "alegeo.analysis"} & imported
