@@ -19,9 +19,9 @@ from .energy import OffShellError
 from .geodesic import GeodesicError
 from .profiles import (check_keys, curvature_scan_rows, lebrun_profile,
                        profile_from_json, ricci_sign_scan)
-from .runner import (SOLVER_KEYS, Scenario, ScenarioError, _write_json,
-                     batch as run_batch, energy_check, load_grid_csv,
-                     run_scenario, write_summary_csv)
+from .runner import (SOLVER_KEYS, Scenario, ScenarioError, _json_text,
+                     _write_json, batch as run_batch, energy_check,
+                     load_grid_csv, run_scenario, write_summary_csv)
 from .toric import IntersectionReport
 
 EXIT_OK = 0
@@ -44,6 +44,14 @@ def _fail(code, message):
 
 def _load_json(path):
     return json.loads(Path(path).read_text())
+
+
+def _emit_json(doc, out_path=None):
+    """Print doc as alegeo's JSON files hold it, and write it to out_path."""
+    text = _json_text(doc)
+    if out_path:
+        Path(out_path).write_text(text)
+    click.echo(text, nl=False)
 
 
 @click.group()
@@ -77,7 +85,7 @@ def solve_geodesic(config_path, out_dir, no_cache):
         _fail(EXIT_NUMERICAL, exc)
     except VALIDATION_ERRORS as exc:
         _fail(EXIT_VALIDATION, exc)
-    click.echo(json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True))
+    _emit_json(manifest.to_json_dict())
     sys.exit(EXIT_OK if manifest.passed else EXIT_NUMERICAL)
 
 
@@ -156,11 +164,7 @@ def intersect(n, k, oracle, out_path):
         rep = IntersectionReport.build(n, k, with_oracle=oracle)
     except VALIDATION_ERRORS as exc:
         _fail(EXIT_VALIDATION, exc)
-    doc = rep.to_json_dict()
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if out_path:
-        Path(out_path).write_text(text + "\n")
-    click.echo(text)
+    _emit_json(rep.to_json_dict(), out_path)
     sys.exit(EXIT_OK)
 
 
@@ -193,10 +197,7 @@ def decay_fit(input_path, column, r_column, window, out_path):
     doc = {"window": list(fit.window), "exponent": fit.exponent,
            "residual": fit.residual, "n_samples": fit.n_samples,
            "below_floor": fit.below_floor, "reliable": fit.reliable}
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if out_path:
-        Path(out_path).write_text(text + "\n")
-    click.echo(text)
+    _emit_json(doc, out_path)
     sys.exit(EXIT_OK)
 
 

@@ -48,7 +48,8 @@ pair type for N nodes and builds no (q, s) array.
 The integrals run on tensor Gauss-Legendre rules mapped to the half line, at
 ORACLE_NODES and ORACLE_NODES_COARSE, for any n >= 2; their difference is
 the error estimate, bounded by MAX_ORACLE_ERROR.  Each rule is built once
-per process, on first use, and is read-only.
+per process, on first use, and is read-only.  A report's oracle evaluates
+each rule's d0 and df blocks once and reads all three of its entries off them.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _mixed_determinant(entries, labels, product=None):
     """Mixed discriminant of the Hessians entries[x] = (a, b, c, d), x in
     labels: with m_x copies of x, the pairs are C(m_x, 2) within x and
     m_x m_y across, and each pair term is (a_x b_y + a_y b_x)/2 - c_x c_y
-    times the d powers of the other labels, rest.
+    (a_x b_x - c_x^2 within x) times the d powers of the other labels, rest.
 
     product(rest) is the bilinear map (f, g) -> f g prod_l d_l^{rest[l]};
     by default pointwise on arrays, and the oracle passes its integral.
@@ -180,24 +181,18 @@ def _mixed_determinant(entries, labels, product=None):
         if pairs:
             (a_x, b_x, c_x, _), (a_y, b_y, c_y, _) = entries[x], entries[y]
             fg = product(counts - collections.Counter((x, y)))
-            total = total + pairs * (
-                0.5 * (fg(a_x, b_y) + fg(a_y, b_x)) - fg(c_x, c_y))
+            ab = (fg(a_x, b_x) if x == y
+                  else 0.5 * (fg(a_x, b_y) + fg(a_y, b_x)))
+            total = total + pairs * (ab - fg(c_x, c_y))
     return total / math.comb(len(labels), 2)
 
 
-def wedge_integral_oracle(n, k, labels, nodes=ORACLE_NODES) -> float:
-    """int over the chart of the wedge of the n labeled representatives.
-
-    The U(n-1) x U(1) symmetry collapses the integral to (q, s), a tensor
-    grid of _half_line_rule.  Entries and weight are sums of q-columns
-    times s-rows, so each pair term integrates to q-sums times s-sums and
-    no (q, s) array is built.
-    """
-    check_bundle(n, k)
-    if len(labels) != n:
-        raise ValueError(f"need exactly n = {n} representative labels")
+def _chart_wedges(n, k, labels, nodes):
+    """The Hessian blocks of labels on the rule of nodes, and the wedge
+    integral of n of those labels over the chart: each pair term is q-sums
+    times s-sums, and no (q, s) array is built."""
     q, wq = _half_line_rule(nodes)
-    entries = {lab: _hessian_blocks(lab, q, q, k) for lab in set(labels)}
+    entries = {lab: _hessian_blocks(lab, q, q, k) for lab in labels}
     # the measure and dv = ds/(1+q)^k on the q side; the s side is wq
     weight_q = (math.pi ** n / math.factorial(n - 2) * q ** (n - 2)
                 * wq / (1.0 + q) ** k)
@@ -210,49 +205,52 @@ def wedge_integral_oracle(n, k, labels, nodes=ORACLE_NODES) -> float:
         return lambda f, g: np.vdot((f[0] * w_q) @ g[0].T,
                                     (f[1] * w_s) @ g[1].T)
 
-    total = float(_mixed_determinant(entries, labels, integral))
-    return (FORM_NORMALIZATION ** n * math.factorial(n) * 2 ** n * total)
+    def wedge(wedge_labels):
+        total = float(_mixed_determinant(entries, wedge_labels, integral))
+        return FORM_NORMALIZATION ** n * math.factorial(n) * 2 ** n * total
+    return entries, wedge
 
 
-def _restricted_d0_oracle(n, k, nodes=ORACLE_NODES) -> float:
-    """int_{D0} rho0^{n-1}, integrated over the base chart C^{n-1}.
-
-    On the zero section v = 0 the potential h0 collapses to -k log(1+q), so
-    the restricted form is -k times the hyperplane form of the base.
-    """
-    m = n - 1
-    q, wq = _half_line_rule(nodes)
-    a, _, _, d = (Q.T @ S
-                  for Q, S in _hessian_blocks("d0", q, np.zeros(1), k))
-    det = (d ** (m - 1) * a)[:, 0]
-    measure = math.pi ** m / math.factorial(m - 1) * q ** (m - 1)
-    integral = float(np.sum(det * measure * wq))
-    return FORM_NORMALIZATION ** m * math.factorial(m) * 2 ** m * integral
-
-
-def representative_integral_oracle(n, k, which) -> dict:
-    """Numeric value of the requested wedge integral with an error estimate.
-
-    which: "d0_power" (rho0^n), "d0_power_df" (rho0^{n-1} ^ rho_f) or
-    "restricted_d0" (rho0^{n-1} over the zero section).
-    """
+def wedge_integral_oracle(n, k, labels, nodes=ORACLE_NODES) -> float:
+    """int over the chart of the wedge of the n labeled representatives:
+    the U(n-1) x U(1) symmetry collapses it to a tensor (q, s) grid of
+    _half_line_rule."""
     check_bundle(n, k)
-    wedges = {"d0_power": ("d0",) * n,
-              "d0_power_df": ("d0",) * (n - 1) + ("df",)}
-    if which == "restricted_d0":
-        run = functools.partial(_restricted_d0_oracle, n, k)
-    elif which in wedges:
-        run = functools.partial(wedge_integral_oracle, n, k, wedges[which])
-    else:
-        raise ValueError(f"unknown integral selector {which!r}")
-    fine = run(ORACLE_NODES)
-    coarse = run(ORACLE_NODES_COARSE)
-    err = abs(fine - coarse)
-    scale = max(abs(fine), 1.0)
-    if err > MAX_ORACLE_ERROR * scale:
-        raise ArithmeticError(
-            f"oracle quadrature error {err:.2e} exceeds budget for ({n},{k},{which})")
-    return {"value": fine, "error": err}
+    if len(labels) != n:
+        raise ValueError(f"need exactly n = {n} representative labels")
+    return _chart_wedges(n, k, set(labels), nodes)[1](labels)
+
+
+def _oracle_values(n, k, nodes):
+    """The three oracle integrals on the rule of nodes, from one set of d0
+    and df blocks.  On D0 (s = 0: sigma = 0, t = 1) rho0 is -k times the
+    base hyperplane form, with a = Q_a[1] = -k/p^2 and d = Q_d[0] = -k/p."""
+    entries, wedge = _chart_wedges(n, k, ("d0", "df"), nodes)
+    (a_q, _), _, _, (d_q, _) = entries["d0"]
+    q, wq = _half_line_rule(nodes)
+    m = n - 1
+    measure = math.pi ** m / math.factorial(m - 1) * q ** (m - 1)
+    restricted = float(np.sum(d_q[0] ** (m - 1) * a_q[1] * measure * wq))
+    return {"d0_power": wedge(("d0",) * n),
+            "d0_power_df": wedge(("d0",) * m + ("df",)),
+            "restricted_d0": (FORM_NORMALIZATION ** m * math.factorial(m)
+                              * 2 ** m * restricted)}
+
+
+def representative_integral_oracle(n, k) -> dict:
+    """{"value", "error"} of "d0_power" (rho0^n), "d0_power_df"
+    (rho0^{n-1} ^ rho_f) and "restricted_d0" (rho0^{n-1} over D0)."""
+    check_bundle(n, k)
+    fine = _oracle_values(n, k, ORACLE_NODES)
+    coarse = _oracle_values(n, k, ORACLE_NODES_COARSE)
+    oracle = {}
+    for which, value in fine.items():
+        err = abs(value - coarse[which])
+        if err > MAX_ORACLE_ERROR * max(abs(value), 1.0):
+            raise ArithmeticError(f"oracle quadrature error {err:.2e} "
+                                  f"exceeds budget for ({n},{k},{which})")
+        oracle[which] = {"value": value, "error": err}
+    return oracle
 
 
 @dataclass(frozen=True)
@@ -267,12 +265,8 @@ class IntersectionReport:
 
     @classmethod
     def build(cls, n, k, with_oracle=False):
-        table = intersection_numbers(n, k)
-        cert = mixed_type_certificate(n, k)
-        oracle = {}
-        if with_oracle:
-            for which in ("d0_power", "d0_power_df", "restricted_d0"):
-                oracle[which] = representative_integral_oracle(n, k, which)
+        table, cert = intersection_numbers(n, k), mixed_type_certificate(n, k)
+        oracle = representative_integral_oracle(n, k) if with_oracle else {}
         return cls(n=n, k=k, table=table, certificate=cert, oracle=oracle)
 
     def to_json_dict(self):

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from alegeo.cli import main
 from alegeo.geodesic import _FixedData, solve_epsilon_geodesic
 from alegeo.profiles import lebrun_profile
 from alegeo.runner import (
+    RunManifest,
     Scenario,
     ScenarioError,
     batch,
@@ -349,9 +351,10 @@ def test_intersections_check_fails_on_a_wrong_oracle(tmp_path, monkeypatch):
     # 20% off yet self-consistent: the error estimate alone cannot see it
     oracle = toric.representative_integral_oracle
     monkeypatch.setattr(toric, "representative_integral_oracle",
-                        lambda n, k, which: {
-                            "value": 1.2 * oracle(n, k, which)["value"],
-                            "error": 0.0})
+                        lambda n, k: {
+                            which: {"value": 1.2 * entry["value"],
+                                    "error": 0.0}
+                            for which, entry in oracle(n, k).items()})
     s = Scenario.from_dict({"id": "toric", "geometry": {"n": 2, "k": 3},
                             "analyses": ["intersections"],
                             "out_dir": str(tmp_path)})
@@ -492,6 +495,57 @@ def test_batch_sweep_probe_row(tmp_path):
     assert probe[0]["probe_ratio"] <= 2.0
     assert probe[0]["passed"]
     assert len(rows) == 8
+
+
+def test_batch_sweep_probe_row_on_zero_data(tmp_path):
+    # the trivial path has Phi_rhorho = P = 0, so every probe is 0: the
+    # sweep is uniform, and its probe ratio 0/0 is not written
+    scens = [trivial_scenario(tmp_path / f"z{m}", epsilon=e)
+             for m, e in enumerate((0.5, 0.25))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, results = batch(scens)
+    assert [results[s.id].checks["solve"]["details"]["max_second_derivative"]
+            for s in scens] == [0.0, 0.0]
+    probe = rows[-1]
+    assert probe["id"] == "uniformity-probe:trivial-0.25"
+    assert probe["passed"] is True and probe["failed_checks"] == 0
+    assert "probe_ratio" not in probe
+    write_summary_csv(tmp_path / "summary.csv", rows)
+    last = (tmp_path / "summary.csv").read_text().splitlines()[-1]
+    assert last.endswith(",ok,1,0,True,")
+
+
+@pytest.mark.parametrize("probes, passed", [
+    ([1.0, 3.0, 1.0], False), ([0.0, 0.0, 1.0], False),
+    ([1.0, 2.0, 1.0], True), ([0.0, 0.0, 0.0], True)],
+    ids=["1-3-1", "0-0-1", "1-2-1", "0-0-0"])
+def test_batch_sweep_probe_row_bounds_max_by_twice_the_median(
+        tmp_path, monkeypatch, probes, passed):
+    scens = [trivial_scenario(tmp_path / f"s{m}", epsilon=2.0 ** -m)
+             for m in range(3)]
+    probe_of = dict(zip((s.id for s in scens), probes))
+
+    def solved(s, no_cache=False):
+        return RunManifest(
+            version=__version__, scenario_id=s.id,
+            scenario_hash=s.content_hash(), inputs={}, artifacts={},
+            checks={"solve": {"passed": True, "details": {
+                "max_second_derivative": probe_of[s.id]}}})
+
+    monkeypatch.setattr(runner, "run_scenario", solved)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, _ = batch(scens)
+    probe = rows[-1]
+    assert probe["id"].startswith("uniformity-probe:")
+    assert probe["passed"] is passed
+    assert probe["failed_checks"] == int(not passed)
+    median = sorted(probes)[1]
+    if median > 0.0:
+        assert probe["probe_ratio"] == max(probes) / median
+    else:
+        assert "probe_ratio" not in probe
 
 
 def test_batch_builds_a_scenario_profile_once(tmp_path, monkeypatch):

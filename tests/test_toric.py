@@ -102,13 +102,14 @@ def test_certificate_soundness(n, k):
 # ---------------------------------------------------------------------------
 
 def _oracle_and_table(n, k):
-    """(oracle result, exact value) for each selector; rho0^{n-1} over D0
+    """(oracle result, exact value) for each entry; rho0^{n-1} over D0
     is D0^n."""
     t = intersection_numbers(n, k)
+    oracle = representative_integral_oracle(n, k)
     for which, target in (("d0_power", t["d0_power"]),
                           ("d0_power_df", t["d0_power_df"]),
                           ("restricted_d0", t["d0_power"])):
-        yield representative_integral_oracle(n, k, which), float(target)
+        yield oracle[which], float(target)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -197,6 +198,34 @@ def test_oracle_matches_the_tensor_grid_sum(n, k):
             ref = _tensor_grid_oracle(n, k, labels, nodes)
             got = wedge_integral_oracle(n, k, labels, nodes)
             assert abs(got - ref) <= 1e-13 * abs(ref), (labels, nodes, got, ref)
+
+
+def _reference_restricted_d0(n, k, nodes):
+    """int_{D0} rho0^{n-1} from d0's whole entries evaluated at s = 0: the
+    reference for reading them off the q factors."""
+    m = n - 1
+    q, wq = _half_line_rule(nodes)
+    a, _, _, d = (Q.T @ S
+                  for Q, S in _hessian_blocks("d0", q, np.zeros(1), k))
+    det = (d ** (m - 1) * a)[:, 0]
+    measure = math.pi ** m / math.factorial(m - 1) * q ** (m - 1)
+    integral = float(np.sum(det * measure * wq))
+    return (toric.FORM_NORMALIZATION ** m * math.factorial(m) * 2 ** m
+            * integral)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_shared_blocks_give_the_separate_integrals_bit_for_bit(n):
+    # one set of d0 and df blocks per rule serves all three entries
+    for k in range(1, 6):
+        for nodes in (toric.ORACLE_NODES, toric.ORACLE_NODES_COARSE):
+            got = toric._oracle_values(n, k, nodes)
+            ref = {"d0_power": wedge_integral_oracle(n, k, ("d0",) * n, nodes),
+                   "d0_power_df": wedge_integral_oracle(
+                       n, k, ("d0",) * (n - 1) + ("df",), nodes),
+                   "restricted_d0": _reference_restricted_d0(n, k, nodes)}
+            assert {w: float.hex(v) for w, v in got.items()} == {
+                w: float.hex(v) for w, v in ref.items()}, (k, nodes)
 
 
 def test_wedge_integral_builds_no_grid_array():
@@ -349,26 +378,31 @@ def test_shared_rule_leaves_the_oracle_bit_for_bit(monkeypatch):
 
 def test_oracle_rejects_bad_input():
     with pytest.raises(ValueError):
-        representative_integral_oracle(2, 1, "nonsense")
-    with pytest.raises(ValueError):
         wedge_integral_oracle(2, 1, ("d0",))
 
 
-def test_report_build_makes_three_oracle_and_four_wedge_calls(monkeypatch):
-    # IntersectionReport.build reaches the wedge integrals only through
-    # these two module attributes, looked up at call time
-    calls = {"representative_integral_oracle": 0, "wedge_integral_oracle": 0}
+def test_report_evaluates_each_rule_once(monkeypatch):
+    # one oracle call per report, and on each of the two rules one d0 and
+    # one df Hessian evaluation; these module attributes are looked up at
+    # call time
+    calls = {"representative_integral_oracle": [], "_hessian_blocks": [],
+             "wedge_integral_oracle": []}
     for name in calls:
         inner = getattr(toric, name)
 
         def counting(*args, _inner=inner, _name=name, **kwargs):
-            calls[_name] += 1
+            calls[_name].append(args)
             return _inner(*args, **kwargs)
 
         monkeypatch.setattr(toric, name, counting)
     IntersectionReport.build(3, 2, with_oracle=True)
-    assert calls == {"representative_integral_oracle": 3,
-                     "wedge_integral_oracle": 4}
+    assert calls["representative_integral_oracle"] == [(3, 2)]
+    assert calls["wedge_integral_oracle"] == []
+    blocks = [(label, q.size, s.size, k)
+              for label, q, s, k in calls["_hessian_blocks"]]
+    rules = (toric.ORACLE_NODES, toric.ORACLE_NODES_COARSE)
+    assert sorted(blocks) == sorted((label, N, N, 2) for N in rules
+                                    for label in ("d0", "df"))
 
 
 # ---------------------------------------------------------------------------
