@@ -3,7 +3,7 @@ projective space: curvature of momentum profiles, epsilon-geodesics between
 radial potentials, K-energy convexity, divisor intersection arithmetic and
 asymptotic analysis."""
 
-__version__ = "0.13.0"
+__version__ = "0.13.1"
 
 from .profiles import (  # noqa: F401
     RadialProfile,

@@ -41,8 +41,11 @@ Both quadratures are numpy code for the uniform grids PathGrid builds (the
 derivatives use h_rho and h_t too): composite Simpson in rho, with the
 end-interval correction h/12 (5 y[-1] + 8 y[-2] - y[-3]) for an even node
 count, which is what scipy's simpson applies on a uniform grid, and a
-cumulative-sum trapezoid in t.  u' to u''' and the boundary jets come from
-grid.fixed, built when the grid was made, so a report evaluates no profile.
+cumulative-sum trapezoid in t.  Like geodesic._field_arrays, the fields
+add phi's differences to grid.fixed, built with the grid, so a report
+evaluates no profile: w', w'' and Phi_t' are its w1, w2 and P plus phi's, f
+reads its density and the Ricci trace its u1.  Only w''' and Phi_t'' are
+built from the jets, since nothing else holds them.
 
 The background's Ricci trace takes F' and F'' of u from the profile's
 closed form (profiles._log_volume_derivs at tau = u'), so it vanishes to
@@ -131,30 +134,20 @@ def _d_rho(arr, h):
 
 
 def _path_fields(grid: PathGrid):
-    """All rho/t derivative fields of the path, shape (n_rho, n_t)."""
-    t, fixed = grid.t_nodes, grid.fixed
-    hr, ht = grid.h_rho, grid.h_t
-    psi0, psi1 = fixed.psi0[:, :, None], fixed.psi1[:, :, None]
-    # only the rho derivatives that the fields below read
-    Psi = {m: (1.0 - t[None, :]) * psi0[:, m] + t[None, :] * psi1[:, m]
-           for m in (1, 2, 3)}
-    Psi_t = [psi1[:, m] - psi0[:, m] for m in range(3)]
-
-    phi = grid.phi
-    phi_t = np.gradient(phi, ht, axis=1, edge_order=2)
-    p1 = _d_rho(phi, hr)
-    p2 = _d_rho(p1, hr)
-    q1 = _d_rho(phi_t, hr)
-
-    u1, u2, u3 = fixed.u1[:, None], fixed.u2[:, None], fixed.u3[:, None]
+    """w', w'', w''', Phi_t' and Phi_t'' of the path, shape (n_rho, n_t)."""
+    t, fixed, hr = grid.t_nodes, grid.fixed, grid.h_rho
+    psi0, psi1 = fixed.psi0, fixed.psi1
+    phi_t = np.gradient(grid.phi, grid.h_t, axis=1, edge_order=2)
+    # phi and phi_t side by side: one np.gradient call per rho order
+    d1 = _d_rho(np.hstack((grid.phi, phi_t)), hr)
+    (p1, q1), (p2, q2) = np.hsplit(d1, 2), np.hsplit(_d_rho(d1, hr), 2)
     return {
-        "w1": u1 + Psi[1] + p1,
-        "w2": u2 + Psi[2] + p2,
-        "w3": u3 + Psi[3] + _d_rho(p2, hr),
-        "v": Psi_t[0] + phi_t,
-        "v1": Psi_t[1] + q1,
-        "v2": Psi_t[2] + _d_rho(q1, hr),
-        "u1": u1, "u2": u2,
+        "w1": fixed.w1 + p1,
+        "w2": fixed.w2 + p2,
+        "w3": (fixed.u3[:, None] + ((1.0 - t) * psi0[:, 3:4]
+                                    + t * psi1[:, 3:4]) + _d_rho(p2, hr)),
+        "v1": fixed.P + q1,
+        "v2": (psi1[:, 2:3] - psi0[:, 2:3]) + q2,
     }
 
 
@@ -162,7 +155,7 @@ def _background_ricci_trace(grid, fields):
     """tr_{omega_phi} Ric(omega) of the fixed background against the path."""
     n = grid.background.n
     # u' = tau, so the profile's closed form needs no inversion
-    F1u, F2u = _log_volume_derivs(grid.background, fields["u1"])
+    F1u, F2u = _log_volume_derivs(grid.background, grid.fixed.u1[:, None])
     return -(n - 1) * F1u / fields["w1"] - F2u / fields["w2"]
 
 
@@ -192,7 +185,7 @@ def _decomposition_terms(grid, fields, epsilon):
     n = grid.background.n
     h = grid.h_rho
     V = fields["w1"] ** (n - 1) * fields["w2"]
-    f = epsilon * fields["u1"] ** (n - 1) * fields["u2"] / V
+    f = epsilon * grid.fixed.density / V
     f1 = _d_rho(f, h)
     W = V / fields["w2"]
     lich = _simpson(_lichnerowicz_density(fields) * V, h)

@@ -481,22 +481,26 @@ def _load_lapack():
 
 def _blas_pool():
     """Thread-count getter and setter of scipy's bundled OpenBLAS (loaded
-    with _flapack), or a pair that does nothing without it."""
+    with _flapack) and the name of the core its kernels were chosen for;
+    without it, a pair that does nothing and None."""
     try:
         lib = ctypes.CDLL(str(next(_SCIPY.parent.glob(
             "scipy.libs/libscipy_openblas*.so"))))
         get = lib.scipy_openblas_get_num_threads
         put = lib.scipy_openblas_set_num_threads
+        core = lib.scipy_openblas_get_corename
     except (StopIteration, OSError, AttributeError):
-        return (lambda: 1), (lambda threads: None)
+        return (lambda: 1), (lambda threads: None), None
     get.argtypes, get.restype = (), ctypes.c_int
     put.argtypes, put.restype = (ctypes.c_int,), None
-    return get, put
+    core.argtypes, core.restype = (), ctypes.c_char_p
+    return get, put, core().decode()
 
 
 _SCIPY = Path(scipy.__file__).parent
 dgbtrf, dgbtrs = _load_lapack()
-_get_blas_threads, _set_blas_threads = _blas_pool()
+# OPENBLAS_CORE names the kernel family, which sets dgbtrf's rounding
+_get_blas_threads, _set_blas_threads, OPENBLAS_CORE = _blas_pool()
 _BLAS_POOL_LOCK = threading.Lock()
 
 

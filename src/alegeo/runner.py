@@ -22,7 +22,7 @@ import scipy
 from . import __version__
 from .analysis import fit_decay_exponent
 from .energy import energy_report, energy_verdict
-from .geodesic import (GeodesicError, PathGrid, SolverConfig,
+from .geodesic import (OPENBLAS_CORE, GeodesicError, PathGrid, SolverConfig,
                        solve_epsilon_geodesic)
 from .potentials import check_potential_json, potential_from_json
 from .profiles import check_keys, check_profile_json, profile_from_json
@@ -290,9 +290,11 @@ def run_scenario(scenario: Scenario, no_cache: bool = False) -> RunManifest:
     manifest = RunManifest(version=__version__, scenario_id=scenario.id,
                            scenario_hash=shash, inputs=inputs,
                            artifacts={}, checks={},
-                           timings={"versions": {"alegeo": __version__,
-                                                 "numpy": np.__version__,
-                                                 "scipy": scipy.__version__}})
+                           timings={"versions": {
+                               "alegeo": __version__,
+                               "numpy": np.__version__,
+                               "scipy": scipy.__version__,
+                               "openblas_core": OPENBLAS_CORE}})
     try:
         _run_analyses(scenario, out, manifest)
     except (GeodesicError, ValueError) as exc:

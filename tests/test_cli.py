@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from alegeo import __version__, runner, toric
 from alegeo.cli import main
-from alegeo.geodesic import _FixedData, solve_epsilon_geodesic
+from alegeo.geodesic import OPENBLAS_CORE, _FixedData, solve_epsilon_geodesic
 from alegeo.profiles import lebrun_profile
 from alegeo.runner import (
     RunManifest,
@@ -286,6 +286,8 @@ def test_cache_and_determinism(tmp_path):
         timings = doc.pop("timings")
         assert timings["solve_wall_time"] > 0
         assert timings["versions"]["alegeo"] == __version__
+        # the kernel family sets the solve's rounding (SkylakeX, Haswell)
+        assert timings["versions"]["openblas_core"] == OPENBLAS_CORE
         return doc
 
     m1 = run_scenario(s)

@@ -123,6 +123,22 @@ def test_first_variation_refined_grid_oracle():
     assert coarse == pytest.approx(fine, rel=1e-6)
 
 
+def test_path_fields_add_phi_differences_to_the_fixed_data():
+    # at phi = 0 the report's w', w'' and Phi_t' are the solver's fixed
+    # data, in its summation order, also where psi0 != 0
+    rho0 = float(EH.rho_of_tau(1.0 + 1e-4))
+    g = PathGrid(rho_nodes=np.linspace(rho0, rho0 + 12.0, 65),
+                 t_nodes=np.linspace(0.0, 1.0, 45), phi=np.zeros((65, 45)),
+                 psi0=tau_power_potential(EH, -0.05, 3.0),
+                 psi1=tau_power_potential(EH, 0.1, 4.0),
+                 background=EH, epsilon=0.125)
+    fields = _path_fields(g)
+    assert sorted(fields) == ["v1", "v2", "w1", "w2", "w3"]
+    assert np.array_equal(fields["w1"], g.fixed.w1)
+    assert np.array_equal(fields["w2"], g.fixed.w2)
+    assert np.array_equal(fields["v1"], np.broadcast_to(g.fixed.P, (65, 45)))
+
+
 def _path_curvature(grid, fields):
     """Complex-trace scalar curvature R_c(w) on the grid.
 
@@ -151,7 +167,9 @@ def test_first_variation_matches_curvature_quadrature():
     fields = _path_fields(g)
     R = _path_curvature(g, fields)
     V = fields["w1"] ** (EH.n - 1) * fields["w2"]
-    direct = float(simpson((-fields["v"] * R * V)[:, 8], x=rho))
+    # with zero data Phi_t is phi_t
+    v = np.gradient(g.phi, g.h_t, axis=1, edge_order=2)
+    direct = float(simpson((-v * R * V)[:, 8], x=rho))
     assert first_variation(g, 8) == pytest.approx(direct, rel=2e-4)
 
 
@@ -228,6 +246,55 @@ def test_first_variation_vanishes_on_the_background_slice(k, n_rho, n_t):
                                   tau_power_potential(profile, 0.08, 4.0),
                                   cfg)
     assert abs(energy_report(g, 0.125).dK_dt[0]) <= 1e-5
+
+
+def _assert_close_relative(actual, expected):
+    """max |actual - expected| within 1e-10 of max |expected|."""
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= 1e-10 * scale
+
+
+def _lebrun_energy_config(profile):
+    return replace(energy_config(0.125, profile), n_rho=65, n_t=45,
+                   newton_tol=1e-11)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3], ids=["burns", "eh", "k3"])
+def test_swapping_the_ends_reverses_the_energy_curves(k):
+    # psi0 <-> psi1 with t -> 1 - t maps the path to itself reversed, so
+    # dK/dt maps to minus itself reversed and d2K/dt2 to itself reversed;
+    # the swapped path has psi0 != 0 (measured <= 7.3e-15 for dK/dt, and
+    # <= 1.5e-12 for both second derivatives)
+    p = lebrun_profile(k, 1.0)
+    data = tau_power_potential(p, 0.08, 4.0)
+    cfg = _lebrun_energy_config(p)
+    ab, ba = [energy_report(solve_epsilon_geodesic(p, *ends, cfg)[0], 0.125)
+              for ends in ((zero_potential(), data), (data, zero_potential()))]
+    _assert_close_relative(-ba.dK_dt[::-1], ab.dK_dt)
+    _assert_close_relative(ba.d2K_dt2_formula[::-1], ab.d2K_dt2_formula)
+    _assert_close_relative(ba.d2K_dt2_fd[::-1], ab.d2K_dt2_fd)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3], ids=["burns", "eh", "k3"])
+def test_kahler_class_scaling_scales_the_energy_curves(k):
+    # tau_min, the amplitude and epsilon times lam and the rho nodes shifted
+    # by log lam scale phi by lam (tests/test_geodesic.py), and K, through
+    # its volume density, by lam^n (measured <= 2.3e-11)
+    lam, n = 2.0, 2
+    cfg = _lebrun_energy_config(lebrun_profile(k, 1.0))
+    shift = np.log(lam)
+    scaled = replace(cfg, epsilon=lam * cfg.epsilon,
+                     rho_min=cfg.rho_min + shift, rho_max=cfg.rho_max + shift)
+    reports = []
+    for scale, c in ((1.0, cfg), (lam, scaled)):
+        p = lebrun_profile(k, scale)
+        g, _ = solve_epsilon_geodesic(
+            p, zero_potential(), tau_power_potential(p, 0.08 * scale, 4.0), c)
+        reports.append(energy_report(g, c.epsilon))
+    one, two = reports
+    _assert_close_relative(two.dK_dt, lam ** n * one.dK_dt)
+    _assert_close_relative(two.d2K_dt2_formula, lam ** n * one.d2K_dt2_formula)
+    _assert_close_relative(two.d2K_dt2_fd, lam ** n * one.d2K_dt2_fd)
 
 
 def test_sign_regression(eh_sweep):

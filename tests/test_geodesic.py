@@ -1,5 +1,4 @@
 import ast
-import ctypes
 import hashlib
 import importlib.util
 import sys
@@ -505,13 +504,9 @@ EH_ENERGY_PINS = {
 
 def _openblas_core():
     """The core name of the OpenBLAS that geodesic._blas_pool opens."""
-    path = next(geodesic._SCIPY.parent.glob(
-        "scipy.libs/libscipy_openblas*.so"), None)
-    if path is None:
+    if geodesic.OPENBLAS_CORE is None:
         pytest.fail("no scipy OpenBLAS library to name the kernel of")
-    corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename
-    corename.restype = ctypes.c_char_p
-    return corename().decode()
+    return geodesic.OPENBLAS_CORE
 
 
 def _pin(start):
@@ -624,6 +619,55 @@ def test_symmetric_data_symmetric_solution():
     cfg = SolverConfig(epsilon=0.5)
     g, _ = solve_epsilon_geodesic(EH, psi, psi, cfg)
     assert np.max(np.abs(g.phi - g.phi[:, ::-1])) < 1e-10
+
+
+# (n, k) of the LeBrun backgrounds the metamorphic relations run on
+LEBRUN_BUNDLES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (3, 4)]
+
+
+def near_zero_section_config(profile):
+    rho_min = float(profile.rho_of_tau(profile.tau_min * (1.0 + 1e-4)))
+    return SolverConfig(epsilon=0.125, n_rho=33, n_t=33, rho_min=rho_min,
+                        rho_max=rho_min + 12.0, newton_tol=1e-11)
+
+
+@pytest.mark.parametrize("n,k", LEBRUN_BUNDLES)
+def test_swapping_the_ends_reverses_the_path(n, k):
+    # psi0 <-> psi1 with t -> 1 - t maps the discrete problem to itself: P
+    # and phi_rt change sign, M does not, and the Dirichlet column is
+    # symmetric (measured <= 5.4e-17)
+    p = lebrun_profile(k, 1.0, n=n)
+    a = tau_power_potential(p, 0.08, 4.0)
+    b = tau_power_potential(p, -0.05, 3.0)
+    cfg = near_zero_section_config(p)
+    ab, rep_ab = solve_epsilon_geodesic(p, a, b, cfg)
+    ba, rep_ba = solve_epsilon_geodesic(p, b, a, cfg)
+    assert np.max(np.abs(ab.phi - ba.phi[:, ::-1])) <= 1e-13
+    assert rep_ba.max_second_derivative == pytest.approx(
+        rep_ab.max_second_derivative, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,k", LEBRUN_BUNDLES)
+def test_kahler_class_scaling_scales_phi(n, k):
+    # LeBrun's phi(tau) is homogeneous of degree 1 in (tau, tau_min), so
+    # tau_min -> lam tau_min shifts rho by log lam; M (w')^{n-1} then scales
+    # as lam^{n+1} and (u')^{n-1} u'' as lam^n, and with the amplitudes and
+    # epsilon scaled by lam, phi scales to lam phi (measured <= 5.8e-15)
+    lam = 2.0
+    cfg = near_zero_section_config(lebrun_profile(k, 1.0, n=n))
+    shift = np.log(lam)
+    scaled = replace(cfg, epsilon=lam * cfg.epsilon,
+                     rho_min=cfg.rho_min + shift, rho_max=cfg.rho_max + shift)
+    paths = []
+    for scale, c in ((1.0, cfg), (lam, scaled)):
+        p = lebrun_profile(k, scale, n=n)
+        paths.append(solve_epsilon_geodesic(
+            p, tau_power_potential(p, 0.08 * scale, 4.0),
+            tau_power_potential(p, -0.05 * scale, 3.0), c))
+    (g1, rep1), (g2, rep2) = paths
+    assert np.max(np.abs(lam * g1.phi - g2.phi)) <= 1e-13
+    assert rep2.max_second_derivative == pytest.approx(
+        lam * rep1.max_second_derivative, rel=1e-12)
 
 
 def test_grid_convergence_second_order():
