@@ -505,17 +505,16 @@ class SignScanResult:
     negative_margin: float  # most negative eigenvalue seen (0 if none)
 
 
-def ricci_sign_scan(p: RadialProfile, tau_grid=None, zero_tol: float = 1e-8) -> SignScanResult:
-    """Classify the sign of the Ricci form over a tau grid.
+def ricci_sign_scan(p: RadialProfile, zero_tol: float = 1e-8) -> SignScanResult:
+    """Classify the sign of the Ricci form over 400 geometric tau nodes.
 
-    Eigenvalues within zero_tol of 0 count as zero; the classification is
-    mixed when both signs occur, zero when nothing exceeds the tolerance.
+    The nodes run from tau_min (1 + 1e-3) (at least 1e-3) to tau_max (at
+    most 1e6).  Eigenvalues within zero_tol of 0 count as zero; the
+    classification is mixed when both signs occur, zero when nothing
+    exceeds the tolerance.
     """
-    if tau_grid is None:
-        lo = max(p.tau_min * (1 + 1e-3), 1e-3)
-        hi = min(p.tau_max, 1e6)
-        tau_grid = np.geomspace(lo, hi, 400)
-    tau_grid = np.asarray(tau_grid, dtype=float)
+    tau_grid = np.geomspace(max(p.tau_min * (1 + 1e-3), 1e-3),
+                            min(p.tau_max, 1e6), 400)
     rb, rf = ricci_eigenvalues(p, tau_grid)
     eigs = np.concatenate([rb, rf])
     taus = np.concatenate([tau_grid, tau_grid])

@@ -23,7 +23,7 @@ from . import __version__
 from .analysis import fit_decay_exponent
 from .energy import energy_report, energy_verdict
 from .geodesic import (OPENBLAS_CORE, GeodesicError, PathGrid, SolverConfig,
-                       solve_epsilon_geodesic)
+                       _dirichlet_column, solve_epsilon_geodesic)
 from .potentials import check_potential_json, potential_from_json
 from .profiles import check_keys, check_profile_json, profile_from_json
 from .toric import MAX_ORACLE_ERROR, IntersectionReport
@@ -199,17 +199,15 @@ def _grid_meta(grid: PathGrid, profile, psi0, psi1):
             "n_rho": int(grid.rho_nodes.size), "n_t": int(grid.t_nodes.size)}
 
 
-def load_grid_csv(csv_path, meta_path=None) -> PathGrid:
-    """Rebuild a PathGrid from grid.csv plus its .meta.json sidecar.
+def load_grid_csv(csv_path) -> PathGrid:
+    """Rebuild a PathGrid from grid.csv plus its grid.meta.json sidecar.
 
     The sidecar's profile and potentials go through their JSON readers,
     and epsilon, n_rho and n_t through SolverConfig's checks.  Keys of the
     sidecar that the grid does not hold are ignored.
     """
     csv_path = Path(csv_path)
-    if meta_path is None:
-        meta_path = csv_path.with_suffix(".meta.json")
-    meta = json.loads(Path(meta_path).read_text())
+    meta = json.loads(csv_path.with_suffix(".meta.json").read_text())
     profile = profile_from_json(meta["profile"])
     psi0 = potential_from_json(meta["psi0"], profile, "psi0")
     psi1 = potential_from_json(meta["psi1"], profile, "psi1")
@@ -320,8 +318,7 @@ def _run_analyses(scenario, out, manifest):
             "max_second_derivative": report.max_second_derivative,
         }
         if psi0.is_zero and psi1.is_zero:
-            t = grid.t_nodes[None, :]
-            exact = cfg.epsilon * t * (t - 1.0) / 2.0
+            exact = _dirichlet_column(grid.t_nodes, cfg.epsilon)
             solve_details["exact_deviation"] = float(
                 np.max(np.abs(grid.phi - exact)))
         manifest.artifacts["grid_csv"] = str(out / "grid.csv")

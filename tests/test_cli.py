@@ -655,6 +655,53 @@ def test_cli_solve_and_k_energy(tmp_path):
     assert "--epsilon" in res.output
 
 
+@pytest.mark.parametrize("psi0", [
+    {"kind": "zero", "params": {}},
+    {"kind": "tau_power", "params": {"amplitude": -0.05, "gamma": 3.0}}],
+    ids=["zero-psi0", "tau-power-psi0"])
+def test_k_energy_on_a_reloaded_grid_writes_the_scenario_bytes(tmp_path,
+                                                                psi0):
+    # a scenario's energy analysis reads the fixed data its solved grid
+    # built; k-energy builds them afresh from grid.csv and its sidecar,
+    # and the two must write the same bytes (with psi0 != 0 the report's
+    # w' and w'' are sums of u', psi0' and psi1')
+    rho_min = float(EH.rho_of_tau(1.0 + 1e-4))
+    cfg_path = tmp_path / "eh65.json"
+    cfg_path.write_text(json.dumps({
+        "k": 2, "tau_min": 1.0, "epsilon": 0.125, "psi0": psi0,
+        "psi1": {"kind": "tau_power",
+                 "params": {"amplitude": 0.1, "gamma": 4.0}},
+        "grid": {"n_rho": 65, "n_t": 45, "rho_min": rho_min,
+                 "rho_max": rho_min + 12.0},
+        "tolerances": {"newton_tol": 1e-9}, "analyses": ["energy"]}))
+    run, energy = tmp_path / "run", tmp_path / "energy"
+    res = CliRunner().invoke(main, ["solve-geodesic", "--config",
+                                    str(cfg_path), "--out", str(run)])
+    assert res.exit_code == 0, res.output
+    res = CliRunner().invoke(main, ["k-energy", "--path",
+                                    str(run / "grid.csv"),
+                                    "--out", str(energy)])
+    assert res.exit_code == 0, res.output
+    for name in ("energy.json", "energy.csv"):
+        assert (energy / name).read_bytes() == (run / name).read_bytes()
+
+
+def test_cli_solve_on_n_3(tmp_path):
+    # the lebrun form covers every n: solve-geodesic on O(-2) over CP^2
+    # used to be refused ("specific to n=2", exit 2)
+    cfg_path = tmp_path / "n3k2.json"
+    cfg_path.write_text(json.dumps({
+        "n": 3, "k": 2, "tau_min": 1.0, "epsilon": 0.5,
+        "grid": {"n_rho": 17, "n_t": 17}}))
+    out = tmp_path / "run"
+    res = CliRunner().invoke(main, ["solve-geodesic", "--config",
+                                    str(cfg_path), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    meta = json.loads((out / "grid.meta.json").read_text())
+    assert (meta["profile"]["n"], meta["profile"]["k"]) == (3, 2)
+    assert (out / "grid.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def burns_run(tmp_path_factory):
     """A solved Burns path with tau_power data: grid.csv and its sidecar."""
